@@ -4,7 +4,7 @@ The tracing design promises that the *disabled* path is nearly free —
 hot call sites guard on ``tracer.enabled`` and the null tracer hands out
 one preallocated no-op context manager — while the *enabled* path pays a
 bounded, measurable premium.  These benchmarks pin both claims; the CI
-smoke job (``benchmarks/tracer_overhead.py``) asserts the acceptance
+smoke job (``benchmarks/disabled_path_overhead.py``) asserts the acceptance
 bound mechanically.
 """
 

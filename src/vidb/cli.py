@@ -277,6 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                 "(min_lsn) reads before failing with a "
                                 "lagging error (default 2)")
     _trace_flags(replicate)
+    _common_engine_flags(replicate)
 
     router = sub.add_parser(
         "router", help="route one endpoint across a primary and replicas")
@@ -433,6 +434,15 @@ def _engine(args: argparse.Namespace, db: VideoDatabase) -> QueryEngine:
     for path in args.rules:
         engine.add_rules(Path(path).read_text(encoding="utf-8"))
     return engine
+
+
+def _engine_options(args: argparse.Namespace) -> dict:
+    """The ``_common_engine_flags`` group as the keyword arguments the
+    serving roles (``serve``, ``replicate --serve-port``) take."""
+    rules = "\n".join(Path(p).read_text(encoding="utf-8")
+                      for p in args.rules)
+    return {"rules": rules or None, "use_stdlib_rules": args.stdlib,
+            "engine_options": {"mode": args.mode, "kernel": args.kernel}}
 
 
 def _load(path: str) -> VideoDatabase:
@@ -690,13 +700,10 @@ def _cmd_serve(args) -> int:
         else:
             db = _load(args.database)
             serving = db
-        rules_text = "\n".join(Path(p).read_text(encoding="utf-8")
-                               for p in args.rules) or None
         service = ServiceExecutor(
-            serving, rules=rules_text, use_stdlib_rules=args.stdlib,
+            serving, **_engine_options(args),
             max_workers=args.workers, max_in_flight=args.max_in_flight,
             cache_capacity=args.cache_capacity, default_timeout=args.timeout,
-            engine_options={"mode": args.mode, "kernel": args.kernel},
             metrics=registry,
             slow_query_ms=args.slow_query_ms, event_log=event_log,
             read_only=args.read_only,
@@ -786,7 +793,7 @@ def _replica_serve(args) -> int:
                    poll_interval_s=max(0.05, args.interval),
                    lsn_wait_s=args.lsn_wait,
                    promote_data_dir=args.promote_data_dir,
-                   event_log=event_log,
+                   event_log=event_log, **_engine_options(args),
                    trace_sample=args.trace_sample,
                    trace_capacity=args.trace_capacity,
                    trace_sink=args.trace_sink)

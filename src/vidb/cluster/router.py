@@ -27,13 +27,16 @@ scaling:
   ``cluster`` error until ``vidb promote`` repoints the router via the
   ``repoint`` op.
 
-Router-specific ops::
+The router is an :class:`~vidb.service.wire.Endpoint` like the server:
+the ops it answers itself are its ``op_<name>`` methods, every other op
+is relayed by :meth:`ClusterRouter.forward`::
 
     {"op": "cluster"}                      topology + health + counters
     {"op": "cluster_health"}               fleet summary: nodes + rollups
     {"op": "traces"}                       fleet-wide trace summaries
     {"op": "trace", "id": "<trace_id>"}    fan-out segment fetch
     {"op": "repoint", "host": H, "port": P}   new primary after failover
+    {"op": "listen", ...}                  refused: names the primary
 
 Observability (see docs/OBSERVABILITY.md): the router participates in
 distributed tracing — a request carrying a sampled traceparent header
@@ -50,60 +53,59 @@ router's own counters, and ``cluster_health`` summarizes the fleet for
 
 from __future__ import annotations
 
-import json
-import socket
-import socketserver
 import threading
 import time
 import urllib.request
-from typing import Any, Dict, List, Optional, Tuple, cast
+from typing import Any, Dict, List, Optional, Tuple
 
 from vidb.errors import ClusterError, ProtocolError
 from vidb.obs.events import EventLog, get_event_log
 from vidb.obs.fleet import FleetAggregator, render_fleet_exposition
 from vidb.obs.metrics import MetricsRegistry
-from vidb.obs.trace import FlightRecorder, parse_traceparent
-from vidb.obs.tracer import Tracer, current_tracer
+from vidb.obs.trace import FlightRecorder
+from vidb.obs.tracer import current_tracer
+from vidb.service.wire import (
+    REPLICA_OPS,
+    Channel,
+    Connection,
+    Endpoint,
+    Message,
+    call,
+)
 
-#: Ops the router load-balances across replicas: stateless reads whose
-#: answer depends only on committed data (plus the client's LSN token).
-#: Everything else — writes, per-connection session state, log shipping,
-#: introspection of *the primary* — goes to the primary connection.
-REPLICA_OPS = frozenset({"query", "lint"})
+Address = Tuple[str, int]
 
 
-class _Backend:
-    """One raw JSON-lines connection to a backend server.
+class _Upstreams:
+    """One client connection's backend channels, opened on first use —
+    so per-connection session state (prepared queries, subscriptions)
+    lives on the backend connection that created it."""
 
-    Deliberately *not* a :class:`ServiceClient`: the router forwards
-    responses verbatim (including errors), so it must not decode error
-    kinds into exceptions or track session tokens of its own.
-    """
+    def __init__(self, router: "ClusterRouter"):
+        self.router = router
+        self._channels: Dict[Address, Channel] = {}
+        self._version = router.primary_version
 
-    def __init__(self, address: Tuple[str, int], timeout: float):
-        self.address = address
-        self._sock = socket.create_connection(address, timeout=timeout)
-        self._reader = self._sock.makefile("rb")
+    def channel(self, address: Address) -> Channel:
+        if self._version != self.router.primary_version:
+            # The router was repointed (failover): every cached channel
+            # may belong to the old generation — reconnect.
+            self.close()
+            self._version = self.router.primary_version
+        channel = self._channels.get(address)
+        if channel is None:
+            channel = Channel(address, self.router.request_timeout)
+            self._channels[address] = channel
+        return channel
 
-    def forward(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        self._sock.sendall((json.dumps(request) + "\n").encode("utf-8"))
-        line = self._reader.readline()
-        if not line:
-            raise ConnectionResetError("backend closed the connection")
-        response = json.loads(line.decode("utf-8"))
-        if not isinstance(response, dict):
-            raise ProtocolError("backend response must be a JSON object")
-        return response
+    def drop(self, address: Address) -> None:
+        channel = self._channels.pop(address, None)
+        if channel is not None:
+            channel.close()
 
     def close(self) -> None:
-        try:
-            self._reader.close()
-        except OSError:
-            pass
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        for address in list(self._channels):
+            self.drop(address)
 
 
 class ReplicaState:
@@ -126,90 +128,10 @@ class ReplicaState:
                 "last_error": self.last_error}
 
 
-class _RouterHandler(socketserver.StreamRequestHandler):
-    """One client connection: lazy backend connections, verbatim
-    forwarding, replica fallback."""
-
-    def setup(self) -> None:
-        super().setup()
-        self.router = cast("_RouterServer", self.server).router
-        self._primary: Optional[_Backend] = None
-        self._primary_version = -1
-        self._replica_conns: Dict[Tuple[str, int], _Backend] = {}
-
-    def finish(self) -> None:
-        if self._primary is not None:
-            self._primary.close()
-        for conn in self._replica_conns.values():
-            conn.close()
-        super().finish()
-
-    def handle(self) -> None:
-        for raw in self.rfile:
-            line = raw.strip()
-            if not line:
-                continue
-            request: Dict[str, Any] = {}
-            try:
-                request = json.loads(line.decode("utf-8"))
-                if not isinstance(request, dict):
-                    raise ProtocolError("request must be a JSON object")
-                response = self.router.route(self, request)
-            except (ValueError, ProtocolError) as error:
-                response = {"ok": False, "error": "protocol",
-                            "message": str(error)}
-            except ClusterError as error:
-                response = {"ok": False, "error": "cluster",
-                            "message": str(error)}
-            try:
-                self.wfile.write(
-                    (json.dumps(response) + "\n").encode("utf-8"))
-                self.wfile.flush()
-            except (BrokenPipeError, ConnectionResetError):
-                break
-            if request.get("op") == "close":
-                break
-
-    # -- backend connections -------------------------------------------------
-    def primary_conn(self) -> _Backend:
-        version = self.router.primary_version
-        if self._primary is not None and self._primary_version != version:
-            # The router was repointed (failover): this connection's
-            # primary is the old generation — reconnect to the new one.
-            self._primary.close()
-            self._primary = None
-        if self._primary is None:
-            self._primary = _Backend(self.router.primary,
-                                     self.router.request_timeout)
-            self._primary_version = version
-        return self._primary
-
-    def drop_primary(self) -> None:
-        if self._primary is not None:
-            self._primary.close()
-            self._primary = None
-
-    def replica_conn(self, address: Tuple[str, int]) -> _Backend:
-        conn = self._replica_conns.get(address)
-        if conn is None:
-            conn = _Backend(address, self.router.request_timeout)
-            self._replica_conns[address] = conn
-        return conn
-
-    def drop_replica(self, address: Tuple[str, int]) -> None:
-        conn = self._replica_conns.pop(address, None)
-        if conn is not None:
-            conn.close()
-
-
-class _RouterServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-    router: "ClusterRouter"
-
-
-class ClusterRouter:
+class ClusterRouter(Endpoint):
     """Route one protocol endpoint across a primary and its replicas."""
+
+    span_prefix = "router"
 
     def __init__(self, primary: Tuple[str, int],
                  replicas: Optional[List[Tuple[str, int]]] = None, *,
@@ -224,9 +146,17 @@ class ClusterRouter:
                  trace_sample: float = 0.0,
                  trace_capacity: int = 256,
                  scrape_interval_s: float = 2.0):
+        # The flight recorder holds router-side trace segments (see
+        # vidb.obs.trace).  ``trace_sample`` only matters for reads that
+        # arrive without any header; the router mostly honors the
+        # sampling decision the client made.
+        super().__init__(
+            host, port, metrics or MetricsRegistry(),
+            FlightRecorder(capacity=trace_capacity, sample_rate=trace_sample),
+            event_log if event_log is not None else get_event_log())
         self.primary = (primary[0], int(primary[1]))
-        #: Bumped on :meth:`repoint`; client handlers compare it to know
-        #: their cached primary connection points at a dead generation.
+        #: Bumped on :meth:`repoint`; each client connection compares it
+        #: to know its cached backend channels are a dead generation's.
         self.primary_version = 0
         self.request_timeout = request_timeout
         self.connect_timeout = connect_timeout
@@ -236,20 +166,12 @@ class ClusterRouter:
         #: guarantees read-your-writes).
         self.max_lag_lsn = max_lag_lsn
         self.readyz_urls = dict(readyz_urls or {})
-        self.events = event_log if event_log is not None else get_event_log()
-        self.metrics = metrics or MetricsRegistry()
         self._reads = self.metrics.counter_family("router_reads_total",
                                                   ("replica",))
         for name in ("router.requests", "router.reads_balanced",
                      "router.fallbacks", "router.replica_errors",
                      "router.primary_errors"):
             self.metrics.counter(name)
-        #: Router-side trace segments (see :mod:`vidb.obs.trace`).  The
-        #: router never head-samples on its own — ``trace_sample`` here
-        #: only matters for requests that arrive without any header —
-        #: it mostly honors the sampling decision the client made.
-        self.flight_recorder = FlightRecorder(capacity=trace_capacity,
-                                              sample_rate=trace_sample)
         #: Federated member telemetry, fed by the scrape loop.
         self.fleet = FleetAggregator()
         self.scrape_interval_s = max(0.25, scrape_interval_s)
@@ -257,63 +179,38 @@ class ClusterRouter:
         self._replicas: List[ReplicaState] = [
             ReplicaState((h, int(p))) for h, p in (replicas or [])]
         self._rr = 0
-        self._server = _RouterServer((host, port), _RouterHandler)
-        self._server.router = self
-        self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
-        self._prober: Optional[threading.Thread] = None
-        self._scraper: Optional[threading.Thread] = None
+        self._loops: List[threading.Thread] = []
 
     # -- lifecycle -----------------------------------------------------------
-    @property
-    def address(self) -> Tuple[str, int]:
-        return self._server.server_address[:2]
-
     def start(self) -> "ClusterRouter":
-        self.probe()  # synchronous first pass: start with a real view
-        self.scrape()  # ...and a populated fleet view from birth
-        self._prober = threading.Thread(target=self._probe_loop,
-                                        name="vidb-router-probe", daemon=True)
-        self._prober.start()
-        self._scraper = threading.Thread(target=self._scrape_loop,
-                                         name="vidb-router-scrape",
-                                         daemon=True)
-        self._scraper.start()
-        self._thread = threading.Thread(target=self.serve_forever,
-                                        name="vidb-router", daemon=True)
-        self._thread.start()
-        return self
+        # A synchronous first pass of each: start with a real view of
+        # replica health and a populated fleet view.
+        for name, interval, tick in (
+                ("probe", self.probe_interval_s, self.probe),
+                ("scrape", self.scrape_interval_s, self.scrape)):
+            tick()
+            self._loops.append(threading.Thread(
+                target=self._every, args=(interval, tick),
+                name=f"vidb-router-{name}", daemon=True))
+            self._loops[-1].start()
+        return self.start_background()
 
-    def serve_forever(self) -> None:
-        self._server.serve_forever(poll_interval=0.1)
+    def _every(self, interval_s: float, tick) -> None:
+        while not self._stop.wait(interval_s):
+            tick()
 
     def close(self) -> None:
         self._stop.set()
-        self._server.shutdown()
-        self._server.server_close()
-        if self._prober is not None:
-            self._prober.join(timeout=5)
-            self._prober = None
-        if self._scraper is not None:
-            self._scraper.join(timeout=5)
-            self._scraper = None
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
+        self.shutdown()
+        while self._loops:
+            self._loops.pop().join(timeout=5)
         self.flight_recorder.close()
 
-    def __enter__(self) -> "ClusterRouter":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.close()
-        return False
+    def open_connection(self) -> _Upstreams:
+        return _Upstreams(self)
 
     # -- health probing ------------------------------------------------------
-    def _probe_loop(self) -> None:
-        while not self._stop.wait(self.probe_interval_s):
-            self.probe()
-
     def probe(self) -> None:
         """One health pass over every replica (and the readyz gates)."""
         for state in self._replicas:
@@ -323,11 +220,7 @@ class ClusterRouter:
         healthy, error = True, None
         applied = lag = None
         try:
-            conn = _Backend(state.address, self.connect_timeout)
-            try:
-                reply = conn.forward({"op": "wal"})
-            finally:
-                conn.close()
+            reply = call(state.address, {"op": "wal"}, self.connect_timeout)
             if not reply.get("ok"):
                 healthy, error = False, str(reply.get("message"))
             else:
@@ -337,7 +230,7 @@ class ClusterRouter:
                 if (self.max_lag_lsn is not None
                         and lag > self.max_lag_lsn):
                     healthy, error = False, f"lagging {lag} LSNs"
-        except (OSError, ValueError, ProtocolError) as exc:
+        except (OSError, ProtocolError) as exc:
             healthy, error = False, str(exc)
         if healthy and state.address in self.readyz_urls:
             try:
@@ -391,84 +284,61 @@ class ClusterRouter:
             return healthy[start:] + healthy[:start]
 
     # -- routing -------------------------------------------------------------
-    def route(self, handler: _RouterHandler,
-              request: Dict[str, Any]) -> Dict[str, Any]:
-        op = request.get("op")
+    def answer(self, conn: Connection, line: bytes) -> Message:
         self.metrics.inc("router.requests")
-        if op == "cluster":
-            return self.topology()
-        if op == "cluster_health":
-            return self.cluster_health()
-        if op == "traces":
-            limit = request.get("limit")
-            return self.cluster_traces(limit if isinstance(limit, int) else 20)
-        if op == "trace" and isinstance(request.get("id"), str):
-            return self.cluster_trace(request["id"])
-        if op == "repoint":
-            host = request.get("host")
-            port = request.get("port")
-            if not isinstance(host, str) or not isinstance(port, int):
-                raise ProtocolError(
-                    "repoint needs string 'host' and integer 'port'")
-            self.repoint((host, port))
-            return {"ok": True, "primary": f"{host}:{port}"}
-        if op == "close":
-            return {"ok": True, "closing": True}
-        return self._traced_route(handler, request, op)
+        return super().answer(conn, line)
 
-    def _traced_route(self, handler: _RouterHandler, request: Dict[str, Any],
-                      op: Any) -> Dict[str, Any]:
-        """Forward ``request``, recording a router trace segment when the
-        request carries a sampled traceparent header.
+    def op_cluster(self, conn: Connection, request: Message) -> Message:
+        return self.topology()
 
-        The forwarded copy carries the *router segment's* header (not a
-        further child), so the backend's segment parents to the router
-        and the assembled tree reads client → router → backend.
-        """
-        header = request.get("trace")
-        parent = parse_traceparent(header) if isinstance(header, str) else None
-        if parent is None or not parent.sampled:
-            return self._forward_op(handler, request, op)
-        context = parent.child()
-        request = dict(request)
-        request["trace"] = context.to_header()
-        tracer = Tracer()
-        status: str = "ok"
-        error_text: Optional[str] = None
-        started_at = time.time()
-        began = time.perf_counter()
-        try:
-            with tracer.activate():
-                with tracer.span(f"router.{op}", op=str(op)):
-                    response = self._forward_op(handler, request, op)
-        except Exception as error:
-            status, error_text = "error", str(error)
-            raise
-        finally:
-            self.flight_recorder.record(
-                context, root=tracer.root(), node=self.node_identity(),
-                op=str(op), parent_span_id=parent.span_id, status=status,
-                error=error_text, started_at=started_at,
-                duration_s=time.perf_counter() - began)
-        response.setdefault("trace", context.to_header())
-        return response
+    def op_cluster_health(self, conn: Connection,
+                          request: Message) -> Message:
+        return self.cluster_health()
 
-    def _forward_op(self, handler: _RouterHandler, request: Dict[str, Any],
-                    op: Any) -> Dict[str, Any]:
-        if op in REPLICA_OPS:
-            return self._route_read(handler, request)
-        return self._route_primary(handler, request)
+    def op_traces(self, conn: Connection, request: Message) -> Message:
+        limit = request.get("limit")
+        return self.cluster_traces(20 if limit is None else limit)
 
-    def _route_primary(self, handler: _RouterHandler,
-                       request: Dict[str, Any]) -> Dict[str, Any]:
+    def op_trace(self, conn: Connection, request: Message) -> Message:
+        if request.get("id") is None:
+            return self.forward(conn, request)
+        return self.cluster_trace(request["id"])
+
+    def op_repoint(self, conn: Connection, request: Message) -> Message:
+        self.repoint((request["host"], request["port"]))
+        return {"ok": True,
+                "primary": f"{request['host']}:{request['port']}"}
+
+    def op_listen(self, conn: Connection, request: Message) -> Message:
+        # A connection-takeover op cannot be relayed request by request:
+        # forwarded, its pushes would answer the client's later requests.
+        host, port = self.primary
+        raise ClusterError(
+            f"listen takes over its connection and is not routable; "
+            f"connect to the primary at {host}:{port}")
+
+    def forward(self, conn: Connection, request: Message) -> Message:
+        """Relay to a backend: balanced across replicas for the table's
+        ``replica`` rows, to the primary for everything else (writes,
+        per-connection session state, log shipping, introspection of
+        *the primary*).  Under a sampled trace the request already
+        carries this hop's header, so the backend's segment parents to
+        the router's and the tree reads client → router → backend."""
+        op = request.get("op")
+        if isinstance(op, str) and op in REPLICA_OPS:
+            return self._route_read(conn.state, request)
+        return self._route_primary(conn.state, request)
+
+    def _route_primary(self, upstreams: _Upstreams,
+                       request: Message) -> Message:
         host, port = self.primary
         with current_tracer().span("router.forward",
                                    backend=f"{host}:{port}",
                                    role="primary") as span:
             try:
-                response = handler.primary_conn().forward(request)
-            except (OSError, ProtocolError, ValueError) as error:
-                handler.drop_primary()
+                response = upstreams.channel(self.primary).call(request)
+            except (OSError, ProtocolError) as error:
+                upstreams.drop(self.primary)
                 self.metrics.inc("router.primary_errors")
                 span.annotate(outcome="transport_error")
                 raise ClusterError(
@@ -477,8 +347,8 @@ class ClusterRouter:
             span.annotate(outcome="served")
             return response
 
-    def _route_read(self, handler: _RouterHandler,
-                    request: Dict[str, Any]) -> Dict[str, Any]:
+    def _route_read(self, upstreams: _Upstreams,
+                    request: Message) -> Message:
         tracer = current_tracer()
         for state in self._next_replicas():
             address = state.address
@@ -486,9 +356,9 @@ class ClusterRouter:
             with tracer.span("router.forward", backend=backend,
                              role="replica") as span:
                 try:
-                    response = handler.replica_conn(address).forward(request)
-                except (OSError, ProtocolError, ValueError) as error:
-                    handler.drop_replica(address)
+                    response = upstreams.channel(address).call(request)
+                except (OSError, ProtocolError) as error:
+                    upstreams.drop(address)
                     self.mark_down(address, str(error))
                     self.metrics.inc("router.replica_errors")
                     span.annotate(outcome="transport_error")
@@ -507,7 +377,7 @@ class ClusterRouter:
         else:
             if self._replicas:
                 self.metrics.inc("router.fallbacks")
-        response = self._route_primary(handler, request)
+        response = self._route_primary(upstreams, request)
         self._reads.labels(replica="primary").inc()
         return response
 
@@ -523,10 +393,6 @@ class ClusterRouter:
             members.extend(("replica", s.address) for s in self._replicas)
         return members
 
-    def _scrape_loop(self) -> None:
-        while not self._stop.wait(self.scrape_interval_s):
-            self.scrape()
-
     def scrape(self) -> None:
         """One telemetry pass: pull every member's metrics snapshot into
         the fleet aggregator (failures keep the last good snapshot and
@@ -534,12 +400,9 @@ class ClusterRouter:
         for role, address in self._members():
             name = f"{address[0]}:{address[1]}"
             try:
-                conn = _Backend(address, self.connect_timeout)
-                try:
-                    reply = conn.forward({"op": "metrics"})
-                finally:
-                    conn.close()
-            except (OSError, ValueError, ProtocolError) as error:
+                reply = call(address, {"op": "metrics"},
+                             self.connect_timeout)
+            except (OSError, ProtocolError) as error:
                 self.fleet.mark_failed(name, role, str(error))
                 continue
             snapshot = reply.get("metrics")
@@ -577,12 +440,8 @@ class ClusterRouter:
         replies = []
         for _role, address in self._members():
             try:
-                conn = _Backend(address, self.connect_timeout)
-                try:
-                    reply = conn.forward(request)
-                finally:
-                    conn.close()
-            except (OSError, ValueError, ProtocolError):
+                reply = call(address, request, self.connect_timeout)
+            except (OSError, ProtocolError):
                 continue
             if reply.get("ok"):
                 replies.append(reply)

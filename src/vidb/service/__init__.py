@@ -11,8 +11,10 @@ Turns the single-caller library into a servable database:
 * :mod:`vidb.service.metrics` — compatibility shim over
   :mod:`vidb.obs.metrics` (counters, gauges, histograms, labeled
   families, plain-dict snapshot export);
-* :mod:`vidb.service.server` — a stdlib-only JSON-lines TCP server and
-  client (``vidb serve`` / ``vidb client``);
+* :mod:`vidb.service.wire` — the one JSON-lines wire plane (codec, op
+  table, serve loop, trace adoption, client channel) every role shares;
+* :mod:`vidb.service.server` — the stdlib-only TCP server and client
+  over it (``vidb serve`` / ``vidb client``);
 * :mod:`vidb.service.top` — the ``vidb top`` live terminal view.
 
 Quickstart::

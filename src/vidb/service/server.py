@@ -1,104 +1,20 @@
-"""A stdlib-only JSON-lines TCP server and client for the query service.
+"""The query service's TCP server and its blocking client.
 
-Wire protocol: one JSON object per ``\\n``-terminated line, UTF-8.
-Requests carry an ``op`` field; responses carry ``ok`` (bool) plus
-op-specific fields, or ``{"ok": false, "error": <kind>, "message": ...}``.
-
-Operations::
-
-    {"op": "ping"}
-    {"op": "info"}
-    {"op": "query",   "query": "?- object(O).", "timeout": 5, "limit": 10,
-                      "profile": true}
-    {"op": "prepare", "name": "q1", "query": "?- ...", "params": ["O"]}
-    {"op": "execute", "name": "q1", "params": {"O": "o1"}}
-    {"op": "insert_entity",   "oid": "o9", "attributes": {"name": "David"}}
-    {"op": "insert_interval", "oid": "gi9", "entities": ["o9"],
-                              "duration": [[0, 10]], "attributes": {}}
-    {"op": "relate",  "relation": "in", "args": ["o1", "o2", "gi1"]}
-    {"op": "lint",    "text": "big(G) :- interval(G), G.start < 1."}
-    {"op": "metrics"}
-    {"op": "trace",   "limit": 10}
-    {"op": "trace",   "id": "4bf92f3577b34da6a3ce929d0e0e4736"}
-    {"op": "traces",  "limit": 20}
-    {"op": "events",  "limit": 10, "type": "slow_query"}
-    {"op": "wal",     "after": 42, "limit": 1000}
-    {"op": "declare_relation", "name": "appears"}
-    {"op": "batch",   "ops": [{"op": "insert_entity", "oid": "o9",
-                               "attributes": {}}, ...]}
-    {"op": "subscribe",   "query": "?- appears(O, G).",
-                          "filter": {"O": "o1"}, "max_queue": 256,
-                          "detach": false}
-    {"op": "unsubscribe", "id": "sub1"}
-    {"op": "poll",        "id": "sub1", "wait_s": 1.0, "max_batches": 10}
-    {"op": "subscriptions"}
-    {"op": "listen",      "id": "sub1"}
-    {"op": "close"}
-
-Streaming (see :mod:`vidb.stream` and docs/STREAMING.md): ``batch``
-applies its sub-ops (``insert_entity`` / ``insert_interval`` /
-``relate`` / ``declare_relation``) in **one** transaction — one atomic
-commit, one notification round for standing queries, full rollback on
-any failure.  ``subscribe`` registers a standing query and returns a
-subscription id; each later commit's *new* answers arrive as ordered
-batches (``seq``, post-commit ``epoch``, rendered ``rows``) that the
-client drains with ``poll`` (``wait_s`` bounds a blocking wait).
-Queues are bounded: a slow consumer loses oldest batches first and the
-oldest surviving batch carries ``"lagged": true`` plus cumulative drop
-counts — loss is explicit, never silent.  ``listen`` switches the
-connection to push mode: after the ack, the server streams each batch
-as its own ``{"push": true, ...}`` line until the subscription closes
-(the connection serves nothing else afterwards).  Subscriptions die
-with the session/connection that created them unless ``detach`` was
-set; ``subscriptions`` lists live ones (the ``vidb top`` panel).
-
-The ``events`` op returns the service's structured event log (slow
-queries above ``--slow-query-ms``, admission rejections, durability
-checkpoints, replica resyncs — see :mod:`vidb.obs.events`), most recent
-first, optionally filtered by event type.  Every request is also
-counted into the labeled ``requests_total{op=,outcome=}`` metric
-family, so per-op error rates show up on the ``metrics`` op and the
-Prometheus exporter.
-
-The ``wal`` op ships write-ahead-log records after the given LSN to a
-log-shipping replica (see :mod:`vidb.durability.replica`); it answers
-with a full snapshot (``"resync": true``) when the follower is older
-than the latest checkpoint, and fails with a ``service`` error when the
-server is not running durably (no ``--data-dir``).
-
-The ``lint`` op statically analyzes a rule/query document against the
-server's database and installed program without installing it (see
-:mod:`vidb.analysis`); the response carries ``diagnostics`` (structured
-``VDB0xx`` findings), ``summary`` and ``ok_to_load``.
-
-A query with ``"profile": true`` runs traced (bypassing the result
-cache) and its response additionally carries ``stats``, ``profile``
-(the rendered EXPLAIN ANALYZE-style text) and the span tree under
-``trace``.  The ``trace`` op without an ``id`` returns the service
-metrics snapshot plus summaries of the most recently executed queries;
-with an ``id`` it returns this process's retained flight-recorder
-segments of that distributed trace, and ``traces`` lists recent
-segment summaries (see below).
-
-Distributed tracing (see :mod:`vidb.obs.trace` and
-docs/OBSERVABILITY.md): every request may carry an optional ``"trace"``
-field holding a W3C-traceparent-style header
-(``00-<trace_id>-<span_id>-<flags>``).  A sampled header makes the
-handler record the request as a flight-recorder *segment* — node
-identity (role / host / port / generation), wall-clock timing, and a
-local span tree (``server.query`` wrapping ``wait_for_lsn`` and the
-engine's own evaluation spans) parented to the sender's span id — and
-the successful response echoes this process's own header under
-``"trace"``.  Requests without a header are head-sampled at
-``--trace-sample`` rate; slow-over-threshold and errored requests are
-retained even unsampled.  Mutating requests run under the ambient
-trace context, so the commit deltas they produce (and the standing-
-query notification batches those cause) carry the trace header too.
+Both speak the JSON-lines protocol of :mod:`vidb.service.wire`, which
+owns the format, the op table and the serve loop; docs/SERVICE.md has
+the op-by-op reference (request fields, reply fields, which ops a
+client may retry and which a router serves from replicas).  This module
+is what a *server* answers: :class:`VideoServer` defines one
+``op_<name>`` method per op, over a
+:class:`~vidb.service.executor.ServiceExecutor`.
 
 Each connection gets its own :class:`~vidb.service.session.Session`, so
-prepared queries are per-connection state, exactly like prepared
-statements in a SQL server.  Answer values are serialized as strings
-(the same rendering the CLI prints).
+prepared queries and non-detached subscriptions are per-connection
+state, exactly like prepared statements in a SQL server.  Answer values
+are serialized as strings (the same rendering the CLI prints).
+Mutating requests run under the ambient trace context, so the commit
+deltas they produce (and the standing-query notification batches those
+cause) carry the trace header too.
 
 :class:`ServiceClient` is the matching blocking client; it re-raises
 server-side error kinds as the corresponding :mod:`vidb.errors` classes
@@ -107,584 +23,65 @@ so ``except ServiceOverloadedError`` works across the wire.
 
 from __future__ import annotations
 
-import json
 import random
-import socket
-import socketserver
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple, cast
+from typing import Any, Dict, List, Optional
 
+from vidb.analysis.lint import summarize as lint_summary
 from vidb.errors import (
     ClusterError,
-    FencedError,
-    ModelError,
     ProtocolError,
-    QueryError,
-    QueryTimeoutError,
-    ReadOnlyError,
     ReplicaLagError,
-    ServiceClosedError,
     ServiceError,
-    ServiceOverloadedError,
-    SessionError,
     StandingQueryError,
-    VidbError,
 )
-from vidb.analysis.lint import summarize as lint_summary
-from vidb.obs.trace import TraceContext, parse_traceparent, use_context
-from vidb.obs.tracer import Tracer, current_tracer
+from vidb.obs.trace import TraceContext
+from vidb.obs.tracer import current_tracer
 from vidb.query.execution import ExecutionOptions
 from vidb.service.executor import ServiceExecutor
-
-#: error kind <-> exception class, shared by server (encode) and client
-#: (decode).  Unknown kinds decode as plain ServiceError.
-ERROR_KINDS = {
-    "overloaded": ServiceOverloadedError,
-    "timeout": QueryTimeoutError,
-    "closed": ServiceClosedError,
-    "standing": StandingQueryError,
-    "session": SessionError,
-    "protocol": ProtocolError,
-    "read_only": ReadOnlyError,
-    "lagging": ReplicaLagError,
-    "fenced": FencedError,
-    "cluster": ClusterError,
-    "service": ServiceError,
-    "query": QueryError,
-    "model": ModelError,
-    "vidb": VidbError,
-}
-
-#: Side-effect-free ops a client may safely resend after a transient
-#: transport failure (connection reset mid-flight); everything else
-#: might have been applied before the failure and must not be retried
-#: blindly.
-IDEMPOTENT_OPS = frozenset({
-    "ping", "info", "query", "execute", "lint", "metrics", "trace",
-    "traces", "events", "wal", "cluster", "cluster_health",
-    "subscriptions",
-})
-
-#: Ops eligible for head-based sampling (and slow/error forced
-#: retention) when no trace context arrives with the request.  A
-#: request that *does* carry a sampled context is traced whatever its
-#: op — mutations included, so their commit deltas get stamped.
-_TRACED_OPS = frozenset({"query", "execute"})
+from vidb.service.wire import (
+    ERROR_KINDS,
+    IDEMPOTENT_OPS,
+    OPS,
+    Channel,
+    Connection,
+    Endpoint,
+    Message,
+    apply_mutation,
+)
 
 
-def _error_kind(error: Exception) -> str:
-    for kind, cls in ERROR_KINDS.items():
-        if type(error) is cls:
-            return kind
-    for kind, cls in ERROR_KINDS.items():
-        if isinstance(error, cls) and cls is not VidbError:
-            return kind
-    return "vidb"
-
-
-def _answers_payload(answers, limit: Optional[int]) -> Dict[str, Any]:
+def _answers_payload(answers, limit: Optional[int]) -> Message:
     rows = [[str(value) for value in row] for row in answers.rows()]
     if limit is not None:
         rows = rows[:limit]
     return {
+        "ok": True,
         "variables": list(answers.variables),
         "rows": rows,
         "count": len(answers),
     }
 
 
-class _Handler(socketserver.StreamRequestHandler):
-    """One thread per connection; one service session per connection."""
-
-    #: Set by a ``listen`` dispatch: after the ack is written, the
-    #: connection flips to push mode for this subscription.
-    _listen_sub = None
-
-    def handle(self) -> None:
-        service = cast("_ThreadingServer", self.server).service
-        session = service.open_session()
-        requests = service.metrics.counter_family("requests_total",
-                                                  ("op", "outcome"))
-        try:
-            for raw in self.rfile:
-                line = raw.strip()
-                if not line:
-                    continue
-                op_label = "?"
-                try:
-                    request = json.loads(line.decode("utf-8"))
-                    if not isinstance(request, dict):
-                        raise ProtocolError("request must be a JSON object")
-                    op_label = str(request.get("op"))
-                    response, keep_open = self._traced_dispatch(
-                        service, session, request)
-                except (ValueError, ProtocolError) as error:
-                    response = {"ok": False, "error": "protocol",
-                                "message": str(error)}
-                    keep_open = True
-                except VidbError as error:
-                    response = {"ok": False, "error": _error_kind(error),
-                                "message": str(error)}
-                    keep_open = True
-                outcome = ("ok" if response.get("ok")
-                           else str(response.get("error", "error")))
-                requests.labels(op=op_label, outcome=outcome).inc()
-                try:
-                    self.wfile.write(
-                        (json.dumps(response) + "\n").encode("utf-8"))
-                    self.wfile.flush()
-                except (BrokenPipeError, ConnectionResetError):
-                    break
-                if self._listen_sub is not None:
-                    subscription, self._listen_sub = self._listen_sub, None
-                    self._push_loop(subscription)
-                    break
-                if not keep_open:
-                    break
-        finally:
-            session.close()
-
-    def _push_loop(self, subscription) -> None:
-        """Push mode: stream each notification batch as its own line
-        until the subscription closes or the client goes away.  The
-        connection is dedicated to pushes from here on."""
-        try:
-            while True:
-                batches = subscription.poll(wait_s=0.5)
-                for batch in batches:
-                    line = json.dumps({"push": True, "id": subscription.id,
-                                       **batch})
-                    self.wfile.write((line + "\n").encode("utf-8"))
-                if batches:
-                    self.wfile.flush()
-                elif subscription.closed:
-                    self.wfile.write((json.dumps(
-                        {"push": True, "id": subscription.id,
-                         "closed": True}) + "\n").encode("utf-8"))
-                    self.wfile.flush()
-                    return
-        except (BrokenPipeError, ConnectionResetError, OSError):
-            return
-
-    def _node(self, service: ServiceExecutor) -> Dict[str, Any]:
-        """The node identity stamped onto this process's segments."""
-        node = service.node_identity()
-        address = self.server.server_address[:2]
-        node["host"] = str(address[0])
-        node["port"] = int(address[1])
-        return node
-
-    def _traced_dispatch(self, service: ServiceExecutor, session,
-                         request: Dict[str, Any]
-                         ) -> Tuple[Dict[str, Any], bool]:
-        """Adopt the request's trace context (or head-sample one) around
-        :meth:`_dispatch`; see the module docstring for the contract."""
-        op = str(request.get("op"))
-        recorder = service.flight_recorder
-        parent = (parse_traceparent(request.get("trace"))
-                  if "trace" in request else None)
-        context: Optional[TraceContext] = None
-        if parent is not None and parent.sampled:
-            context = parent.child()
-        elif parent is None and op in _TRACED_OPS and recorder.should_sample():
-            context = TraceContext.new()
-        if context is None:
-            if op not in _TRACED_OPS:
-                return self._dispatch(service, session, request)
-            # Untraced, but still black-box recorded when it turns out
-            # slow or errored (an unsampled parent keeps the trace id).
-            started_at = time.time()
-            began = time.perf_counter()
-            try:
-                response, keep_open = self._dispatch(service, session,
-                                                     request)
-            except Exception as error:
-                recorder.record(
-                    parent.child() if parent is not None else None,
-                    node=self._node(service), op=op,
-                    parent_span_id=(parent.span_id if parent is not None
-                                    else None),
-                    status="error", error=str(error), started_at=started_at,
-                    duration_s=time.perf_counter() - began)
-                raise
-            duration_s = time.perf_counter() - began
-            if recorder.is_slow(duration_s):
-                recorder.record(
-                    parent.child() if parent is not None else None,
-                    node=self._node(service), op=op,
-                    parent_span_id=(parent.span_id if parent is not None
-                                    else None),
-                    started_at=started_at, duration_s=duration_s,
-                    forced=True)
-            return response, keep_open
-        tracer = Tracer()
-        node = self._node(service)
-        started_at = time.time()
-        began = time.perf_counter()
-        status, error_text = "ok", None
-        try:
-            with use_context(context), tracer.activate():
-                with tracer.span(f"server.{op}", op=op):
-                    response, keep_open = self._dispatch(service, session,
-                                                         request)
-        except Exception as error:
-            status, error_text = "error", str(error)
-            raise
-        finally:
-            recorder.record(
-                context, root=tracer.root(), node=node, op=op,
-                parent_span_id=(parent.span_id if parent is not None
-                                else None),
-                status=status, error=error_text, started_at=started_at,
-                duration_s=time.perf_counter() - began)
-        response.setdefault("trace", context.to_header())
-        return response, keep_open
-
-    def _dispatch(self, service: ServiceExecutor, session,
-                  request: Dict[str, Any]) -> Tuple[Dict[str, Any], bool]:
-        op = request.get("op")
-        if op == "ping":
-            return {"ok": True, "pong": True}, True
-        if op == "info":
-            if service.replica is not None:
-                role = "replica"
-            elif service.durability is not None:
-                role = "primary"
-            else:
-                role = "standalone"
-            payload = {"ok": True, "database": service.db.name,
-                       "epoch": service.db.epoch,
-                       "role": role, "read_only": service.read_only,
-                       "kernel": service.engine.kernel.name,
-                       "stats": service.db.stats()}
-            lsn = service.applied_lsn()
-            if lsn is not None:
-                payload["lsn"] = lsn
-            if service.durability is not None:
-                payload["generation"] = service.durability.generation
-            return payload, True
-        if op == "query":
-            text = _required(request, "query", str)
-            profile = bool(request.get("profile"))
-            tracer = current_tracer()
-            _await_token(service, request)
-            report = session.run(
-                text, options=ExecutionOptions(trace=profile
-                                               or tracer.enabled),
-                timeout=request.get("timeout"))
-            if tracer.enabled and report.trace is not None:
-                # Graft the engine's span tree (built on the worker
-                # thread) under this request's wire-level span, so the
-                # flight-recorder segment carries the full picture.
-                wire_span = tracer.current()
-                if wire_span is not None:
-                    wire_span.children.append(report.trace)
-            payload = _answers_payload(report.answers, request.get("limit"))
-            payload["ok"] = True
-            if profile:
-                payload["stats"] = report.stats.as_dict()
-                payload["profile"] = report.profile()
-                if report.trace is not None:
-                    payload["trace"] = report.trace.as_dict()
-            return payload, True
-        if op == "prepare":
-            name = _required(request, "name", str)
-            prepared = session.prepare(name,
-                                       _required(request, "query", str),
-                                       params=request.get("params", ()))
-            return {"ok": True, "name": name,
-                    "variables": list(prepared.variables),
-                    "params": list(prepared.params)}, True
-        if op == "execute":
-            name = _required(request, "name", str)
-            params = request.get("params", {})
-            if not isinstance(params, dict):
-                raise ProtocolError("params must be an object")
-            _await_token(service, request)
-            answers = session.execute(name, timeout=request.get("timeout"),
-                                      **params)
-            payload = _answers_payload(answers, request.get("limit"))
-            payload["ok"] = True
-            return payload, True
-        if op == "insert_entity":
-            oid = _required(request, "oid", str)
-            attributes = request.get("attributes", {})
-            obj = service.new_entity(oid, **attributes)
-            return _write_reply(service, oid=str(obj.oid)), True
-        if op == "insert_interval":
-            oid = _required(request, "oid", str)
-            duration = request.get("duration")
-            pairs = ([tuple(pair) for pair in duration]
-                     if duration is not None else None)
-            obj = service.new_interval(
-                oid, entities=request.get("entities", ()),
-                duration=pairs, **request.get("attributes", {}))
-            return _write_reply(service, oid=str(obj.oid)), True
-        if op == "relate":
-            relation = _required(request, "relation", str)
-            args = request.get("args", [])
-            if not isinstance(args, list):
-                raise ProtocolError("args must be an array")
-            fact = service.relate(relation,
-                                  *[_resolve_arg(service.db, a) for a in args])
-            return _write_reply(service, fact=str(fact)), True
-        if op == "declare_relation":
-            name = _required(request, "name", str)
-            service.mutate(lambda db: db.declare_relation(name))
-            return _write_reply(service, relation=name), True
-        if op == "batch":
-            ops = _required(request, "ops", list)
-
-            def _apply(db, ops=ops):
-                count = 0
-                for index, sub_op in enumerate(ops):
-                    if not isinstance(sub_op, dict):
-                        raise ProtocolError(
-                            f"batch item {index} must be an object")
-                    _apply_batch_op(db, sub_op, index)
-                    count += 1
-                return count
-
-            applied = service.apply_batch(_apply)
-            return _write_reply(service, applied=applied), True
-        if op == "subscribe":
-            text = _required(request, "query", str)
-            filter_ = request.get("filter")
-            if filter_ is not None and not isinstance(filter_, dict):
-                raise ProtocolError("'filter' must be an object")
-            max_queue = request.get("max_queue")
-            if max_queue is not None and not isinstance(max_queue, int):
-                raise ProtocolError("'max_queue' must be an integer")
-            try:
-                subscription = service.subscribe(
-                    text, filter=filter_, max_queue=max_queue,
-                    session_id=session.id,
-                    detached=bool(request.get("detach")))
-            except StandingQueryError as error:
-                # Rejected by subscribe-time streaming-safety analysis:
-                # ship the located diagnostics so the client can point
-                # at the offending rule/query spans.
-                return {"ok": False, "error": "standing",
-                        "message": str(error),
-                        "diagnostics": [d.as_dict()
-                                        for d in error.diagnostics]}, True
-            session.subscription_ids.append(subscription.id)
-            return {"ok": True, "id": subscription.id,
-                    "variables": list(subscription.variables),
-                    "epoch": service.db.epoch,
-                    "detached": subscription.detached,
-                    "maintenance":
-                        subscription.classification.get("maintenance"),
-                    "diagnostics": [d.as_dict()
-                                    for d in subscription.diagnostics
-                                    if d.code.startswith("VDB06")]}, True
-        if op == "unsubscribe":
-            sub_id = _required(request, "id", str)
-            return {"ok": True, "id": sub_id,
-                    "removed": service.unsubscribe(sub_id)}, True
-        if op == "poll":
-            sub_id = _required(request, "id", str)
-            wait_s = request.get("wait_s")
-            if wait_s is not None and not isinstance(wait_s, (int, float)):
-                raise ProtocolError("'wait_s' must be a number of seconds")
-            max_batches = request.get("max_batches")
-            if max_batches is not None and not isinstance(max_batches, int):
-                raise ProtocolError("'max_batches' must be an integer")
-            subscription = service.subscription(sub_id)
-            batches = subscription.poll(
-                max_batches=max_batches,
-                wait_s=min(wait_s, 60.0) if wait_s else None)
-            return {"ok": True, "id": subscription.id, "batches": batches,
-                    "pending": subscription.queue_depth(),
-                    "closed": subscription.closed}, True
-        if op == "subscriptions":
-            return {"ok": True,
-                    "subscriptions": service.describe_subscriptions()}, True
-        if op == "listen":
-            sub_id = _required(request, "id", str)
-            subscription = service.subscription(sub_id)
-            self._listen_sub = subscription
-            return {"ok": True, "id": subscription.id,
-                    "listening": True}, True
-        if op == "lint":
-            text = _required(request, "text", str)
-            result = service.lint(text)
-            return {"ok": True,
-                    "diagnostics": list(result.as_dicts()),
-                    "summary": lint_summary(result),
-                    "ok_to_load": not result.has_errors}, True
-        if op == "metrics":
-            return {"ok": True, "metrics": service.snapshot()}, True
-        if op == "trace":
-            trace_id = request.get("id")
-            if trace_id is not None:
-                if not isinstance(trace_id, str):
-                    raise ProtocolError("'id' must be a trace id string")
-                return {"ok": True, "id": trace_id,
-                        "segments":
-                            service.flight_recorder.get(trace_id)}, True
-            return {"ok": True, "metrics": service.snapshot(),
-                    "recent": service.recent_traces(
-                        limit=request.get("limit"))}, True
-        if op == "traces":
-            limit = request.get("limit")
-            if limit is not None and not isinstance(limit, int):
-                raise ProtocolError("'limit' must be an integer")
-            return {"ok": True,
-                    "traces": service.flight_recorder.summaries(
-                        limit if limit is not None else 20)}, True
-        if op == "events":
-            limit = request.get("limit")
-            if limit is not None and not isinstance(limit, int):
-                raise ProtocolError("'limit' must be an integer")
-            type_ = request.get("type")
-            if type_ is not None and not isinstance(type_, str):
-                raise ProtocolError("'type' must be a string")
-            return {"ok": True,
-                    "events": service.recent_events(limit=limit,
-                                                    type=type_)}, True
-        if op == "wal":
-            if service.replica is not None:
-                # A serving replica has no shippable WAL of its own; the
-                # op instead reports its replication position — the
-                # router's lag signal and ``vidb promote``'s ballot.
-                replica = service.replica
-                return {"ok": True, "role": "replica", "read_only": True,
-                        "applied_lsn": replica.applied_lsn,
-                        "visible_lsn": replica.visible_lsn,
-                        "lag_lsn": replica.lag_lsn}, True
-            if service.durability is None:
-                raise ServiceError(
-                    "server is not durable (start it with --data-dir "
-                    "to enable log shipping)")
-            after = request.get("after", 0)
-            if not isinstance(after, int):
-                raise ProtocolError("'after' must be an integer LSN")
-            limit = request.get("limit")
-            if limit is not None and not isinstance(limit, int):
-                raise ProtocolError("'limit' must be an integer")
-            reply = service.durability.ship(after, limit=limit)
-            reply["ok"] = True
-            return reply, True
-        if op == "promote":
-            hook = service.promote_hook
-            if hook is None:
-                raise ClusterError(
-                    "this server is not a promotable replica "
-                    "(start it with 'vidb replicate --serve-port')")
-            data_dir = request.get("data_dir")
-            if data_dir is not None and not isinstance(data_dir, str):
-                raise ProtocolError("'data_dir' must be a string path")
-            result = hook(data_dir=data_dir)
-            reply = dict(result or {})
-            reply["ok"] = True
-            return reply, True
-        if op == "close":
-            return {"ok": True, "closing": True}, False
-        raise ProtocolError(f"unknown op {op!r}")
-
-
-def _await_token(service: ServiceExecutor, request: Dict[str, Any]) -> None:
-    """Honor a session-consistency token (``min_lsn``) on a read.
-
-    Holds the read until this server's state covers the token, bounded
-    by ``wait_s`` (default: the executor's ``lsn_wait_s``); past the
-    bound the read fails with a ``lagging`` error so the caller — the
-    router, usually — redirects it to the primary instead of returning
-    stale data.
-    """
-    min_lsn = request.get("min_lsn")
-    if min_lsn is None:
+def _push_loop(conn: Connection, subscription) -> None:
+    """Push mode: stream each notification batch as its own line until
+    the subscription closes or the client goes away.  The connection is
+    dedicated to pushes from here on."""
+    try:
+        while True:
+            batches = subscription.poll(wait_s=0.5)
+            for batch in batches:
+                conn.send({"push": True, "id": subscription.id, **batch})
+            if not batches and subscription.closed:
+                conn.send({"push": True, "id": subscription.id,
+                           "closed": True})
+                return
+    except OSError:
         return
-    if not isinstance(min_lsn, int):
-        raise ProtocolError("'min_lsn' must be an integer LSN")
-    wait_s = request.get("wait_s")
-    if wait_s is not None and not isinstance(wait_s, (int, float)):
-        raise ProtocolError("'wait_s' must be a number of seconds")
-    with current_tracer().span("wait_for_lsn", min_lsn=min_lsn) as span:
-        reached = service.wait_for_lsn(min_lsn, timeout_s=wait_s)
-        span.annotate(applied=service.applied_lsn(), reached=reached)
-    if not reached:
-        raise ReplicaLagError(
-            f"replica applied LSN {service.applied_lsn()} has not "
-            f"reached the session token {min_lsn}; "
-            f"read from the primary")
 
 
-def _write_reply(service: ServiceExecutor, **fields: Any) -> Dict[str, Any]:
-    """A mutation response: op fields, the new epoch and — when durable
-    — the WAL head LSN, the client's read-your-writes session token."""
-    reply: Dict[str, Any] = {"ok": True, **fields,
-                             "epoch": service.db.epoch}
-    if service.durability is not None:
-        reply["head_lsn"] = service.durability.last_lsn
-    return reply
-
-
-def _required(request: Dict[str, Any], field: str, kind) -> Any:
-    value = request.get(field)
-    if not isinstance(value, kind):
-        raise ProtocolError(f"op {request.get('op')!r} needs "
-                            f"{kind.__name__} field {field!r}")
-    return value
-
-
-def _resolve_arg(db, value: Any) -> Any:
-    """A relation argument: an existing oid when one matches, else a
-    constant (the same resolution rule symbols get in query text)."""
-    if isinstance(value, str):
-        from vidb.model.oid import Oid
-
-        for oid in (Oid.entity(value), Oid.interval(value)):
-            if db.get(oid) is not None:
-                return oid
-    return value
-
-
-def _apply_batch_op(db, sub_op: Dict[str, Any], index: int) -> None:
-    """One ``batch`` sub-op against the in-transaction database."""
-    kind = sub_op.get("op")
-    if kind == "insert_entity":
-        oid = sub_op.get("oid")
-        if not isinstance(oid, str):
-            raise ProtocolError(f"batch item {index}: string 'oid' required")
-        db.new_entity(oid, **sub_op.get("attributes", {}))
-    elif kind == "insert_interval":
-        oid = sub_op.get("oid")
-        if not isinstance(oid, str):
-            raise ProtocolError(f"batch item {index}: string 'oid' required")
-        duration = sub_op.get("duration")
-        pairs = ([tuple(pair) for pair in duration]
-                 if duration is not None else None)
-        db.new_interval(oid, entities=sub_op.get("entities", ()),
-                        duration=pairs, **sub_op.get("attributes", {}))
-    elif kind == "relate":
-        relation = sub_op.get("relation")
-        args = sub_op.get("args")
-        if not isinstance(relation, str) or not isinstance(args, list):
-            raise ProtocolError(
-                f"batch item {index}: 'relation' (string) and 'args' "
-                f"(array) required")
-        db.relate(relation, *[_resolve_arg(db, a) for a in args])
-    elif kind == "declare_relation":
-        name = sub_op.get("name")
-        if not isinstance(name, str):
-            raise ProtocolError(f"batch item {index}: string 'name' required")
-        db.declare_relation(name)
-    else:
-        raise ProtocolError(
-            f"batch item {index}: unknown sub-op {kind!r} (supported: "
-            f"insert_entity, insert_interval, relate, declare_relation)")
-
-
-class _ThreadingServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-    service: ServiceExecutor
-
-
-class VideoServer:
+class VideoServer(Endpoint):
     """The TCP front end of a :class:`ServiceExecutor`.
 
     ``port=0`` binds an ephemeral port; read the actual address from
@@ -694,40 +91,231 @@ class VideoServer:
     def __init__(self, service: ServiceExecutor,
                  host: str = "127.0.0.1", port: int = 0):
         self.service = service
-        self._server = _ThreadingServer((host, port), _Handler)
-        self._server.service = service
-        self._thread: Optional[threading.Thread] = None
+        super().__init__(host, port, service.metrics,
+                         service.flight_recorder, service.events)
 
-    @property
-    def address(self) -> Tuple[str, int]:
-        return self._server.server_address[:2]
+    def open_connection(self):
+        return self.service.open_session()
 
-    def serve_forever(self) -> None:
-        self._server.serve_forever(poll_interval=0.1)
-
-    def start_background(self) -> "VideoServer":
-        self._thread = threading.Thread(target=self.serve_forever,
-                                        name="vidb-server", daemon=True)
-        self._thread.start()
-        return self
-
-    def shutdown(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-
-    def __enter__(self) -> "VideoServer":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.shutdown()
-        return False
+    def node_identity(self) -> Dict[str, Any]:
+        node = self.service.node_identity()
+        node["host"], node["port"] = self.address
+        return node
 
     def __repr__(self) -> str:
         host, port = self.address
         return f"VideoServer({host}:{port})"
+
+    # -- reads ---------------------------------------------------------------
+    def op_ping(self, conn: Connection, request: Message) -> Message:
+        return {"ok": True, "pong": True}
+
+    def op_info(self, conn: Connection, request: Message) -> Message:
+        service = self.service
+        identity = service.node_identity()
+        payload = {"ok": True, "database": service.db.name,
+                   "epoch": service.db.epoch,
+                   "role": identity["role"], "read_only": service.read_only,
+                   "kernel": service.engine.kernel.name,
+                   "stats": service.db.stats()}
+        for key in ("lsn", "generation"):
+            if key in identity:
+                payload[key] = identity[key]
+        return payload
+
+    def _await_token(self, request: Message) -> None:
+        """Honor a session-consistency token (``min_lsn``) on a read.
+
+        Holds the read until this server's state covers the token,
+        bounded by ``wait_s`` (default: the executor's ``lsn_wait_s``);
+        past the bound the read fails with a ``lagging`` error so the
+        caller — the router, usually — redirects it to the primary
+        instead of returning stale data.
+        """
+        min_lsn = request.get("min_lsn")
+        if min_lsn is None:
+            return
+        service = self.service
+        with current_tracer().span("wait_for_lsn", min_lsn=min_lsn) as span:
+            reached = service.wait_for_lsn(min_lsn,
+                                           timeout_s=request.get("wait_s"))
+            span.annotate(applied=service.applied_lsn(), reached=reached)
+        if not reached:
+            raise ReplicaLagError(
+                f"replica applied LSN {service.applied_lsn()} has not "
+                f"reached the session token {min_lsn}; "
+                f"read from the primary")
+
+    def op_query(self, conn: Connection, request: Message) -> Message:
+        profile = bool(request.get("profile"))
+        tracer = current_tracer()
+        self._await_token(request)
+        report = conn.state.run(
+            request["query"],
+            options=ExecutionOptions(trace=profile or tracer.enabled),
+            timeout=request.get("timeout"))
+        if tracer.enabled and report.trace is not None:
+            # Graft the engine's span tree (built on the worker thread)
+            # under this request's wire-level span, so the
+            # flight-recorder segment carries the full picture.
+            wire_span = tracer.current()
+            if wire_span is not None:
+                wire_span.children.append(report.trace)
+        payload = _answers_payload(report.answers, request.get("limit"))
+        if profile:
+            payload["stats"] = report.stats.as_dict()
+            payload["profile"] = report.profile()
+            if report.trace is not None:
+                payload["trace"] = report.trace.as_dict()
+        return payload
+
+    def op_prepare(self, conn: Connection, request: Message) -> Message:
+        prepared = conn.state.prepare(request["name"], request["query"],
+                                      params=request.get("params") or ())
+        return {"ok": True, "name": request["name"],
+                "variables": list(prepared.variables),
+                "params": list(prepared.params)}
+
+    def op_execute(self, conn: Connection, request: Message) -> Message:
+        self._await_token(request)
+        answers = conn.state.execute(request["name"],
+                                     timeout=request.get("timeout"),
+                                     **request.get("params") or {})
+        return _answers_payload(answers, request.get("limit"))
+
+    def op_lint(self, conn: Connection, request: Message) -> Message:
+        result = self.service.lint(request["text"])
+        return {"ok": True, "diagnostics": list(result.as_dicts()),
+                "summary": lint_summary(result),
+                "ok_to_load": not result.has_errors}
+
+    # -- writes --------------------------------------------------------------
+    def _write_reply(self, **fields: Any) -> Message:
+        """A mutation response: op fields, the new epoch and — when
+        durable — the WAL head LSN, the client's read-your-writes
+        session token."""
+        reply: Message = {"ok": True, **fields,
+                          "epoch": self.service.db.epoch}
+        if self.service.durability is not None:
+            reply["head_lsn"] = self.service.durability.last_lsn
+        return reply
+
+    def _op_mutation(self, conn: Connection, request: Message) -> Message:
+        value = self.service.mutate(lambda db: apply_mutation(db, request))
+        return self._write_reply(**{OPS[request["op"]].result: str(value)})
+
+    op_insert_entity = op_insert_interval = _op_mutation
+    op_relate = op_declare_relation = _op_mutation
+
+    def op_batch(self, conn: Connection, request: Message) -> Message:
+        ops = request["ops"]
+
+        def _apply(db) -> int:
+            for index, sub_op in enumerate(ops):
+                apply_mutation(db, sub_op, f"batch item {index}: ")
+            return len(ops)
+
+        return self._write_reply(applied=self.service.apply_batch(_apply))
+
+    # -- standing queries ----------------------------------------------------
+    def op_subscribe(self, conn: Connection, request: Message) -> Message:
+        service = self.service
+        try:
+            subscription = service.subscribe(
+                request["query"], filter=request.get("filter"),
+                max_queue=request.get("max_queue"),
+                session_id=conn.state.id,
+                detached=bool(request.get("detach")))
+        except StandingQueryError as error:
+            # Rejected by subscribe-time streaming-safety analysis:
+            # ship the located diagnostics so the client can point at
+            # the offending rule/query spans.
+            return {"ok": False, "error": "standing", "message": str(error),
+                    "diagnostics": [d.as_dict() for d in error.diagnostics]}
+        conn.state.subscription_ids.append(subscription.id)
+        return {"ok": True, "id": subscription.id,
+                "variables": list(subscription.variables),
+                "epoch": service.db.epoch,
+                "detached": subscription.detached,
+                "maintenance": subscription.classification.get("maintenance"),
+                "diagnostics": [d.as_dict() for d in subscription.diagnostics
+                                if d.code.startswith("VDB06")]}
+
+    def op_unsubscribe(self, conn: Connection, request: Message) -> Message:
+        return {"ok": True, "id": request["id"],
+                "removed": self.service.unsubscribe(request["id"])}
+
+    def op_poll(self, conn: Connection, request: Message) -> Message:
+        wait_s = request.get("wait_s")
+        subscription = self.service.subscription(request["id"])
+        batches = subscription.poll(
+            max_batches=request.get("max_batches"),
+            wait_s=min(wait_s, 60.0) if wait_s else None)
+        return {"ok": True, "id": subscription.id, "batches": batches,
+                "pending": subscription.queue_depth(),
+                "closed": subscription.closed}
+
+    def op_subscriptions(self, conn: Connection, request: Message) -> Message:
+        return {"ok": True,
+                "subscriptions": self.service.describe_subscriptions()}
+
+    def op_listen(self, conn: Connection, request: Message) -> Message:
+        subscription = self.service.subscription(request["id"])
+        conn.after_reply = lambda: _push_loop(conn, subscription)
+        return {"ok": True, "id": subscription.id, "listening": True}
+
+    # -- telemetry -----------------------------------------------------------
+    def op_metrics(self, conn: Connection, request: Message) -> Message:
+        return {"ok": True, "metrics": self.service.snapshot()}
+
+    def op_trace(self, conn: Connection, request: Message) -> Message:
+        trace_id = request.get("id")
+        if trace_id is not None:
+            return {"ok": True, "id": trace_id,
+                    "segments": self.flight_recorder.get(trace_id)}
+        return {"ok": True, "metrics": self.service.snapshot(),
+                "recent": self.service.recent_traces(
+                    limit=request.get("limit"))}
+
+    def op_traces(self, conn: Connection, request: Message) -> Message:
+        limit = request.get("limit")
+        return {"ok": True, "traces": self.flight_recorder.summaries(
+            limit if limit is not None else 20)}
+
+    def op_events(self, conn: Connection, request: Message) -> Message:
+        return {"ok": True, "events": self.service.recent_events(
+            limit=request.get("limit"), type=request.get("type"))}
+
+    # -- replication and failover --------------------------------------------
+    def op_wal(self, conn: Connection, request: Message) -> Message:
+        service = self.service
+        if service.replica is not None:
+            # A serving replica has no shippable WAL of its own; the op
+            # instead reports its replication position — the router's
+            # lag signal and ``vidb promote``'s ballot.
+            replica = service.replica
+            return {"ok": True, "role": "replica", "read_only": True,
+                    "applied_lsn": replica.applied_lsn,
+                    "visible_lsn": replica.visible_lsn,
+                    "lag_lsn": replica.lag_lsn}
+        if service.durability is None:
+            raise ServiceError(
+                "server is not durable (start it with --data-dir "
+                "to enable log shipping)")
+        reply = service.durability.ship(request.get("after") or 0,
+                                        limit=request.get("limit"))
+        reply["ok"] = True
+        return reply
+
+    def op_promote(self, conn: Connection, request: Message) -> Message:
+        hook = self.service.promote_hook
+        if hook is None:
+            raise ClusterError(
+                "this server is not a promotable replica "
+                "(start it with 'vidb replicate --serve-port')")
+        reply = dict(hook(data_dir=request.get("data_dir")) or {})
+        reply["ok"] = True
+        return reply
 
 
 class ServiceClient:
@@ -752,8 +340,7 @@ class ServiceClient:
                  trace_context: Optional[TraceContext] = None):
         self._address = (host, port)
         self._timeout = timeout
-        self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._reader = self._sock.makefile("rb")
+        self._channel = Channel(self._address, timeout)
         self._lock = threading.Lock()
         #: Highest WAL LSN any of this client's writes reached — the
         #: read-your-writes token (0 until the first durable write).
@@ -764,21 +351,9 @@ class ServiceClient:
         #: trace id — the client-visible root of the assembled tree.
         self.trace_context = trace_context
 
-    def _reconnect(self) -> None:
-        try:
-            self._reader.close()
-            self._sock.close()
-        except OSError:
-            pass
-        self._sock = socket.create_connection(self._address,
-                                              timeout=self._timeout)
-        self._reader = self._sock.makefile("rb")
-
-    def _roundtrip(self, payload: Dict[str, Any]) -> bytes:
-        """One send + one response line; b"" when the peer closed."""
+    def _roundtrip(self, payload: Message) -> Message:
         with self._lock:
-            self._sock.sendall((json.dumps(payload) + "\n").encode("utf-8"))
-            return self._reader.readline()
+            return self._channel.call(payload)
 
     def request(self, op: str, **fields: Any) -> Dict[str, Any]:
         """Send one request, wait for its response; raises on error."""
@@ -787,9 +362,7 @@ class ServiceClient:
         if self.trace_context is not None and "trace" not in payload:
             payload["trace"] = self.trace_context.to_header()
         try:
-            line = self._roundtrip(payload)
-            if not line:
-                raise ConnectionResetError("server closed the connection")
+            response = self._roundtrip(payload)
         except (ConnectionResetError, BrokenPipeError):
             if op not in IDEMPOTENT_OPS:
                 raise ProtocolError("server closed the connection") from None
@@ -797,17 +370,13 @@ class ServiceClient:
             # that just restarted.
             time.sleep(random.uniform(0.02, 0.1))
             with self._lock:
-                self._reconnect()
-            line = self._roundtrip(payload)
-            if not line:
+                self._channel.close()
+                self._channel = Channel(self._address, self._timeout)
+            try:
+                response = self._roundtrip(payload)
+            except (ConnectionResetError, BrokenPipeError):
                 raise ProtocolError(
                     "server closed the connection (after retry)") from None
-        try:
-            response = json.loads(line.decode("utf-8"))
-        except ValueError as error:
-            raise ProtocolError(f"bad response line: {error}") from None
-        if not isinstance(response, dict):
-            raise ProtocolError("response must be a JSON object")
         if not response.get("ok"):
             kind = response.get("error", "service")
             message = response.get("message", "server error")
@@ -905,14 +474,8 @@ class ServiceClient:
         self.request("listen", id=sub_id)
         while True:
             with self._lock:
-                line = self._reader.readline()
-            if not line:
-                return
-            try:
-                payload = json.loads(line.decode("utf-8"))
-            except ValueError as error:
-                raise ProtocolError(f"bad push line: {error}") from None
-            if payload.get("closed"):
+                payload = self._channel.recv()
+            if payload is None or payload.get("closed"):
                 return
             yield payload
 
@@ -963,13 +526,10 @@ class ServiceClient:
     def close(self) -> None:
         try:
             with self._lock:
-                self._sock.sendall(b'{"op": "close"}\n')
+                self._channel.send({"op": "close"})
         except OSError:
             pass
-        try:
-            self._reader.close()
-        finally:
-            self._sock.close()
+        self._channel.close()
 
     def __enter__(self) -> "ServiceClient":
         return self

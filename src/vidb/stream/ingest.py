@@ -39,7 +39,7 @@ from typing import (
 )
 
 from vidb.errors import ProtocolError
-from vidb.model.oid import Oid
+from vidb.service.wire import apply_mutation
 from vidb.storage.database import VideoDatabase
 
 #: One parsed dump record.
@@ -144,34 +144,10 @@ def generate_dump(entities: int = 10, intervals: int = 100,
 
 
 # -- applying records --------------------------------------------------------
-def _resolve_fact_arg(db: VideoDatabase, value: Any) -> Any:
-    """A fact argument: an existing oid when one matches, else constant
-    (the same resolution the wire protocol's ``relate`` op uses)."""
-    if isinstance(value, str):
-        for oid in (Oid.entity(value), Oid.interval(value)):
-            if db.get(oid) is not None:
-                return oid
-    return value
-
-
 def apply_record(db: VideoDatabase, record: Record) -> None:
-    """Apply one dump record to *db* (caller provides the transaction)."""
-    kind = record["kind"]
-    if kind == "entity":
-        db.new_entity(record["oid"], **record.get("attributes", {}))
-    elif kind == "interval":
-        duration = record.get("duration")
-        pairs = ([tuple(pair) for pair in duration]
-                 if duration is not None else None)
-        db.new_interval(record["oid"],
-                        entities=record.get("entities", ()),
-                        duration=pairs,
-                        **record.get("attributes", {}))
-    elif kind == "fact":
-        db.relate(record["relation"],
-                  *[_resolve_fact_arg(db, a) for a in record["args"]])
-    else:  # pragma: no cover - parse_record rejects unknown kinds
-        raise ProtocolError(f"unknown record kind {kind!r}")
+    """Apply one dump record to *db* (caller provides the transaction),
+    exactly as the wire protocol's ``batch`` applies its sub-op."""
+    apply_mutation(db, record_to_op(record))
 
 
 def record_to_op(record: Record) -> Dict[str, Any]:

@@ -41,18 +41,17 @@ def free_port():
         return s.getsockname()[1]
 
 
-def start_primary(data_dir, port):
+def start_node(port, *cli_args):
+    """Run ``vidb <cli_args>`` as a subprocess; wait until *port* accepts."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.Popen(
-        [sys.executable, "-m", "vidb.cli", "serve",
-         "--data-dir", str(data_dir), "--fsync", "always",
-         "--port", str(port)],
+        [sys.executable, "-m", "vidb.cli", *map(str, cli_args)],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     deadline = time.time() + 20
     while time.time() < deadline:
         if proc.poll() is not None:
-            raise RuntimeError("primary exited before accepting")
+            raise RuntimeError(f"vidb {cli_args[0]} exited before accepting")
         try:
             socket.create_connection(("127.0.0.1", port),
                                      timeout=0.5).close()
@@ -60,7 +59,12 @@ def start_primary(data_dir, port):
         except OSError:
             time.sleep(0.1)
     proc.kill()
-    raise RuntimeError("primary never came up")
+    raise RuntimeError(f"vidb {cli_args[0]} never came up")
+
+
+def start_primary(data_dir, port, *extra):
+    return start_node(port, "serve", *extra, "--data-dir", data_dir,
+                      "--fsync", "always", "--port", port)
 
 
 class TestClusterEndToEnd:
@@ -220,6 +224,45 @@ class TestClusterEndToEnd:
                 replica.close()
             if proc.poll() is None:
                 os.kill(proc.pid, signal.SIGKILL)
+                proc.wait(timeout=10)
+
+    def test_cli_replica_loads_the_program_its_primary_serves(
+            self, tmp_path):
+        """``vidb replicate --serve-port`` takes the engine flags of
+        ``vidb serve``: a rule-defined predicate answers the same
+        whichever node the router's round robin picks."""
+        ports = []
+        for _ in range(2):
+            with socket.socket() as s:
+                s.bind(("127.0.0.1", 0))
+                ports.append(s.getsockname()[1])
+        snapshot = tmp_path / "rope.json"
+        assert vidb_main(["demo", "--out", str(snapshot)]) == 0
+        data_dir = tmp_path / "primary"
+        query = "?- contains(V, O)."
+        procs, router = [], None
+        try:
+            procs.append(start_primary(data_dir, ports[0], snapshot,
+                                       "--stdlib"))
+            procs.append(start_node(
+                ports[1], "replicate", data_dir, "--serve-port", ports[1],
+                "--interval", "0.05", "--stdlib"))
+            router = ClusterRouter(("127.0.0.1", ports[0]),
+                                   [("127.0.0.1", ports[1])]).start()
+            with ServiceClient("127.0.0.1", ports[0]) as direct:
+                expected = sorted(direct.query(query)["rows"])
+            assert expected, "the stdlib rule derived nothing"
+            with ServiceClient(*router.address) as client:
+                for _ in range(4):
+                    assert sorted(client.query(query)["rows"]) == expected
+            reads = router.metrics.snapshot()
+            assert reads[f"router_reads_total{{replica=127.0.0.1:"
+                         f"{ports[1]}}}"] == 4
+        finally:
+            if router is not None:
+                router.close()
+            for proc in procs:
+                proc.kill()
                 proc.wait(timeout=10)
 
     def test_lsn_token_read_times_out_to_primary(self, tmp_path,

@@ -106,6 +106,25 @@ class TestRouting:
             router.close()
             replica.close()
 
+    def test_listen_is_refused_and_the_connection_survives(self, primary):
+        """``listen`` takes over its connection; forwarded, the pushes
+        would answer the client's *next* requests on the routed one."""
+        router = make_router(primary, [])
+        try:
+            host, port = router.address
+            phost, pport = primary.address
+            with ServiceClient(host, port) as client:
+                sub = client.subscribe("?- object(O).")
+                with pytest.raises(ClusterError, match=f"{phost}:{pport}"):
+                    next(client.listen(sub["id"]))
+                client.insert_entity("b")  # a commit the listener would get
+                assert client.ping() is True
+                # The subscription itself routes fine: poll drains it.
+                [batch] = client.poll(sub["id"], wait_s=2.0)["batches"]
+                assert batch["rows"] == [["b"]]
+        finally:
+            router.close()
+
     def test_unknown_op_passes_through_backend_error(self, primary):
         router = make_router(primary, [])
         try:
