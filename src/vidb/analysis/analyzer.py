@@ -167,31 +167,49 @@ class ProgramAnalyzer:
     relation names, computed/extra predicates, world assumption); the
     query-level result additionally on the normalized query.  Both keys
     are value-based, so engines that swap programs or databases never
-    see stale findings, and repeated queries hit the cache.
+    see stale findings, and repeated queries hit the cache.  A query
+    text seen for the first time pays only for the passes over its own
+    body: the program-level findings and dataflow come from the program
+    cache.
     """
 
     def __init__(self, max_entries: int = 256):
         self._program_cache = _LruCache(max_entries)
         self._query_cache = _LruCache(max_entries)
+        #: ``(program, fingerprint)`` of the program last analyzed: an
+        #: engine asks about the same (immutable) object query after
+        #: query, and rendering it is most of a cache probe.
+        self._fingerprint: Tuple[Optional[Program], str] = (None, "")
         self.hits = 0
         self.misses = 0
 
-    @staticmethod
-    def _base_key(program: Program, edb: FrozenSet[str],
+    def _base_key(self, program: Program, edb: FrozenSet[str],
                   computed: Optional[Dict[str, int]],
                   extra: Optional[Dict[str, Optional[int]]],
-                  closed_world: bool, annotate_bounds: bool,
-                  streaming: bool):
+                  closed_world: bool, annotate_bounds: bool):
+        known, fingerprint = self._fingerprint
+        if known is not program:
+            fingerprint = program_fingerprint(program)
+            self._fingerprint = (program, fingerprint)
         return (
-            program_fingerprint(program),
+            fingerprint,
             edb,
             tuple(sorted((computed or {}).items())),
             tuple(sorted((extra or {}).items(),
                          key=lambda pair: pair[0])),
             closed_world,
             annotate_bounds,
-            streaming,
         )
+
+    def _program_level(self, base_key, program: Program, **context
+                       ) -> Tuple[AnalysisResult, bool]:
+        """``(the program-level result, whether it was cached)``."""
+        cached = self._program_cache.get(base_key)
+        if cached is not None:
+            return cached, True
+        result = analyze(program, **context)
+        self._program_cache.put(base_key, result)
+        return result, False
 
     def analyze(self, program: Program, query: Optional[Query] = None,
                 *, edb: Iterable[str] = (),
@@ -202,32 +220,37 @@ class ProgramAnalyzer:
                 streaming: bool = False) -> AnalysisResult:
         edb = frozenset(edb)
         base_key = self._base_key(program, edb, computed, extra,
-                                  closed_world, annotate_bounds, streaming)
+                                  closed_world, annotate_bounds)
+        context = dict(edb=edb, computed=computed, extra=extra,
+                       closed_world=closed_world,
+                       annotate_bounds=annotate_bounds)
         if query is None:
-            cached = self._program_cache.get(base_key)
-            if cached is not None:
-                self.hits += 1
-                return cached
-            self.misses += 1
-            result = analyze(program, edb=edb, computed=computed,
-                             extra=extra, closed_world=closed_world,
-                             annotate_bounds=annotate_bounds)
-            self._program_cache.put(base_key, result)
+            result, cached = self._program_level(base_key, program,
+                                                 **context)
+            self.hits += cached
+            self.misses += not cached
             return result
 
-        key = base_key + (normalize_query(query),)
+        key = base_key + (streaming, normalize_query(query))
         cached = self._query_cache.get(key)
         if cached is not None:
             self.hits += 1
             return cached
         self.misses += 1
-        result = analyze(program, query, edb=edb, computed=computed,
-                         extra=extra, closed_world=closed_world,
-                         annotate_bounds=annotate_bounds,
-                         streaming=streaming)
+        program_level, _ = self._program_level(base_key, program, **context)
+        query_diags, reachable, classifications = _query_diagnostics(
+            _context(program, edb, computed, extra, closed_world),
+            (query,), program_level.dataflow, streaming)
+        # The same merge ``analyze(program, query)`` performs.
+        merged = tuple(dict.fromkeys(program_level.diagnostics + query_diags))
+        result = AnalysisResult(sort_diagnostics(merged),
+                                reachable=reachable,
+                                dataflow=program_level.dataflow,
+                                streaming=classifications)
         self._query_cache.put(key, result)
         return result
 
     def clear(self) -> None:
         self._program_cache.clear()
         self._query_cache.clear()
+        self._fingerprint = (None, "")

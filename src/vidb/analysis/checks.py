@@ -16,15 +16,14 @@ from vidb.constraints.dense import TRUE, conjoin
 from vidb.constraints.kernel import default_kernel
 from vidb.errors import ConstraintError, SafetyError
 from vidb.query import safety
+from vidb.query.demand import goal_predicates, reachable_predicates
 from vidb.query.ast import (
-    ANYOBJECT_PRED,
     AttrPath,
     BodyItem,
     CLASS_PREDICATES,
     ComparisonAtom,
     ConcatTerm,
     EntailmentAtom,
-    INTERVAL_PRED,
     Literal,
     MembershipAtom,
     NegatedLiteral,
@@ -632,43 +631,8 @@ def check_joins(ctx: AnalysisContext,
 # (c) reachability
 # ---------------------------------------------------------------------------
 
-def reachable_predicates(program: Program,
-                         goals: Iterable[str]) -> FrozenSet[str]:
-    """Predicates a query over *goals* can possibly touch.
-
-    Mirrors :func:`vidb.query.engine.relevant_rules` (kept separate to
-    avoid an import cycle): a rule participates when its head is needed,
-    or when it is constructive and the growing ``interval``/``anyobject``
-    classes are needed.
-    """
-    needed: Set[str] = set(goals)
-    rules = list(program.rules)
-    chosen = [False] * len(rules)
-    changed = True
-    while changed:
-        changed = False
-        for index, rule in enumerate(rules):
-            if chosen[index]:
-                continue
-            feeds_classes = rule.is_constructive and (
-                INTERVAL_PRED in needed or ANYOBJECT_PRED in needed)
-            if rule.head.predicate in needed or feeds_classes:
-                chosen[index] = True
-                changed = True
-                needed.add(rule.head.predicate)
-                for literal in rule.literals():
-                    needed.add(literal.predicate)
-                for negated in rule.negated_literals():
-                    needed.add(negated.predicate)
-    return frozenset(needed)
-
-
 def query_goals(queries: Sequence[Query]) -> FrozenSet[str]:
-    goals: Set[str] = set()
-    for query in queries:
-        for literal, _ in _body_literals(query.body):
-            goals.add(literal.predicate)
-    return frozenset(goals)
+    return goal_predicates(item for query in queries for item in query.body)
 
 
 def check_reachability(ctx: AnalysisContext, queries: Sequence[Query],

@@ -268,20 +268,13 @@ class _Estimator:
         return tuple(positives[i].predicate for i in chosen), peak
 
 
-def estimate_program(program: Program, stats: Stats, *,
-                     computed: Sequence[str] = (),
-                     queries: Sequence[Query] = (),
-                     relevant: Optional[frozenset] = None) -> CostReport:
-    """Estimate every (relevant) rule body and query body.
-
-    ``relevant`` restricts the per-rule advisories to rules whose head
-    predicate the queries can reach; derived-predicate *sizes* are still
-    computed over the whole program so consumers see correct inputs.
-    """
-    computed_set = frozenset(computed)
+def size_program(program: Program, stats: Stats, *,
+                 computed: Sequence[str] = ()) -> Dict[str, float]:
+    """Derived-predicate sizes, bottom-up through the dependency graph
+    (a few rounds, capped, so recursive programs settle)."""
     derived = program.idb_predicates() - CLASS_PREDICATES
     sizes: Dict[str, float] = {name: 0.0 for name in derived}
-    estimator = _Estimator(stats, computed_set, sizes)
+    estimator = _Estimator(stats, frozenset(computed), sizes)
     for _ in range(_SIZING_ROUNDS):
         changed = False
         totals: Dict[str, float] = {name: 0.0 for name in derived}
@@ -297,6 +290,25 @@ def estimate_program(program: Program, stats: Stats, *,
                 changed = True
         if not changed:
             break
+    return sizes
+
+
+def estimate_program(program: Program, stats: Stats, *,
+                     computed: Sequence[str] = (),
+                     queries: Sequence[Query] = (),
+                     relevant: Optional[frozenset] = None,
+                     sizes: Optional[Dict[str, float]] = None) -> CostReport:
+    """Estimate every (relevant) rule body and query body.
+
+    ``relevant`` restricts the per-rule advisories to rules whose head
+    predicate the queries can reach; derived-predicate *sizes* are still
+    computed over the whole program so consumers see correct inputs
+    (pass ``sizes`` — :func:`size_program` of the same program and
+    statistics — to reuse them across queries).
+    """
+    if sizes is None:
+        sizes = size_program(program, stats, computed=computed)
+    estimator = _Estimator(stats, frozenset(computed), sizes)
     costs: List[RuleCost] = []
     for index, rule in enumerate(program):
         if relevant is not None and rule.head.predicate not in relevant:

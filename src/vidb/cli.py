@@ -92,7 +92,9 @@ def _build_parser() -> argparse.ArgumentParser:
     query.add_argument("--timeout", type=float, default=None,
                        help="per-query deadline in seconds")
     query.add_argument("--no-prune", action="store_true",
-                       help="disable relevance-based rule pruning")
+                       help="saturate the whole program instead of "
+                            "seeding the rules from the query's constants "
+                            "(no demand rewrite, no rule pruning)")
 
     facts = sub.add_parser("facts",
                            help="materialise the rules, print one relation")

@@ -119,6 +119,8 @@ def format_profile(report) -> str:
     cost = getattr(report, "cost", None)
     if cost is not None and cost.costs:
         sections.append("-- cost (estimated) --\n" + format_cost_table(cost))
+    if report.demand:
+        sections.append("-- demand --\n" + "\n".join(report.demand))
     bounds = getattr(report, "bounds", ())
     if bounds:
         sections.append("-- inferred bounds --\n"

@@ -1,0 +1,370 @@
+"""Demand-driven evaluation between rules: reachability and magic sets.
+
+Theorem 3 defines a query's answers as a projection of the least
+fixpoint of ``T_P``; it does not say the whole fixpoint must be computed
+to read one projection off it.  This module decides which part is:
+
+* :func:`reachable_predicates` / :func:`relevant_rules` — the predicates
+  and rules a query can possibly touch.  This is the one definition of
+  reachability; the engine, the analyzer and standing queries share it.
+* :func:`rewrite` — the adorned **magic-set** rewrite.  Each goal
+  literal is adorned bound/free per argument (constants and variables
+  bound by literals to its left are bound); a predicate demanded under
+  an adornment with a bound position gets a copy of its rules guarded
+  by a *demand* literal, and demand rules pass the bindings sideways,
+  left to right, into the rule bodies.  ``?- reach(e, Y).`` therefore
+  derives only the part of ``reach`` that starts at ``e``.
+
+The all-free adornment is exactly predicate reachability, and the
+rewrite falls back to it — the rules as written, under their own names
+— wherever demand could change what a rule sees rather than how much
+work it does: predicates reached under negation (the rewritten program
+must stay stratified, so the negated side depends on nothing adorned),
+``++`` head arguments (the value is created, it cannot be demanded) and
+the class predicates ``interval`` / ``object`` / ``anyobject`` (never
+adorned, so constructive rules stay relevant to every ``interval``
+query exactly as under plain reachability).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
+
+from vidb.query.ast import (
+    ANYOBJECT_PRED,
+    BodyItem,
+    ConcatTerm,
+    INTERVAL_PRED,
+    Literal,
+    NegatedLiteral,
+    Program,
+    Rule,
+    Variable,
+)
+
+#: ``order(literals, bound, constraints)`` — the join order sideways
+#: information passing follows inside one rule body.
+LiteralOrder = Callable[
+    [Sequence[Literal], FrozenSet[Variable], Sequence[BodyItem]],
+    Sequence[Literal]]
+
+
+# ---------------------------------------------------------------------------
+# Reachability (the all-free case)
+# ---------------------------------------------------------------------------
+
+def goal_predicates(body: Iterable[BodyItem]) -> FrozenSet[str]:
+    """Predicates a query body mentions (positive and negated)."""
+    return frozenset(item.predicate for item in body
+                     if isinstance(item, (Literal, NegatedLiteral)))
+
+
+def _reach(program: Program, goals: Iterable[str]
+           ) -> Tuple[Set[str], List[bool]]:
+    """``(needed predicates, per-rule chosen flag)`` for *goals*.
+
+    A rule participates when its head predicate is (transitively)
+    needed, or when it is constructive and the growing ``interval`` /
+    ``anyobject`` classes are needed (constructive rules feed those
+    classes).
+    """
+    needed: Set[str] = set(goals)
+    rules = program.rules
+    chosen = [False] * len(rules)
+    changed = True
+    while changed:
+        changed = False
+        for index, rule in enumerate(rules):
+            if chosen[index]:
+                continue
+            feeds_classes = rule.is_constructive and (
+                INTERVAL_PRED in needed or ANYOBJECT_PRED in needed)
+            if rule.head.predicate in needed or feeds_classes:
+                chosen[index] = True
+                changed = True
+                needed.update(goal_predicates(rule.body))
+    return needed, chosen
+
+
+def reachable_predicates(program: Program,
+                         goals: Iterable[str]) -> FrozenSet[str]:
+    """Predicates a query over *goals* can possibly touch, the heads of
+    the participating rules included."""
+    needed, chosen = _reach(program, goals)
+    needed.update(rule.head.predicate
+                  for rule, keep in zip(program.rules, chosen) if keep)
+    return frozenset(needed)
+
+
+def relevant_rules(program: Program, goals: Iterable[str]) -> Program:
+    """The subset of *program* a query over *goals* can possibly use.
+
+    Pruning is an optimisation only: irrelevant rules cannot contribute
+    answer tuples, so answers are unchanged — the ablation benchmarks
+    measure the saved saturation work.
+    """
+    _, chosen = _reach(program, goals)
+    return Program([rule for rule, keep in zip(program.rules, chosen)
+                    if keep])
+
+
+# ---------------------------------------------------------------------------
+# The magic-set rewrite
+# ---------------------------------------------------------------------------
+
+@dataclass
+class Demand:
+    """A demand-rewritten program and the way back to its source.
+
+    ``program`` is what the fixpoint evaluates: the query rule last, the
+    relevant rules before it, adorned where the query's bindings reach
+    them, plus the demand rules that seed and propagate those bindings.
+    """
+
+    program: Program
+    #: ``id(rule)`` of a rewritten or demand rule -> the rule as written
+    #: it came from (statistics and derivations are reported under it).
+    source: Dict[int, Rule] = field(default_factory=dict)
+    #: ``id(rule)`` of every rule whose first body literal is its demand
+    #: guard; the join planner keeps that literal first.
+    guarded: Set[int] = field(default_factory=set)
+    #: adorned predicate -> ``(source predicate, adornment)``.
+    adorned: Dict[str, Tuple[str, str]] = field(default_factory=dict)
+    #: demand predicate -> ``(source predicate, adornment)``.
+    demands: Dict[str, Tuple[str, str]] = field(default_factory=dict)
+    #: Predicates evaluated as written although reached, with the reason.
+    fallbacks: Dict[str, str] = field(default_factory=dict)
+
+    def display(self, text: str) -> str:
+        """*text* with generated predicate names spelled ``p^bf`` /
+        ``demand p^bf``."""
+        for name, (predicate, adornment) in self.demands.items():
+            text = text.replace(name, f"demand {predicate}^{adornment}")
+        for name, (predicate, adornment) in self.adorned.items():
+            text = text.replace(name, f"{predicate}^{adornment}")
+        return text
+
+    def translate_provenance(self, provenance: Dict) -> None:
+        """Re-key *provenance* (``fact -> (rule, binding)``) to source
+        predicates and source rules, dropping demand facts, so derivation
+        trees read as if the program had run as written."""
+        entries = list(provenance.items())
+        provenance.clear()
+        for (predicate, row), (rule, binding) in entries:
+            if predicate in self.demands:
+                continue
+            if predicate in self.adorned:
+                predicate = self.adorned[predicate][0]
+            provenance.setdefault(
+                (predicate, row), (self.source.get(id(rule), rule), binding))
+
+    def describe(self) -> List[str]:
+        """The adornment summary lines of the EXPLAIN ``-- demand --``
+        section."""
+        lines = []
+        if self.adorned:
+            lines.append("adorned: " + ", ".join(sorted(
+                f"{predicate}^{adornment}"
+                for predicate, adornment in self.adorned.values())))
+        else:
+            lines.append("adorned: (none — every goal is all-free)")
+        for predicate, reason in sorted(self.fallbacks.items()):
+            lines.append(f"as written: {predicate} ({reason})")
+        return lines
+
+
+def _is_bound(term, bound: Set[Variable]) -> bool:
+    return term in bound if isinstance(term, Variable) else True
+
+
+class _Rewriter:
+    def __init__(self, program: Program, query_rule: Rule,
+                 taken: Iterable[str], order: Optional[LiteralOrder]):
+        self.order = order
+        goals = goal_predicates(query_rule.body)
+        needed, chosen = _reach(program, goals)
+        self.rules: Dict[str, List[Tuple[int, Rule]]] = {}
+        for index, (rule, keep) in enumerate(zip(program.rules, chosen)):
+            if keep:
+                self.rules.setdefault(rule.head.predicate, []).append(
+                    (index, rule))
+        self.query_index = len(program.rules)
+        self.taken = set(taken) | needed | set(self.rules)
+        self.result = Demand(Program())
+        self.names: Dict[Tuple[str, str, str], str] = {}
+        #: ``(source index, rule)`` in emission order.
+        self.emitted: List[Tuple[int, Rule]] = []
+        self.seen_demand_rules: Set[Rule] = set()
+        self.queue: List[Tuple[str, str]] = []
+        self.done: Set[Tuple[str, str]] = set()
+        #: Head positions some rule fills with a ``++`` term.
+        self.created: Dict[str, Set[int]] = {}
+        for predicate, rules in self.rules.items():
+            self.created[predicate] = {
+                position for _, rule in rules
+                for position, arg in enumerate(rule.head.args)
+                if isinstance(arg, ConcatTerm)}
+        self._mark_as_written(query_rule, needed)
+
+    def _mark_as_written(self, query_rule: Rule, needed: Set[str]) -> None:
+        """The predicates evaluated under their own names, unadorned:
+        everything reached under negation or from a constructive rule
+        that feeds a needed class, closed under rule bodies."""
+        reasons = self.result.fallbacks
+        relevant = [rule for rules in self.rules.values()
+                    for _, rule in rules]
+        for rule in relevant + [query_rule]:
+            for negated in rule.negated_literals():
+                if negated.predicate in self.rules:
+                    reasons.setdefault(negated.predicate,
+                                       "reached under negation")
+        if INTERVAL_PRED in needed or ANYOBJECT_PRED in needed:
+            for rule in relevant:
+                if rule.is_constructive:
+                    reasons.setdefault(
+                        rule.head.predicate,
+                        "constructive rule feeding a class predicate")
+        frontier = list(reasons)
+        while frontier:
+            predicate = frontier.pop()
+            for _, rule in self.rules[predicate]:
+                for below in goal_predicates(rule.body):
+                    if below in self.rules and below not in reasons:
+                        reasons[below] = f"used by {predicate}"
+                        frontier.append(below)
+
+    # -- names ---------------------------------------------------------------
+    def _name(self, kind: str, predicate: str, adornment: str) -> str:
+        key = (kind, predicate, adornment)
+        name = self.names.get(key)
+        if name is None:
+            name = (f"{predicate}__{adornment}" if kind == "adorned"
+                    else f"demand__{predicate}__{adornment}")
+            while name in self.taken:
+                name += "_"
+            self.taken.add(name)
+            self.names[key] = name
+            table = (self.result.adorned if kind == "adorned"
+                     else self.result.demands)
+            table[name] = (predicate, adornment)
+        return name
+
+    # -- one rule ----------------------------------------------------------------
+    def _adornment(self, literal: Literal, bound: Set[Variable]) -> str:
+        """The adornment *literal* is demanded under, or ``""`` when its
+        predicate is not adorned at all (EDB, class, computed, or
+        evaluated as written)."""
+        predicate = literal.predicate
+        if predicate not in self.rules or predicate in self.result.fallbacks:
+            return ""
+        created = self.created[predicate]
+        return "".join(
+            "b" if position not in created and _is_bound(arg, bound) else "f"
+            for position, arg in enumerate(literal.args))
+
+    def _rewrite_rule(self, index: int, rule: Rule, adornment: str) -> None:
+        head = rule.head
+        guard: Optional[Literal] = None
+        if "b" in adornment:
+            guard = Literal(
+                self._name("demand", head.predicate, adornment),
+                [arg for arg, flag in zip(head.args, adornment)
+                 if flag == "b"])
+            head = Literal(self._name("adorned", head.predicate, adornment),
+                           head.args)
+        bound: Set[Variable] = set(guard.variables()) if guard else set()
+        filters = [item for item in rule.constraints()
+                   if not isinstance(item, NegatedLiteral)]
+        literals: Sequence[Literal] = rule.literals()
+        if self.order is not None and len(literals) > 1:
+            literals = self.order(literals, frozenset(bound), filters)
+        prefix: List[BodyItem] = [guard] if guard else []
+        renamed: Dict[int, Literal] = {}
+        for literal in literals:
+            wanted = self._adornment(literal, bound)
+            if wanted:
+                if (literal.predicate, wanted) not in self.done:
+                    self.done.add((literal.predicate, wanted))
+                    self.queue.append((literal.predicate, wanted))
+                if "b" in wanted:
+                    self._demand_rule(index, rule, literal, wanted, prefix,
+                                      [f for f in filters
+                                       if f.variables() <= bound], guard)
+                    adorned = Literal(
+                        self._name("adorned", literal.predicate, wanted),
+                        literal.args)
+                    renamed[id(literal)] = adorned
+                    literal = adorned
+            prefix.append(literal)
+            bound |= literal.variables()
+        if guard is None and not renamed:
+            self.emitted.append((index, rule))  # evaluated as written
+            return
+        body = [renamed.get(id(item), item) for item in rule.body]
+        rewritten = Rule(head, ([guard] if guard else []) + body,
+                         name=rule.name)
+        self.result.source[id(rewritten)] = rule
+        if guard is not None:
+            self.result.guarded.add(id(rewritten))
+        self.emitted.append((index, rewritten))
+
+    def _demand_rule(self, index: int, rule: Rule, literal: Literal,
+                     adornment: str, prefix: List[BodyItem],
+                     filters: List[BodyItem],
+                     guard: Optional[Literal]) -> None:
+        """``demand_q(bound args) :- guard, literals to the left, and the
+        constraint atoms already ground there.``"""
+        head = Literal(
+            self._name("demand", literal.predicate, adornment),
+            [arg for arg, flag in zip(literal.args, adornment)
+             if flag == "b"])
+        if head == guard:
+            return  # demand_p(X) :- demand_p(X), ... adds nothing
+        demand = Rule(head, list(prefix) + filters, name=rule.name)
+        if demand in self.seen_demand_rules:
+            return
+        self.seen_demand_rules.add(demand)
+        self.result.source[id(demand)] = rule
+        if guard is not None:
+            self.result.guarded.add(id(demand))
+        self.emitted.append((index, demand))
+
+    # -- driver --------------------------------------------------------------------
+    def run(self, query_rule: Rule) -> Demand:
+        self._rewrite_rule(self.query_index, query_rule,
+                           "f" * query_rule.head.arity)
+        while self.queue:
+            predicate, adornment = self.queue.pop()
+            for index, rule in self.rules[predicate]:
+                self._rewrite_rule(index, rule, adornment)
+        for predicate in self.result.fallbacks:
+            self.emitted.extend(self.rules[predicate])
+        self.emitted.sort(key=lambda pair: pair[0])
+        self.result.program = Program(rule for _, rule in self.emitted)
+        return self.result
+
+
+def rewrite(program: Program, query_rule: Rule, *,
+            taken: Iterable[str] = (),
+            order: Optional[LiteralOrder] = None) -> Demand:
+    """The magic-set rewrite of *program* for *query_rule* (the anonymous
+    rule whose body is the query).
+
+    *taken* names predicates generated names must avoid (database
+    relations, computed predicates); *order* is the join order sideways
+    information passing follows inside a body (default: as written).
+    The rewritten query rule keeps its identity when no goal is adorned,
+    and is always the last rule of the result.
+    """
+    return _Rewriter(program, query_rule, taken, order).run(query_rule)

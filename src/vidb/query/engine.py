@@ -34,8 +34,12 @@ from typing import (
 )
 
 from vidb.analysis.analyzer import ProgramAnalyzer, _LruCache
-from vidb.analysis.checks import reachable_predicates
-from vidb.analysis.cost import CostReport, Stats, estimate_program
+from vidb.analysis.cost import (
+    CostReport,
+    Stats,
+    estimate_program,
+    size_program,
+)
 from vidb.analysis.dataflow import query_bounds
 from vidb.analysis.diagnostics import AnalysisResult, Diagnostic
 from vidb.constraints.kernel import KernelSpec, resolve_kernel
@@ -48,6 +52,13 @@ from vidb.errors import (
 from vidb.model.oid import Oid
 from vidb.obs.tracer import NULL_TRACER, Tracer, activate
 from vidb.query import stdlib
+from vidb.query.demand import (
+    Demand,
+    goal_predicates,
+    reachable_predicates,
+    relevant_rules as relevant_rules,  # re-exported: the public name
+    rewrite,
+)
 from vidb.query.execution import (
     ExecutionOptions,
     ExecutionReport,
@@ -65,7 +76,9 @@ from vidb.query.fixpoint import (
     EvaluationStats,
     FixpointResult,
     GroundTuple,
+    _reorder_literals,
     evaluate,
+    rule_labels,
 )
 from vidb.query.parser import parse_program, parse_query
 from vidb.query.render import normalize_query
@@ -73,52 +86,6 @@ from vidb.query.safety import check_program, check_query
 from vidb.storage.database import VideoDatabase
 
 ANSWER_PREDICATE = "q__answer"
-
-
-def _goal_predicates(body) -> frozenset:
-    """Predicates a query body mentions (positive and negated)."""
-    from vidb.query.ast import NegatedLiteral
-
-    out = set()
-    for item in body:
-        if isinstance(item, Literal):
-            out.add(item.predicate)
-        elif isinstance(item, NegatedLiteral):
-            out.add(item.predicate)
-    return frozenset(out)
-
-
-def relevant_rules(program: Program, goals: Iterable[str]) -> Program:
-    """The subset of *program* a query over *goals* can possibly use.
-
-    A rule is relevant when its head predicate is (transitively) needed,
-    or when it is constructive and the growing ``interval``/``anyobject``
-    classes are needed (constructive rules feed those classes).  Pruning
-    is an optimisation only: irrelevant rules cannot contribute answer
-    tuples, so answers are unchanged — the ablation benchmarks measure
-    the saved saturation work.
-    """
-    from vidb.query.ast import ANYOBJECT_PRED, INTERVAL_PRED
-
-    needed = set(goals)
-    rules = list(program.rules)
-    chosen = [False] * len(rules)
-    changed = True
-    while changed:
-        changed = False
-        for index, rule in enumerate(rules):
-            if chosen[index]:
-                continue
-            feeds_classes = rule.is_constructive and (
-                INTERVAL_PRED in needed or ANYOBJECT_PRED in needed)
-            if rule.head.predicate in needed or feeds_classes:
-                chosen[index] = True
-                changed = True
-                for literal in rule.literals():
-                    needed.add(literal.predicate)
-                for negated in rule.negated_literals():
-                    needed.add(negated.predicate)
-    return Program([rule for rule, keep in zip(rules, chosen) if keep])
 
 
 class Answer:
@@ -219,6 +186,18 @@ class AnswerSet:
         return f"AnswerSet({len(self._rows)} answers over {self.variables})"
 
 
+def _demand_lines(demand: Optional[Demand],
+                  result: FixpointResult) -> Tuple[str, ...]:
+    """The EXPLAIN ``-- demand --`` section: which goals were adorned,
+    then per rule the join order that ran and where each constraint was
+    checked."""
+    lines = demand.describe() if demand else ["adorned: (rule pruning off)"]
+    for plan in result.plans:
+        line = f"{plan.label}: {plan.describe()}"
+        lines.append(demand.display(line) if demand else line)
+    return tuple(lines)
+
+
 def _row_sort_key(row: GroundTuple):
     return tuple(
         (0, str(v)) if isinstance(v, Oid) else (1, str(v)) for v in row
@@ -260,6 +239,8 @@ class QueryEngine:
         #: normalized query, database epoch) — the epoch key means the
         #: warm path re-estimates only after an actual mutation.
         self._cost_cache = _LruCache(256)
+        self._sizes: Optional[Tuple[Tuple[int, int], Stats,
+                                    Dict[str, float]]] = None
         self._program_version = 0
         self.program = Program()
         self.computed: Dict[str, Tuple[int, ComputedPredicate]] = (
@@ -376,11 +357,14 @@ class QueryEngine:
                 # Boolean query: project an arbitrary constant.
                 head = Literal(ANSWER_PREDICATE, [0])
             anonymous = Rule(head, query.body, name="query")
+            demand: Optional[Demand] = None
+            labels: Optional[Dict[int, str]] = None
             with stage("prune"):
-                base = self.program
                 if prune:
-                    base = relevant_rules(base, _goal_predicates(query.body))
-                program = base.extend([anonymous])
+                    demand, labels = self._demand(anonymous)
+                    program = demand.program
+                else:
+                    program = self.program.extend([anonymous])
             with stage("evaluate"):
                 result = evaluate(
                     self.db, program,
@@ -394,11 +378,15 @@ class QueryEngine:
                     tracer=tracer,
                     kernel=(options.kernel if options.kernel is not None
                             else self.kernel),
+                    labels=labels,
+                    guarded=demand.guarded if demand else (),
                 )
             with stage("collect"):
                 rows = result.relation(ANSWER_PREDICATE)
                 answers = AnswerSet([v.name for v in answer_vars], rows,
                                     result.stats)
+                if demand is not None and options.provenance is not None:
+                    demand.translate_provenance(options.provenance)
         stats = result.stats
         stats.elapsed_s = time.perf_counter() - started
         stats.stages = dict(stages)
@@ -407,7 +395,30 @@ class QueryEngine:
             trace=tracer.root() if options.trace else None,
             aggregates=dict(tracer.aggregates) if options.trace else {},
             diagnostics=diagnostics, cost=cost, bounds=bounds,
+            demand=(_demand_lines(demand, result) if options.trace else ()),
         )
+
+    def _demand(self, query_rule: Rule) -> Tuple[Demand, Dict[int, str]]:
+        """The demand-rewritten program for one query, plus the label of
+        every rule in it: that of the rule as written it came from."""
+        order = None
+        if self.reorder_joins:
+            computed = self.computed
+
+            def order(literals, bound, constraints):
+                # The planner's order without cardinalities: they are
+                # not known until the rules being rewritten have run.
+                return _reorder_literals(
+                    literals, lambda p: -1 if p in computed else 0,
+                    constraints, bound)[0]
+
+        demand = rewrite(self.program, query_rule, order=order,
+                         taken=self.db.relation_names() | set(self.computed))
+        written = [demand.source.get(id(rule), rule)
+                   for rule in demand.program]
+        by_source = rule_labels({id(rule): rule for rule in written}.values())
+        return demand, {id(rule): by_source[id(source)]
+                        for rule, source in zip(demand.program, written)}
 
     def _prepare_analysis(self, query: Query,
                           prune: bool) -> Optional[AnalysisResult]:
@@ -462,14 +473,14 @@ class QueryEngine:
         if cached is not None:
             return cached
         try:
-            stats = Stats.from_database(self.db)
+            stats, sizes = self._sizing()
             relevant = None
             if prune:
                 relevant = reachable_predicates(
-                    self.program, _goal_predicates(query.body))
+                    self.program, goal_predicates(query.body))
             report = estimate_program(
                 self.program, stats, computed=tuple(self.computed),
-                queries=(query,), relevant=relevant)
+                queries=(query,), relevant=relevant, sizes=sizes)
             value = (report, report.diagnostics())
         except Exception:
             # Advisory infrastructure: estimation defects must never
@@ -477,6 +488,17 @@ class QueryEngine:
             value = (None, ())
         self._cost_cache.put(key, value)
         return value
+
+    def _sizing(self) -> Tuple[Stats, Dict[str, float]]:
+        """Database statistics and derived-predicate sizes: one entry,
+        recomputed when the program or the database epoch changes, so a
+        new query text pays only for its own body."""
+        key = (self._program_version, self.db.epoch)
+        if self._sizes is None or self._sizes[0] != key:
+            stats = Stats.from_database(self.db)
+            self._sizes = (key, stats, size_program(
+                self.program, stats, computed=tuple(self.computed)))
+        return self._sizes[1], self._sizes[2]
 
     def _bounds_lines(self, query: Query, analysis: AnalysisResult
                       ) -> Tuple[str, ...]:

@@ -147,6 +147,9 @@ class ExecutionReport:
     cost: Optional["CostReport"] = None
     #: Rendered interval-dataflow bounds relevant to this query.
     bounds: Tuple[str, ...] = ()
+    #: Traced runs only: the adorned goals, then per rule the join order
+    #: that ran and where each constraint atom was checked.
+    demand: Tuple[str, ...] = ()
 
     @property
     def elapsed_s(self) -> float:

@@ -29,6 +29,7 @@ Definition 19:
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import (
@@ -37,8 +38,8 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
-    Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -63,6 +64,7 @@ from vidb.query.ast import (
     ANYOBJECT_PRED,
     AttrPath,
     BodyItem,
+    CLASS_PREDICATES,
     ComparisonAtom,
     ConcatTerm,
     EntailmentAtom,
@@ -83,7 +85,6 @@ from vidb.storage.database import VideoDatabase
 
 GroundValue = Any  # Oid or constant
 GroundTuple = Tuple[GroundValue, ...]
-Binding = Dict[Variable, GroundValue]
 
 #: Signature of a computed (filter-only) predicate: called with the
 #: evaluation context and fully ground arguments, returns a truth value.
@@ -91,56 +92,62 @@ ComputedPredicate = Callable[["EvaluationContext", GroundTuple], bool]
 
 
 class Relation:
-    """A set of ground tuples with per-position hash indexes."""
+    """A set of ground tuples with per-position hash indexes, each built
+    the first time its position is probed (most never are: a query
+    touches a few positions of a few relations, and a semi-naive delta
+    is usually read once)."""
 
-    __slots__ = ("tuples", "_index")
+    __slots__ = ("tuples", "_index", "_arity")
 
     def __init__(self) -> None:
         self.tuples: Set[GroundTuple] = set()
         self._index: Dict[int, Dict[GroundValue, Set[GroundTuple]]] = {}
+        #: The arity every tuple shares; None while empty, -1 once mixed.
+        self._arity: Optional[int] = None
 
     def add(self, row: GroundTuple) -> bool:
         """Insert; returns True when the tuple is new."""
         if row in self.tuples:
             return False
+        if self._arity != len(row):
+            self._arity = len(row) if self._arity is None else -1
         self.tuples.add(row)
-        for position, value in enumerate(row):
-            try:
-                bucket = self._index.setdefault(position, {})
-                bucket.setdefault(value, set()).add(row)
-            except TypeError:
-                pass  # unhashable component: position simply not indexed
+        for position, buckets in self._index.items():
+            if position < len(row):
+                buckets.setdefault(row[position], set()).add(row)
         return True
 
-    def select(self, pattern: Sequence[Optional[GroundValue]],
-               restrict: Optional[Iterable[GroundTuple]] = None
-               ) -> Iterator[GroundTuple]:
+    def _buckets(self, position: int) -> Dict[GroundValue, Set[GroundTuple]]:
+        buckets = self._index.get(position)
+        if buckets is None:
+            buckets = self._index[position] = {}
+            for row in self.tuples:
+                if position < len(row):
+                    buckets.setdefault(row[position], set()).add(row)
+        return buckets
+
+    def select(self, pattern: Sequence[Optional[GroundValue]]
+               ) -> Iterable[GroundTuple]:
         """Tuples matching a pattern (None = wildcard).
 
-        When *restrict* is given, only those tuples are considered (used
-        for semi-naive deltas).
+        The result may be a live view of the relation: consume it before
+        inserting.
         """
-        if restrict is not None:
-            for row in restrict:
-                if _matches(row, pattern):
-                    yield row
-            return
         best: Optional[Set[GroundTuple]] = None
+        bound = 0
         for position, value in enumerate(pattern):
             if value is None:
                 continue
-            try:
-                bucket = self._index.get(position, {}).get(value)
-            except TypeError:
-                continue
+            bound += 1
+            bucket = self._buckets(position).get(value)
             if bucket is None:
-                return  # an indexed bound position has no matches at all
+                return ()  # a bound position has no matches at all
             if best is None or len(bucket) < len(best):
                 best = bucket
         source = best if best is not None else self.tuples
-        for row in source:
-            if _matches(row, pattern):
-                yield row
+        if self._arity == len(pattern) and bound <= 1:
+            return source  # the index bucket (or the scan) is the answer
+        return [row for row in source if _matches(row, pattern)]
 
     def __len__(self) -> int:
         return len(self.tuples)
@@ -290,6 +297,9 @@ class EvaluationContext:
         #: The tracer evaluation reports into; ``evaluate`` replaces the
         #: null default when the caller asked for tracing.
         self.tracer = NULL_TRACER
+        #: Absolute ``time.monotonic()`` instant evaluation must not run
+        #: past (None = no limit); see :func:`_check_deadline`.
+        self.deadline: Optional[float] = None
         self._load_edb(extended_domain)
 
     # -- EDB loading -------------------------------------------------------
@@ -341,7 +351,7 @@ class EvaluationContext:
                 new_facts.append((ANYOBJECT_PRED, (obj.oid,)))
         return obj.oid, new_facts
 
-    # -- symbol & attribute resolution ---------------------------------------------
+    # -- symbol resolution -------------------------------------------------------
     def resolve_symbol(self, symbol: Symbol) -> GroundValue:
         """Entity oid, else interval oid, else the bare string."""
         entity = Oid.entity(symbol.name)
@@ -352,152 +362,249 @@ class EvaluationContext:
             return interval
         return symbol.name
 
-    def attribute(self, oid: GroundValue, attr: str):
-        """The attribute value of an object, or None when undefined."""
-        if not isinstance(oid, Oid):
-            return None
-        obj = self.objects.get(oid)
-        if obj is None:
-            return None
-        return obj.get(attr)
-
 
 # ---------------------------------------------------------------------------
 # Term / constraint evaluation under a binding
 # ---------------------------------------------------------------------------
 
-def eval_term(term: Term, binding: Binding, ctx: EvaluationContext) -> GroundValue:
-    if isinstance(term, Variable):
-        try:
-            return binding[term]
-        except KeyError:
-            raise EvaluationError(f"unbound variable {term!r}") from None
-    if isinstance(term, Symbol):
-        return ctx.resolve_symbol(term)
-    if isinstance(term, ConcatTerm):
-        raise EvaluationError("constructive terms are evaluated by the engine, "
-                              "not eval_term")
-    return term
+#: One candidate valuation of a rule body: the rule's variables in
+#: :attr:`RulePlan.slots` order (provenance records it as a dict).
+Row = Sequence[GroundValue]
+Getter = Callable[[Row], Any]
+Check = Callable[[Row], bool]
+
+#: The order comparisons; ``=`` and ``!=`` apply to any two values.
+_ORDER_OPS = {"<": operator.lt, "<=": operator.le,
+              ">": operator.gt, ">=": operator.ge}
 
 
-def eval_operand(side: Union[AttrPath, Term], binding: Binding,
-                 ctx: EvaluationContext):
-    """Evaluate a comparison side: attribute paths read the object store."""
-    if isinstance(side, AttrPath):
-        subject = eval_term(side.subject, binding, ctx)
-        return ctx.attribute(subject, side.attr)
-    return eval_term(side, binding, ctx)
+def _constant(value: Any) -> Getter:
+    return lambda _row: value
 
 
-def check_constraint(atom: BodyItem, binding: Binding,
-                     ctx: EvaluationContext) -> bool:
-    """Is a ground constraint atom satisfiable (Definition 21's condition)?"""
-    ctx.stats.constraint_checks += 1
-    if isinstance(atom, MembershipAtom):
-        collection = eval_operand(atom.collection, binding, ctx)
-        if collection is None:
-            return False
-        element = eval_term(atom.element, binding, ctx)
-        return value_contains(collection, element)
-    if isinstance(atom, SubsetAtom):
-        superset = eval_operand(atom.superset, binding, ctx)
-        if superset is None:
-            return False
-        if isinstance(atom.subset, AttrPath):
-            subset_value = eval_operand(atom.subset, binding, ctx)
-            if subset_value is None:
-                return False
-            members = value_as_set(subset_value)
-        else:
-            members = frozenset(eval_term(t, binding, ctx) for t in atom.subset)
-        return members <= value_as_set(superset)
-    if isinstance(atom, ComparisonAtom):
-        left = eval_operand(atom.left, binding, ctx)
-        right = eval_operand(atom.right, binding, ctx)
-        if left is None or right is None:
-            return False
-        return _compare(left, atom.op, right)
-    if isinstance(atom, EntailmentAtom):
-        left = _entail_side(atom.left, binding, ctx)
-        right = _entail_side(atom.right, binding, ctx)
-        if left is None or right is None:
-            return False
-        return ctx.kernel.entails(left, right)
-    if isinstance(atom, NegatedLiteral):
-        return not _positive_holds(atom.literal, binding, ctx)
-    raise EvaluationError(f"unknown constraint atom {atom!r}")
+class _Compiler:
+    """Compiles one rule evaluation's terms and constraint atoms into
+    closures over the candidate row.
 
-
-def _positive_holds(literal: Literal, binding: Binding,
-                    ctx: EvaluationContext) -> bool:
-    """Does a fully ground literal hold in the current interpretation?
-
-    Used under negation: by stratification, the relation being consulted
-    is already saturated when this runs.
+    Everything that does not depend on the row is decided here, once per
+    rule evaluation instead of once per candidate: symbols are resolved
+    against the context, constant attribute paths are read, the atom's
+    type and comparison operator are dispatched.  (Per evaluation, not
+    per plan: a symbol's resolution changes when a materialized view
+    learns the object it names.)
     """
-    args = tuple(eval_term(a, binding, ctx) for a in literal.args)
-    relation = ctx.relations.get(literal.predicate)
-    if relation is not None:
-        return args in relation
-    if literal.predicate in ctx.computed:
-        arity, fn = ctx.computed[literal.predicate]
-        if arity != literal.arity:
-            raise EvaluationError(
-                f"computed predicate {literal.predicate!r} has arity "
-                f"{arity}, used with {literal.arity}"
-            )
-        return fn(ctx, args)
-    raise UnknownPredicateError(
-        f"unknown predicate {literal.predicate!r} under negation"
-    )
+
+    def __init__(self, ctx: EvaluationContext, slots: Dict[Variable, int]):
+        self.ctx = ctx
+        self.slots = slots
+        self._symbols: Dict[str, GroundValue] = {}
+
+    def value(self, term: Term) -> GroundValue:
+        """The value of a non-variable term."""
+        if isinstance(term, Symbol):
+            if term.name not in self._symbols:
+                self._symbols[term.name] = self.ctx.resolve_symbol(term)
+            return self._symbols[term.name]
+        return term
+
+    def term(self, term: Term) -> Getter:
+        if isinstance(term, Variable):
+            try:
+                return operator.itemgetter(self.slots[term])
+            except KeyError:
+                raise EvaluationError(f"unbound variable {term!r}") from None
+        return _constant(self.value(term))
+
+    def operand(self, side: Union[AttrPath, Term]) -> Getter:
+        """A comparison side: attribute paths read the object store and
+        give None when undefined."""
+        if not isinstance(side, AttrPath):
+            return self.term(side)
+        objects = self.ctx.objects
+        attr = side.attr
+        if not isinstance(side.subject, Variable):
+            obj = objects.get(self.value(side.subject))
+            return _constant(None if obj is None else obj.get(attr))
+        subject = self.term(side.subject)
+
+        def read(row: Row):
+            obj = objects.get(subject(row))
+            return None if obj is None else obj.get(attr)
+
+        return read
+
+    def entail_side(self, side: Union[AttrPath, Constraint]) -> Getter:
+        """One side of an entailment atom: a dense-order constraint, or
+        None when the side does not denote one."""
+        if isinstance(side, AttrPath):
+            value = self.operand(side)
+            return lambda row: (
+                found if isinstance(found := value(row), Constraint)
+                else None)
+        # Inline constraint: uppercase names are rule variables.
+        variables = [(var, self.term(Variable(var.name)))
+                     for var in side.variables() if var.name[0].isupper()]
+        if not variables:
+            return _constant(side)
+
+        def substitute(row: Row) -> Optional[Constraint]:
+            substitution: Dict[Var, GroundValue] = {}
+            for var, get in variables:
+                bound = get(row)
+                if not is_constant(bound):
+                    return None  # oids cannot appear inside dense constraints
+                substitution[var] = bound
+            return side.substitute(substitution)
+
+        return substitute
+
+    def check(self, atom: BodyItem) -> Check:
+        """Is the (ground, under the row) constraint atom satisfiable —
+        Definition 21's condition?"""
+        if isinstance(atom, MembershipAtom):
+            collection = self.operand(atom.collection)
+            element = self.term(atom.element)
+
+            def member(row: Row) -> bool:
+                found = collection(row)
+                return found is not None and value_contains(found,
+                                                            element(row))
+
+            return member
+        if isinstance(atom, SubsetAtom):
+            superset = self.operand(atom.superset)
+            if isinstance(atom.subset, AttrPath):
+                subset = self.operand(atom.subset)
+            elif not any(isinstance(t, Variable) for t in atom.subset):
+                subset = _constant(frozenset(map(self.value, atom.subset)))
+            else:
+                members = [self.term(t) for t in atom.subset]
+
+                def subset(row: Row) -> FrozenSet:
+                    return frozenset(get(row) for get in members)
+
+            def included(row: Row) -> bool:
+                outer = superset(row)
+                inner = subset(row)
+                return (outer is not None and inner is not None
+                        and value_as_set(inner) <= value_as_set(outer))
+
+            return included
+        if isinstance(atom, ComparisonAtom):
+            return self._comparison(atom)
+        if isinstance(atom, EntailmentAtom):
+            left = self.entail_side(atom.left)
+            right = self.entail_side(atom.right)
+            entails = self.ctx.kernel.entails
+
+            def entailed(row: Row) -> bool:
+                premise = left(row)
+                conclusion = right(row)
+                return (premise is not None and conclusion is not None
+                        and entails(premise, conclusion))
+
+            return entailed
+        if isinstance(atom, NegatedLiteral):
+            holds = self._holds(atom.literal)
+            return lambda row: not holds(row)
+        raise EvaluationError(f"unknown constraint atom {atom!r}")
+
+    def _comparison(self, atom: ComparisonAtom) -> Check:
+        left = self.operand(atom.left)
+        right = self.operand(atom.right)
+        if atom.op in ("=", "!="):
+            same = operator.eq if atom.op == "=" else operator.ne
+
+            def equal(row: Row) -> bool:
+                a = left(row)
+                b = right(row)
+                return a is not None and b is not None and same(a, b)
+
+            return equal
+        ordered = _ORDER_OPS[atom.op]
+
+        def compare(row: Row) -> bool:
+            a = left(row)
+            b = right(row)
+            # order comparisons need comparable constants
+            return (a is not None and b is not None
+                    and is_constant(a) and is_constant(b)
+                    and constants_comparable(a, b) and ordered(a, b))
+
+        return compare
+
+    def _holds(self, literal: Literal) -> Check:
+        """Does the (ground, under the row) literal hold in the current
+        interpretation?  Used under negation: by stratification the
+        relation consulted is already saturated when this runs."""
+        ctx = self.ctx
+        args = [self.term(arg) for arg in literal.args]
+        relation = ctx.relations.get(literal.predicate)
+        if relation is not None:
+            tuples = relation.tuples
+            return lambda row: tuple(get(row) for get in args) in tuples
+        try:
+            fn = _computed(ctx, literal)
+        except EvaluationError as error:
+            return _raiser(error)
+        return lambda row: fn(ctx, tuple(get(row) for get in args))
 
 
-def _compare(left, op: str, right) -> bool:
-    if op == "=":
-        return left == right
-    if op == "!=":
-        return left != right
-    if not (is_constant(left) and is_constant(right)
-            and constants_comparable(left, right)):
-        return False  # order comparisons need comparable constants
-    return {"<": left < right, "<=": left <= right,
-            ">": left > right, ">=": left >= right}[op]
+def _raiser(error: Exception) -> Callable[..., Any]:
+    """A step or check that fails with *error* if evaluation ever
+    reaches it (an ill-formed literal no row gets to is not an error)."""
+    def fail(*_args: Any):
+        raise error
+
+    return fail
 
 
-def _entail_side(side: Union[AttrPath, Constraint], binding: Binding,
-                 ctx: EvaluationContext) -> Optional[Constraint]:
-    if isinstance(side, AttrPath):
-        value = eval_operand(side, binding, ctx)
-        return value if isinstance(value, Constraint) else None
-    # Inline constraint: substitute rule variables (uppercase names).
-    substitution: Dict[Var, GroundValue] = {}
-    for var in side.variables():
-        if var.name[0].isupper():
-            bound = binding.get(Variable(var.name))
-            if bound is None:
-                raise EvaluationError(
-                    f"rule variable {var.name} in inline constraint is unbound"
-                )
-            if not is_constant(bound):
-                return None  # oids cannot appear inside dense constraints
-            substitution[var] = bound
-    return side.substitute(substitution) if substitution else side
+def _computed(ctx: EvaluationContext, literal: Literal) -> ComputedPredicate:
+    """The computed predicate *literal* names (it has no relation)."""
+    if literal.predicate not in ctx.computed:
+        raise UnknownPredicateError(
+            f"unknown predicate {literal.predicate!r} "
+            "(not a database relation, class predicate, rule head, or "
+            "computed predicate)"
+        )
+    arity, fn = ctx.computed[literal.predicate]
+    if arity != literal.arity:
+        raise EvaluationError(
+            f"computed predicate {literal.predicate!r} has arity "
+            f"{arity}, used with {literal.arity}"
+        )
+    return fn
 
 
 # ---------------------------------------------------------------------------
 # Rule plans
 # ---------------------------------------------------------------------------
 
+class _Access(NamedTuple):
+    """How the join reads one body literal, given what is bound on entry:
+    ``(position, term)`` constants, then ``(position, slot)`` pairs for
+    already-bound variables (probed), variables bound here, and later
+    occurrences of a variable bound here (compared)."""
+
+    constants: Tuple[Tuple[int, Term], ...]
+    probes: Tuple[Tuple[int, int], ...]
+    binds: Tuple[Tuple[int, int], ...]
+    repeats: Tuple[Tuple[int, int], ...]
+
+
 @dataclass
 class RulePlan:
-    """A rule with constraints scheduled at their earliest ground point.
+    """A rule's join order with every constraint scheduled.
 
     ``checks_after[i]`` lists the constraint atoms whose variables are all
     bound once literals ``0..i`` have been joined (index -1 = ground
-    constraints checked before any join).  ``deferred`` holds entailment
-    atoms pulled out of the final join position: they would prune nothing
-    during the join (every literal is already bound), so the drivers
-    check them *after* the join as one batched
+    constraints checked before any join).  ``generators[i]`` is a
+    membership atom ``O in G.entities`` whose collection is bound before
+    literal ``i`` — the class literal ``object(O)`` — so ``O`` is drawn
+    from the collection and the literal only probed.  ``deferred`` holds
+    entailment atoms pulled out of the final join position: they would
+    prune nothing during the join (every literal is already bound), so
+    the drivers check them *after* the join as one batched
     :meth:`~vidb.constraints.kernel.ConstraintKernel.entails_many` call,
     letting the kernel compute each distinct canonical pair once.
     """
@@ -506,15 +613,56 @@ class RulePlan:
     literals: Tuple[Literal, ...]
     checks_after: Dict[int, Tuple[BodyItem, ...]]
     deferred: Tuple[EntailmentAtom, ...] = ()
+    generators: Dict[int, MembershipAtom] = field(default_factory=dict)
+    #: The label statistics for this rule are reported under.
+    label: str = ""
+    #: The position of each rule variable in a candidate row.
+    slots: Dict[Variable, int] = field(init=False)
+    #: Per literal, how the join reads it (the order fixes what is bound).
+    access: Tuple[_Access, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        slots = self.slots = {}
+        bound: Set[int] = set()
+        access: List[_Access] = []
+        for index, literal in enumerate(self.literals):
+            if index in self.generators:
+                element = self.generators[index].element
+                bound.add(slots.setdefault(element, len(slots)))
+            constants, probes, binds, repeats = [], [], [], []
+            for position, arg in enumerate(literal.args):
+                if not isinstance(arg, Variable):
+                    constants.append((position, arg))
+                    continue
+                slot = slots.setdefault(arg, len(slots))
+                if slot in bound:
+                    probes.append((position, slot))
+                elif any(slot == seen for _, seen in binds):
+                    repeats.append((position, slot))
+                else:
+                    binds.append((position, slot))
+            bound.update(slot for _, slot in binds)
+            access.append(_Access(tuple(constants), tuple(probes),
+                                  tuple(binds), tuple(repeats)))
+        self.access = tuple(access)
 
     @classmethod
     def compile(cls, rule: Rule,
                 size_of: Optional[Callable[[str], int]] = None,
-                defer_entailments: bool = True) -> "RulePlan":
-        """Compile a rule; with *size_of* (predicate → cardinality
-        estimate) the body literals are greedily reordered for
-        selectivity (most-bound-variables first, smaller relations as
-        tie-break).  Join order never changes answers — only cost.
+                defer_entailments: bool = True,
+                guarded: bool = False) -> "RulePlan":
+        """Compile a rule.
+
+        With *size_of* (predicate → cardinality estimate) the join is
+        planned: body literals are greedily reordered (see
+        :func:`_reorder_literals`), the constant members of a subset atom
+        are split off so they are checked as soon as the collection is
+        bound, and class literals are probed from a membership
+        collection where one is bound first.  Without it the body runs
+        as written.  Either way every constraint atom is checked at the
+        earliest literal that grounds it; join order never changes
+        answers — only cost.  *guarded* keeps the first literal (a
+        demand guard) first.
 
         With *defer_entailments* (the default), entailment atoms that
         only become ground at the last literal are moved to ``deferred``
@@ -522,10 +670,16 @@ class RulePlan:
         pruning power during the join is kept.
         """
         literals = list(rule.literals())
-        if size_of is not None and len(literals) > 1:
-            literals = _reorder_literals(literals, size_of)
-        bound: Set[Variable] = set()
         remaining = list(rule.constraints())
+        generators: Dict[int, MembershipAtom] = {}
+        if size_of is not None:
+            remaining = [piece for atom in remaining
+                         for piece in _split_subset(atom)]
+            literals, generators = _reorder_literals(
+                literals, size_of, remaining, pinned=1 if guarded else 0)
+            generating = {id(atom) for atom in generators.values()}
+            remaining = [c for c in remaining if id(c) not in generating]
+        bound: Set[Variable] = set()
         checks: Dict[int, List[BodyItem]] = {}
         for index in range(-1, len(literals)):
             if index >= 0:
@@ -551,36 +705,111 @@ class RulePlan:
                 del checks[final]
         return cls(rule, tuple(literals),
                    {i: tuple(cs) for i, cs in checks.items()},
-                   tuple(deferred))
+                   tuple(deferred), generators)
+
+    def describe(self) -> str:
+        """The chosen literal order and where each constraint runs, as
+        one line of the EXPLAIN ``-- demand --`` section."""
+        def bracket(atoms: Iterable[BodyItem]) -> str:
+            return "[" + ", ".join(map(repr, atoms)) + "]"
+
+        parts = []
+        if -1 in self.checks_after:
+            parts.append(bracket(self.checks_after[-1]))
+        for index, literal in enumerate(self.literals):
+            text = repr(literal)
+            if index in self.generators:
+                text += f" from {self.generators[index].collection!r}"
+            if index in self.checks_after:
+                text += " " + bracket(self.checks_after[index])
+            parts.append(text)
+        line = " -> ".join(parts) or f"{self.rule.head!r}."
+        if self.deferred:
+            line += " | batched " + bracket(self.deferred)
+        return line
 
 
-def _reorder_literals(literals: List[Literal],
-                      size_of: Callable[[str], int]) -> List[Literal]:
-    """Greedy selectivity ordering.
+def _split_subset(atom: BodyItem) -> List[BodyItem]:
+    """``{e, O} subset P`` as ``{e} subset P`` and ``O in P``: the
+    constant members can be checked as soon as ``P`` is bound and each
+    variable member when it is (or generated from ``P``)."""
+    if not isinstance(atom, SubsetAtom) or isinstance(atom.subset, AttrPath):
+        return [atom]
+    variables = list(dict.fromkeys(
+        term for term in atom.subset if isinstance(term, Variable)))
+    if not variables:
+        return [atom]
+    constants = tuple(term for term in atom.subset
+                      if not isinstance(term, Variable))
+    pieces: List[BodyItem] = (
+        [SubsetAtom(constants, atom.superset)] if constants else [])
+    pieces += [MembershipAtom(var, atom.superset) for var in variables]
+    return pieces
 
-    At each step pick the literal maximising the number of already-bound
-    variables (joins before cross products), breaking ties by estimated
-    relation size, then original position (stability).  Literals whose
-    predicate has no relation (computed filters) are only eligible once
-    fully bound; if none ever becomes eligible the original relative
-    order is preserved for the stragglers (the evaluator reports the
-    error precisely).
+
+def _reorder_literals(literals: Sequence[Literal],
+                      size_of: Callable[[str], int],
+                      constraints: Sequence[BodyItem] = (),
+                      bound: Iterable[Variable] = (),
+                      pinned: int = 0
+                      ) -> Tuple[List[Literal], Dict[int, MembershipAtom]]:
+    """Greedy selection-first ordering; returns the order plus the
+    membership atoms that *generate* a class literal's variable, keyed
+    by the literal's new position.
+
+    At each step pick the literal with the most bound arguments —
+    constants, already-bound variables, and a class literal's variable
+    when a bound collection can generate it (joins and probes before
+    cross products).  Ties go to a literal that grounds a *selection*, a
+    constraint atom other than ``!=`` that becomes checkable at that
+    literal, then to the smaller relation, then to the original position
+    (stability).  The first *pinned* literals stay where they are;
+    *bound* names variables bound before the body starts.  Literals
+    whose predicate has no relation (computed filters) are only eligible
+    once fully bound; if none ever becomes eligible the original
+    relative order is preserved for the stragglers (the evaluator
+    reports the error precisely).
     """
-    remaining = list(enumerate(literals))
-    bound: Set[Variable] = set()
-    ordered: List[Literal] = []
+    ordered: List[Literal] = list(literals[:pinned])
+    remaining = list(enumerate(literals))[pinned:]
+    bound = set(bound)
+    for literal in ordered:
+        bound |= literal.variables()
+    generators: Dict[int, MembershipAtom] = {}
+    selections = [(atom, atom.variables()) for atom in constraints
+                  if not (isinstance(atom, ComparisonAtom)
+                          and atom.op == "!=")]
+
+    def generator_of(literal: Literal) -> Optional[MembershipAtom]:
+        """The membership atom that can generate a class literal's
+        (still unbound) variable from an already-bound collection."""
+        if literal.predicate in CLASS_PREDICATES and literal.arity == 1:
+            for atom, _ in selections:
+                if (isinstance(atom, MembershipAtom)
+                        and atom.element == literal.args[0]
+                        and isinstance(atom.element, Variable)
+                        and atom.element not in bound
+                        and atom.collection.variables() <= bound):
+                    return atom
+        return None
+
     while remaining:
         best = None
         best_key = None
         for position, (original_index, literal) in enumerate(remaining):
+            variables = literal.variables()
             size = size_of(literal.predicate)
             if size < 0:  # computed filter: needs all variables bound
-                if not literal.variables() <= bound:
+                if not variables <= bound:
                     continue
                 size = 0
-            bound_vars = len(literal.variables() & bound)
-            new_vars = len(literal.variables() - bound)
-            key = (-bound_vars, size, new_vars, original_index)
+            known = bound | variables if generator_of(literal) else bound
+            bound_args = len(variables & known) + sum(
+                1 for arg in literal.args if not isinstance(arg, Variable))
+            selective = any(needs <= bound | variables and not needs <= bound
+                            for _, needs in selections)
+            key = (-bound_args, not selective, size,
+                   len(variables - known), original_index)
             if best_key is None or key < best_key:
                 best_key = key
                 best = position
@@ -588,132 +817,185 @@ def _reorder_literals(literals: List[Literal],
             # only not-yet-groundable computed filters left
             ordered.extend(lit for __, lit in remaining)
             break
-        original_index, literal = remaining.pop(best)
+        _, literal = remaining.pop(best)
+        generator = generator_of(literal)
+        if generator is not None:
+            generators[len(ordered)] = generator
         ordered.append(literal)
         bound |= literal.variables()
-    return ordered
+    return ordered, generators
 
 
-def _join(plan: RulePlan, ctx: EvaluationContext,
+# ---------------------------------------------------------------------------
+# The join
+# ---------------------------------------------------------------------------
+
+#: The deadline is read once per this many candidate rows of a join.
+_DEADLINE_STRIDE = 1024
+
+
+def _join(plan: RulePlan, ctx: EvaluationContext, compiler: _Compiler,
           delta_position: Optional[int] = None,
-          delta_rows: Optional[Iterable[GroundTuple]] = None
-          ) -> Iterator[Binding]:
-    """Enumerate bindings satisfying the body (literals + scheduled checks)."""
-    pre_checks = plan.checks_after.get(-1, ())
+          delta: Optional[Relation] = None) -> List[Row]:
+    """Enumerate the rows satisfying the body (literals + scheduled
+    checks), by nested-loop join in plan order; the literal at
+    *delta_position* reads *delta* (a semi-naive round's new tuples)
+    instead of its whole relation.
 
-    def backtrack(index: int, binding: Binding) -> Iterator[Binding]:
-        if index == len(plan.literals):
-            yield dict(binding)
-            return
-        literal = plan.literals[index]
-        relation = ctx.relations.get(literal.predicate)
+    The plan fixes which variables are bound on entry to each literal,
+    so each literal is prepared once — its relation, its constant and
+    bound argument positions, the checks that follow it — into a step
+    that calls the next; no step inspects the binding to find out.
+    """
+    slots = plan.slots
+    values: List[GroundValue] = [None] * len(slots)
+    out: List[Row] = []
+    candidates = 0
+    checked = 0
+
+    def passes(checks: Sequence[Check]) -> bool:
+        nonlocal checked
+        for check in checks:
+            checked += 1
+            if not check(values):
+                return False
+        return True
+
+    def test(literal: Literal, access: _Access,
+             after: Sequence[Check], proceed: Callable[[], None]
+             ) -> Callable[[], None]:
+        """A computed predicate: a filter over bound arguments."""
+        try:
+            fn = _computed(ctx, literal)
+        except EvaluationError as error:
+            return _raiser(error)
+        if access.binds:
+            names = ", ".join(sorted({literal.args[position].name
+                                      for position, _ in access.binds}))
+            return _raiser(EvaluationError(
+                f"computed predicate {literal.predicate!r} cannot "
+                f"bind variables ({names}); bind them with class "
+                "or relation literals first"))
+        args = [compiler.term(arg) for arg in literal.args]
+
+        def step() -> None:
+            if fn(ctx, tuple(get(values) for get in args)) and passes(after):
+                proceed()
+
+        return step
+
+    def scan(literal: Literal, access: _Access,
+             relation: Optional[Relation],
+             after: Sequence[Check], proceed: Callable[[], None]
+             ) -> Callable[[], None]:
         if relation is None:
-            if literal.predicate in ctx.computed:
-                # Computed predicates are filters: all their variables must
-                # already be bound by earlier (relation/class) literals.
-                if literal.variables() - set(binding):
-                    unbound = ", ".join(sorted(
-                        v.name for v in literal.variables() - set(binding)))
-                    raise EvaluationError(
-                        f"computed predicate {literal.predicate!r} cannot "
-                        f"bind variables ({unbound}); bind them with class "
-                        "or relation literals first"
-                    )
-                arity, fn = ctx.computed[literal.predicate]
-                if arity != literal.arity:
-                    raise EvaluationError(
-                        f"computed predicate {literal.predicate!r} has arity "
-                        f"{arity}, used with {literal.arity}"
-                    )
-                args = tuple(eval_term(a, binding, ctx) for a in literal.args)
-                if fn(ctx, args):
-                    yield from _after_literal(index, binding)
-                return
-            raise UnknownPredicateError(
-                f"unknown predicate {literal.predicate!r} "
-                "(not a database relation, class predicate, rule head, or "
-                "computed predicate)"
-            )
-        pattern: List[Optional[GroundValue]] = []
-        for arg in literal.args:
-            if isinstance(arg, Variable):
-                pattern.append(binding.get(arg))
-            else:
-                pattern.append(eval_term(arg, binding, ctx))
-        restrict = delta_rows if index == delta_position else None
-        for row in relation.select(pattern, restrict=restrict):
-            extension: List[Variable] = []
-            consistent = True
-            for arg, value in zip(literal.args, row):
-                if isinstance(arg, Variable):
-                    current = binding.get(arg)
-                    if current is None:
-                        binding[arg] = value
-                        extension.append(arg)
-                    elif current != value:
-                        consistent = False
-                        break
-            if consistent:
-                yield from _after_literal(index, binding)
-            for var in extension:
-                del binding[var]
+            return test(literal, access, after, proceed)
+        template: List[Optional[GroundValue]] = [None] * literal.arity
+        for position, term in access.constants:
+            template[position] = compiler.value(term)
+        _, probes, binds, repeats = access
 
-    def _after_literal(index: int, binding: Binding) -> Iterator[Binding]:
-        for check in plan.checks_after.get(index, ()):
-            if not check_constraint(check, binding, ctx):
-                return
-        yield from backtrack(index + 1, binding)
+        def step() -> None:
+            nonlocal candidates
+            pattern = template
+            if probes:
+                pattern = list(template)
+                for position, slot in probes:
+                    pattern[position] = values[slot]
+            for row in relation.select(pattern):
+                candidates += 1
+                if not candidates % _DEADLINE_STRIDE:
+                    _check_deadline(ctx)
+                for position, slot in binds:
+                    values[slot] = row[position]
+                if repeats and any(row[position] != values[slot]
+                                   for position, slot in repeats):
+                    continue
+                if passes(after):
+                    proceed()
 
-    binding: Binding = {}
-    for check in pre_checks:
-        if not check_constraint(check, binding, ctx):
-            return
-    yield from backtrack(0, binding)
+        return step
+
+    def generate(atom: MembershipAtom, proceed: Callable[[], None]
+                 ) -> Callable[[], None]:
+        collection = compiler.operand(atom.collection)
+        slot = slots[atom.element]
+
+        def step() -> None:
+            nonlocal checked
+            found = collection(values)
+            if found is None:
+                return
+            for member in value_as_set(found):
+                checked += 1
+                values[slot] = member
+                proceed()
+
+        return step
+
+    step: Callable[[], None] = lambda: out.append(tuple(values))
+    for index in reversed(range(len(plan.literals))):
+        after = [compiler.check(atom)
+                 for atom in plan.checks_after.get(index, ())]
+        literal = plan.literals[index]
+        relation = (delta if index == delta_position
+                    else ctx.relations.get(literal.predicate))
+        step = scan(literal, plan.access[index], relation, after, step)
+        if index in plan.generators:
+            step = generate(plan.generators[index], step)
+    try:
+        if passes([compiler.check(atom)
+                   for atom in plan.checks_after.get(-1, ())]):
+            step()
+    finally:
+        ctx.stats.constraint_checks += checked
+    return out
 
 
 def _bindings(plan: RulePlan, ctx: EvaluationContext,
               delta_position: Optional[int] = None,
-              delta_rows: Optional[Iterable[GroundTuple]] = None
-              ) -> List[Binding]:
-    """Materialised body bindings with deferred entailments batch-checked.
+              delta: Optional[Relation] = None) -> List[Row]:
+    """Materialised body rows with deferred entailments batch-checked.
 
-    The join runs first (bindings must be materialised anyway: head
+    The join runs first (rows must be materialised anyway: head
     instantiation mutates the relations being read); then every deferred
-    entailment atom of every surviving binding is evaluated through one
+    entailment atom of every surviving row is evaluated through one
     :meth:`~vidb.constraints.kernel.ConstraintKernel.entails_many` call,
     so a backend sees the whole rule iteration's workload at once.
     """
-    bindings = list(_join(plan, ctx, delta_position=delta_position,
-                          delta_rows=delta_rows))
-    if not plan.deferred or not bindings:
-        return bindings
-    keep = [True] * len(bindings)
+    compiler = _Compiler(ctx, plan.slots)
+    rows = _join(plan, ctx, compiler, delta_position, delta)
+    if not plan.deferred or not rows:
+        return rows
+    sides = [(compiler.entail_side(atom.left),
+              compiler.entail_side(atom.right)) for atom in plan.deferred]
+    keep = [True] * len(rows)
     pairs: List[Tuple[Constraint, Constraint]] = []
     owners: List[int] = []
-    for i, binding in enumerate(bindings):
-        for atom in plan.deferred:
+    for i, row in enumerate(rows):
+        for left, right in sides:
             ctx.stats.constraint_checks += 1
-            left = _entail_side(atom.left, binding, ctx)
-            right = _entail_side(atom.right, binding, ctx)
-            if left is None or right is None:
+            premise = left(row)
+            conclusion = right(row)
+            if premise is None or conclusion is None:
                 keep[i] = False
                 break
-            pairs.append((left, right))
+            pairs.append((premise, conclusion))
             owners.append(i)
     if pairs:
         for i, verdict in zip(owners, ctx.kernel.entails_many(pairs)):
             if not verdict:
                 keep[i] = False
-    return [binding for i, binding in enumerate(bindings) if keep[i]]
+    return [row for i, row in enumerate(rows) if keep[i]]
 
 
-def _instantiate_head_arg(arg: Term, binding: Binding,
+def _instantiate_head_arg(arg: Term, row: Row, plan: RulePlan,
                           ctx: EvaluationContext
                           ) -> Tuple[GroundValue, List[Tuple[str, GroundTuple]]]:
     """Ground one head argument; ⊕ terms create interval objects."""
     if isinstance(arg, ConcatTerm):
-        left, facts_left = _instantiate_head_arg(arg.left, binding, ctx)
-        right, facts_right = _instantiate_head_arg(arg.right, binding, ctx)
+        left, facts_left = _instantiate_head_arg(arg.left, row, plan, ctx)
+        right, facts_right = _instantiate_head_arg(arg.right, row, plan, ctx)
         for operand in (left, right):
             if not (isinstance(operand, Oid) and operand.is_interval):
                 raise EvaluationError(
@@ -725,6 +1007,10 @@ def _instantiate_head_arg(arg: Term, binding: Binding,
                 not isinstance(right_obj, GeneralizedIntervalObject):
             raise EvaluationError("'++' operands must be interval objects "
                                   "in the extended active domain")
+        oid = Oid.concat(left, right)
+        if oid in ctx.objects:
+            # f(id1, id2) names one object: it is already in the domain
+            return oid, facts_left + facts_right
         tracer = ctx.tracer
         if tracer.enabled:
             t0 = time.perf_counter()
@@ -734,7 +1020,14 @@ def _instantiate_head_arg(arg: Term, binding: Binding,
             combined = concatenate(left_obj, right_obj)
         oid, new_facts = ctx.register_interval(combined)
         return oid, facts_left + facts_right + new_facts
-    return eval_term(arg, binding, ctx), []
+    if isinstance(arg, Variable):
+        try:
+            return row[plan.slots[arg]], []
+        except KeyError:
+            raise EvaluationError(f"unbound variable {arg!r}") from None
+    if isinstance(arg, Symbol):
+        return ctx.resolve_symbol(arg), []
+    return arg, []
 
 
 # ---------------------------------------------------------------------------
@@ -743,10 +1036,12 @@ def _instantiate_head_arg(arg: Term, binding: Binding,
 
 @dataclass
 class FixpointResult:
-    """The saturated interpretation plus run statistics."""
+    """The saturated interpretation plus run statistics (and the join
+    plans that ran, for EXPLAIN)."""
 
     context: EvaluationContext
     stats: EvaluationStats
+    plans: List[RulePlan] = field(default_factory=list)
 
     def relation(self, name: str) -> FrozenSet[GroundTuple]:
         rel = self.context.relations.get(name)
@@ -768,9 +1063,10 @@ def rule_labels(program: Program) -> Dict[int, str]:
     return labels
 
 
-def _check_deadline(deadline: Optional[float],
-                    ctx: EvaluationContext) -> None:
-    if deadline is not None and time.monotonic() > deadline:
+def _check_deadline(ctx: EvaluationContext) -> None:
+    """Cooperative cancellation: called at every iteration boundary and
+    once per :data:`_DEADLINE_STRIDE` candidate rows inside a join."""
+    if ctx.deadline is not None and time.monotonic() > ctx.deadline:
         raise QueryTimeoutError(
             f"evaluation exceeded its deadline after "
             f"{ctx.stats.iterations} iteration(s), "
@@ -787,7 +1083,9 @@ def evaluate(db: VideoDatabase, program: Program,
              provenance: Optional[Dict] = None,
              deadline: Optional[float] = None,
              tracer=None,
-             kernel: KernelSpec = None) -> FixpointResult:
+             kernel: KernelSpec = None,
+             labels: Optional[Dict[int, str]] = None,
+             guarded: Iterable[int] = ()) -> FixpointResult:
     """Compute the least fixpoint of ``T_P`` over the database.
 
     Parameters
@@ -801,14 +1099,19 @@ def evaluate(db: VideoDatabase, program: Program,
         Extra filter-only predicates ``name -> (arity, fn)``.
     extended_domain:
         ``"lazy"`` or ``"eager"`` (see module docstring).
+    reorder_joins:
+        Plan each rule's join (selection-first literal order, membership
+        generators — see :meth:`RulePlan.compile`); off, bodies run as
+        written.
     provenance:
         Optional dict; when given it is filled with
         ``(predicate, tuple) -> (rule, binding)`` for each first
         derivation.
     deadline:
         Absolute ``time.monotonic()`` instant; checked cooperatively at
-        every iteration boundary, raising
-        :class:`~vidb.errors.QueryTimeoutError` once passed.
+        every iteration boundary and every few hundred candidate rows
+        inside a join, raising :class:`~vidb.errors.QueryTimeoutError`
+        once passed.
     tracer:
         A :class:`~vidb.obs.tracer.Tracer`; defaults to the thread's
         current (usually null) tracer.  Per-rule/per-iteration timings in
@@ -819,6 +1122,13 @@ def evaluate(db: VideoDatabase, program: Program,
         backend name (``"interned"``, ``"reference"``), a
         :class:`~vidb.constraints.kernel.ConstraintKernel` instance, or
         ``None`` for the process default.
+    labels:
+        ``id(rule) -> label`` statistics are reported under; defaults to
+        :func:`rule_labels` of *program*.  A demand-rewritten program
+        passes the labels of the rules its rules came from.
+    guarded:
+        ``id(rule)`` of the rules whose first body literal is a demand
+        guard, which join planning keeps first.
     """
     started = time.perf_counter()
     if tracer is None:
@@ -832,7 +1142,10 @@ def evaluate(db: VideoDatabase, program: Program,
     ctx.stats.mode = mode
     ctx.stats.kernel = ctx.kernel.name
     ctx.tracer = tracer
-    labels = rule_labels(program)
+    ctx.deadline = deadline
+    if labels is None:
+        labels = rule_labels(program)
+    guarded = frozenset(guarded)
     for rule in program:
         ctx._relation(rule.head.predicate)  # ensure presence
 
@@ -846,70 +1159,66 @@ def evaluate(db: VideoDatabase, program: Program,
 
     # Saturate stratum by stratum: negated predicates are complete before
     # any rule consults them.
+    result = FixpointResult(ctx, ctx.stats)
     for group in strata:
         plans = [
-            RulePlan.compile(rule, size_of=size_of if reorder_joins else None)
+            RulePlan.compile(rule, size_of=size_of if reorder_joins else None,
+                             guarded=id(rule) in guarded)
             for rule in group
         ]
+        for plan in plans:
+            plan.label = labels.get(id(plan.rule)) or (
+                plan.rule.name or plan.rule.head.predicate)
+        result.plans.extend(plans)
         if mode == "seminaive":
-            _run_seminaive(ctx, plans, labels, max_iterations, provenance,
-                           deadline)
+            _run_seminaive(ctx, plans, max_iterations, provenance)
         else:
-            _run_naive(ctx, plans, labels, max_iterations, provenance,
-                       deadline)
+            _run_naive(ctx, plans, max_iterations, provenance)
     ctx.stats.elapsed_s = time.perf_counter() - started
-    return FixpointResult(ctx, ctx.stats)
+    return result
 
 
-def _fire(plan: RulePlan, binding: Binding, ctx: EvaluationContext,
+def _fire(plan: RulePlan, row: Row, ctx: EvaluationContext,
           provenance: Optional[Dict]) -> List[Tuple[str, GroundTuple]]:
     """Instantiate a rule head; returns the facts that became true."""
     ctx.stats.rule_firings += 1
     new_facts: List[Tuple[str, GroundTuple]] = []
     values: List[GroundValue] = []
     for arg in plan.rule.head.args:
-        value, side_facts = _instantiate_head_arg(arg, binding, ctx)
+        value, side_facts = _instantiate_head_arg(arg, row, plan, ctx)
         values.append(value)
         new_facts.extend(side_facts)
     head_fact = (plan.rule.head.predicate, tuple(values))
     if ctx._relation(head_fact[0]).add(head_fact[1]):
         new_facts.append(head_fact)
-        if provenance is not None and head_fact not in provenance:
-            provenance[head_fact] = (plan.rule, dict(binding))
     if provenance is not None:
-        for side in new_facts:
-            provenance.setdefault(side, (plan.rule, dict(binding)))
+        for fact in new_facts:
+            if fact not in provenance:
+                provenance[fact] = (plan.rule, dict(zip(plan.slots, row)))
     return new_facts
 
 
-def _label_of(plan: RulePlan, labels: Dict[int, str]) -> str:
-    label = labels.get(id(plan.rule))
-    if label is None:
-        label = plan.rule.name or plan.rule.head.predicate
-    return label
-
-
 def _run_seminaive(ctx: EvaluationContext, plans: List[RulePlan],
-                   labels: Dict[int, str], max_iterations: int,
-                   provenance: Optional[Dict],
-                   deadline: Optional[float]) -> None:
+                   max_iterations: int, provenance: Optional[Dict]) -> None:
     tracer = ctx.tracer
     # Round 0: every rule evaluated in full (EDB relations are the input).
-    delta: Dict[str, Set[GroundTuple]] = {}
+    delta: Dict[str, Relation] = {}
 
     def note(facts: Iterable[Tuple[str, GroundTuple]],
-             into: Dict[str, Set[GroundTuple]]) -> None:
+             into: Dict[str, Relation]) -> None:
         for name, row in facts:
-            into.setdefault(name, set()).add(row)
+            if name not in into:
+                into[name] = Relation()
+            into[name].add(row)
             ctx.stats.derived_facts += 1
 
-    _check_deadline(deadline, ctx)
+    _check_deadline(ctx)
     round_started = time.perf_counter()
     with tracer.span("fixpoint.iteration", index=ctx.stats.iterations) as span:
         for plan in plans:
             # Materialise bindings before firing: head instantiation
             # mutates the relations the join is reading.
-            with _RuleMeter(ctx.stats, _label_of(plan, labels)):
+            with _RuleMeter(ctx.stats, plan.label):
                 for binding in _bindings(plan, ctx):
                     note(_fire(plan, binding, ctx, provenance), delta)
         span.annotate(derived=sum(len(rows) for rows in delta.values()))
@@ -920,20 +1229,20 @@ def _run_seminaive(ctx: EvaluationContext, plans: List[RulePlan],
         if ctx.stats.iterations >= max_iterations:
             raise EvaluationError(f"fixpoint did not converge within "
                                   f"{max_iterations} iterations")
-        _check_deadline(deadline, ctx)
+        _check_deadline(ctx)
         round_started = time.perf_counter()
-        next_delta: Dict[str, Set[GroundTuple]] = {}
+        next_delta: Dict[str, Relation] = {}
         with tracer.span("fixpoint.iteration",
                          index=ctx.stats.iterations) as span:
             for plan in plans:
-                with _RuleMeter(ctx.stats, _label_of(plan, labels)):
+                with _RuleMeter(ctx.stats, plan.label):
                     for position, literal in enumerate(plan.literals):
                         rows = delta.get(literal.predicate)
                         if not rows:
                             continue
                         bindings = _bindings(plan, ctx,
                                              delta_position=position,
-                                             delta_rows=rows)
+                                             delta=rows)
                         for binding in bindings:
                             note(_fire(plan, binding, ctx, provenance),
                                  next_delta)
@@ -945,15 +1254,13 @@ def _run_seminaive(ctx: EvaluationContext, plans: List[RulePlan],
 
 
 def _run_naive(ctx: EvaluationContext, plans: List[RulePlan],
-               labels: Dict[int, str], max_iterations: int,
-               provenance: Optional[Dict],
-               deadline: Optional[float]) -> None:
+               max_iterations: int, provenance: Optional[Dict]) -> None:
     tracer = ctx.tracer
     while True:
         if ctx.stats.iterations >= max_iterations:
             raise EvaluationError(f"fixpoint did not converge within "
                                   f"{max_iterations} iterations")
-        _check_deadline(deadline, ctx)
+        _check_deadline(ctx)
         round_started = time.perf_counter()
         ctx.stats.iterations += 1
         changed = False
@@ -962,7 +1269,7 @@ def _run_naive(ctx: EvaluationContext, plans: List[RulePlan],
             for plan in plans:
                 # Materialise bindings first: naive T_P applies to the
                 # *current* interpretation, and firing mutates relations.
-                with _RuleMeter(ctx.stats, _label_of(plan, labels)):
+                with _RuleMeter(ctx.stats, plan.label):
                     bindings = _bindings(plan, ctx)
                     for binding in bindings:
                         facts = _fire(plan, binding, ctx, provenance)

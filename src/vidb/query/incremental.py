@@ -57,6 +57,7 @@ from vidb.query.fixpoint import (
     EvaluationContext,
     FixpointResult,
     GroundTuple,
+    Relation,
     RulePlan,
     _bindings,
     _fire,
@@ -207,12 +208,19 @@ class MaterializedView:
     # -- the delta loop -----------------------------------------------------------
     def _propagate(self, seed: List[Tuple[str, GroundTuple]]) -> None:
         derived: Dict[str, Set[GroundTuple]] = {}
-        delta: Dict[str, Set[GroundTuple]] = {}
-        for name, row in seed:
-            delta.setdefault(name, set()).add(row)
+        delta: Dict[str, Relation] = {}
+
+        def note(name: str, row: GroundTuple,
+                 into: Dict[str, Relation]) -> None:
+            if name not in into:
+                into[name] = Relation()
+            into[name].add(row)
             derived.setdefault(name, set()).add(row)
+
+        for name, row in seed:
+            note(name, row, delta)
         while delta:
-            next_delta: Dict[str, Set[GroundTuple]] = {}
+            next_delta: Dict[str, Relation] = {}
             for plan in self._plans:
                 for position, literal in enumerate(plan.literals):
                     rows = delta.get(literal.predicate)
@@ -220,11 +228,10 @@ class MaterializedView:
                         continue
                     bindings = _bindings(plan, self._ctx,
                                          delta_position=position,
-                                         delta_rows=rows)
+                                         delta=rows)
                     for binding in bindings:
                         for fact in _fire(plan, binding, self._ctx, None):
-                            next_delta.setdefault(fact[0], set()).add(fact[1])
-                            derived.setdefault(fact[0], set()).add(fact[1])
+                            note(fact[0], fact[1], next_delta)
                             self.propagated_facts += 1
             delta = next_delta
         self.last_delta = derived

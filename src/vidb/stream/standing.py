@@ -36,12 +36,8 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from vidb.errors import ServiceOverloadedError, SessionError
 from vidb.query.ast import Literal, Query, Rule
-from vidb.query.engine import (
-    ANSWER_PREDICATE,
-    QueryEngine,
-    _goal_predicates,
-    relevant_rules,
-)
+from vidb.query.demand import goal_predicates, relevant_rules
+from vidb.query.engine import ANSWER_PREDICATE, QueryEngine
 from vidb.query.fixpoint import GroundTuple
 from vidb.query.incremental import MaterializedView
 from vidb.query.parser import parse_query
@@ -87,7 +83,7 @@ class Subscription:
         else:
             head = Literal(ANSWER_PREDICATE, [0])  # boolean query
         anonymous = Rule(head, query.body, name=f"standing-{self.id}")
-        base = relevant_rules(engine.program, _goal_predicates(query.body))
+        base = relevant_rules(engine.program, goal_predicates(query.body))
         program = base.extend([anonymous])
         #: Answer column names (empty for a boolean query).
         self.variables: Tuple[str, ...] = tuple(v.name for v in answer_vars)

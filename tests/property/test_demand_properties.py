@@ -1,0 +1,153 @@
+"""Differential suite for demand-driven evaluation.
+
+The default engine (magic-set demand between rules, selection-first
+joins inside them, semi-naive rounds, interned kernel) must answer every
+query exactly as the same engine with all of it switched off:
+``prune_rules=False, reorder_joins=False, mode="naive",
+kernel="reference"`` — the whole program saturated, every body run as
+written, textbook ``T_P`` rounds, reference solver.
+
+Programs are assembled from rule blocks (left- and right-linear
+recursion, negation over a recursive predicate, a ``++`` head, and
+entailment / membership / subset / comparison atoms), queries put a
+constant in every goal argument position, and the data comes from the
+strategies the other property suites already use: the interval graph of
+``test_semantics_theorems`` and the interval objects of
+``test_concat_properties``.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vidb.model.oid import Oid
+from vidb.query.engine import QueryEngine
+from vidb.storage.database import VideoDatabase
+
+from tests.property.test_concat_properties import interval_objects
+from tests.property.test_semantics_theorems import NODES, edges
+
+ENTITIES = ["o1", "o2", "o3", "o4"]  # test_concat_properties.entity_names
+
+#: Rule blocks: name -> (rule text, blocks it needs).
+BLOCKS = {
+    "left": ("reach(X, Y) :- edge(X, Y).\n"
+             "reach(X, Z) :- reach(X, Y), edge(Y, Z).", ()),
+    "right": ("path(X, Y) :- edge(X, Y).\n"
+              "path(X, Z) :- edge(X, Y), path(Y, Z).", ()),
+    "negation": ("blocked(X, Y) :- interval(X), interval(Y), "
+                 "not reach(X, Y).", ("left",)),
+    "isolated": ("touched(X) :- path(X, Y).\n"
+                 "isolated(X) :- interval(X), not touched(X).", ("right",)),
+    "contains": ("contains(G1, G2) :- interval(G1), interval(G2), "
+                 "G2.duration => G1.duration.", ()),
+    "shares": ("shares(G1, G2, O) :- interval(G1), interval(G2), "
+               "object(O), O in G1.entities, O in G2.entities.", ()),
+    "pair": ("pair(G, O) :- interval(G), object(O), "
+             "{o1, O} subset G.entities, O != o1.", ()),
+    "rated": ("rated(G, O) :- object(O), interval(G), O in G.entities, "
+              "G.rating >= 3, O.role = \"host\".", ()),
+    "via": ("via(X, Z) :- reach(X, Y), contains(Y, Z).",
+            ("left", "contains")),
+    "concat": ("merged(G1 ++ G2) :- edge(G1, G2), contains(G1, G2).",
+               ("contains",)),
+    "window": ("early(G) :- interval(G), "
+               "G.duration => (t >= 0 and t <= 12).", ()),
+}
+
+#: Goal templates per block: predicate and argument sorts.
+GOALS = {
+    "left": ("reach", "ii"), "right": ("path", "ii"),
+    "negation": ("blocked", "ii"), "isolated": ("isolated", "i"),
+    "contains": ("contains", "ii"), "shares": ("shares", "iio"),
+    "pair": ("pair", "io"), "rated": ("rated", "io"), "via": ("via", "ii"),
+    "concat": ("merged", "i"), "window": ("early", "i"),
+}
+
+#: Extra conjuncts a query may add over its first goal's variables.
+FILTERS = {
+    "i": ["{V}.duration => (t >= 0 and t <= 25)", "o2 in {V}.entities",
+          "{{o1, o2}} subset {V}.entities", "{V} != g0",
+          "not isolated({V})"],
+    "o": ['{V}.role = "host"', "{V} != o1"],
+}
+
+
+@st.composite
+def databases(draw):
+    db = VideoDatabase("demand-prop")
+    db.declare_relation("edge")
+    for name in ENTITIES:
+        db.new_entity(name, role=draw(st.sampled_from(["host", "guest"])))
+    for node in NODES:
+        db.add(draw(interval_objects(name=node)))
+    for src, dst in draw(edges):
+        db.relate("edge", Oid.interval(src), Oid.interval(dst))
+    return db
+
+
+@st.composite
+def programs_and_queries(draw):
+    chosen = draw(st.sets(st.sampled_from(sorted(BLOCKS)), min_size=1,
+                          max_size=5))
+    blocks = set()
+    frontier = list(chosen)
+    while frontier:
+        name = frontier.pop()
+        if name not in blocks:
+            blocks.add(name)
+            frontier.extend(BLOCKS[name][1])
+    rules = "\n".join(BLOCKS[name][0] for name in sorted(blocks))
+
+    fresh = iter("ABCDEF")
+    variables = {"i": [], "o": []}
+
+    def goal(block):
+        predicate, sorts = GOALS[block]
+        args = []
+        for sort in sorts:
+            pool = NODES if sort == "i" else ENTITIES
+            kind = draw(st.sampled_from(["constant", "fresh", "shared"]))
+            if kind == "shared" and variables[sort]:
+                args.append(draw(st.sampled_from(variables[sort])))
+            elif kind == "constant":
+                args.append(draw(st.sampled_from(pool)))
+            else:
+                variable = next(fresh)
+                variables[sort].append(variable)
+                args.append(variable)
+        return f"{predicate}({', '.join(args)})"
+
+    goals = [goal(draw(st.sampled_from(sorted(blocks))))
+             for _ in range(draw(st.integers(1, 2)))]
+    for sort, pool in variables.items():
+        for variable in pool:
+            if draw(st.booleans()):
+                text = draw(st.sampled_from(FILTERS[sort]))
+                if "isolated" in text and "isolated" not in blocks:
+                    continue
+                goals.append(text.format(V=variable))
+    return rules, "?- " + ", ".join(goals) + "."
+
+
+class TestDemandIsAnswerPreserving:
+    @settings(max_examples=150, deadline=None)
+    @given(databases(), programs_and_queries())
+    def test_default_engine_equals_the_unoptimised_oracle(self, db, pq):
+        rules, query = pq
+        fast = QueryEngine(db, rules=rules)
+        oracle = QueryEngine(db, rules=rules, prune_rules=False,
+                             reorder_joins=False, mode="naive",
+                             kernel="reference")
+        assert fast.query(query).rows() == oracle.query(query).rows()
+
+    @settings(max_examples=60, deadline=None)
+    @given(databases(), programs_and_queries())
+    def test_each_switch_alone_preserves_answers(self, db, pq):
+        rules, query = pq
+        expected = QueryEngine(db, rules=rules, prune_rules=False,
+                               reorder_joins=False).query(query).rows()
+        for switches in ({"prune_rules": False}, {"reorder_joins": False}):
+            engine = QueryEngine(db, rules=rules, **switches)
+            assert engine.query(query).rows() == expected
+            assert engine.query(query).rows() == engine.execute(
+                query, mode="naive").answers.rows()

@@ -77,6 +77,34 @@ class TestCaching:
         assert cached.reachable == direct.reachable
 
 
+    def test_new_query_text_reuses_the_program_level_result(self):
+        analyzer = ProgramAnalyzer()
+        first = analyzer.analyze(PROGRAM, QUERY)
+        second = analyzer.analyze(PROGRAM, parse_query("?- orphan(X)."))
+        assert (analyzer.hits, analyzer.misses) == (0, 2)
+        # one whole-program dataflow, computed once and shared
+        assert second.dataflow is first.dataflow
+        assert second.dataflow is analyzer.analyze(PROGRAM).dataflow
+
+    def test_merged_diagnostics_are_identical_to_a_full_run(self):
+        with open("tests/fixtures/lint_bad.vdb", encoding="utf-8") as handle:
+            text = "".join(line for line in handle
+                           if not line.startswith("?-"))
+        program = parse_program(text)
+        analyzer = ProgramAnalyzer()
+        for query_text in ("?- dead(G).", "?- pairs(A, B), redundant(A).",
+                           "?- interval(G), G.start < 1, G.start > 2."):
+            query = parse_query(query_text)
+            for streaming in (False, True):
+                cached = analyzer.analyze(program, query,
+                                          streaming=streaming)
+                direct = analyze(program, query, streaming=streaming)
+                assert ([d.render() for d in cached.diagnostics]
+                        == [d.render() for d in direct.diagnostics])
+                assert cached.reachable == direct.reachable
+                assert cached.streaming == direct.streaming
+
+
 class TestThreadSafety:
     def test_concurrent_mixed_analyses(self):
         analyzer = ProgramAnalyzer(max_entries=8)

@@ -45,12 +45,13 @@ class TestRelation:
         assert list(rel.select([2, "a"])) == [(2, "a")]
         assert list(rel.select([3, None])) == []
 
-    def test_select_with_restriction(self):
+    def test_select_ignores_rows_of_another_arity(self):
         rel = Relation()
         rel.add((1, "a"))
-        rel.add((2, "a"))
-        rows = list(rel.select([None, "a"], restrict=[(1, "a")]))
-        assert rows == [(1, "a")]
+        rel.add((1,))
+        assert list(rel.select([None, None])) == [(1, "a")]
+        assert list(rel.select([1, None])) == [(1, "a")]
+        assert list(rel.select([None])) == [(1,)]
 
     def test_contains(self):
         rel = Relation()
