@@ -66,11 +66,11 @@ class Stats:
 
     @staticmethod
     def from_database(db) -> "Stats":
-        relations = {name: len(db.facts(name))
+        relations = {name: len(db.relation(name))
                      for name in db.relation_names()}
         return Stats(relations=relations,
-                     entities=len(db.entities()),
-                     intervals=len(db.intervals()))
+                     entities=len(db.relation("object")),
+                     intervals=len(db.relation("interval")))
 
     def size_of(self, predicate: str) -> Optional[float]:
         """Base size of an EDB/class predicate, or None when unknown."""

@@ -27,14 +27,13 @@ from vidb.constraints.dense import Constraint
 from vidb.constraints.terms import ConstantValue
 from vidb.errors import QueryError
 from vidb.model.oid import Oid
+from vidb.storage.relation import ANYOBJECT_PRED, INTERVAL_PRED, OBJECT_PRED
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 #: Reserved class predicates (Definition 8) plus the Anyobject class the
-#: paper uses in its concatenation example.
-INTERVAL_PRED = "interval"
-OBJECT_PRED = "object"
-ANYOBJECT_PRED = "anyobject"
+#: paper uses in its concatenation example; storage keeps one relation
+#: for each.
 CLASS_PREDICATES = frozenset({INTERVAL_PRED, OBJECT_PRED, ANYOBJECT_PRED})
 
 

@@ -39,6 +39,7 @@ from typing import (
     FrozenSet,
     Iterable,
     List,
+    Mapping,
     NamedTuple,
     Optional,
     Sequence,
@@ -61,18 +62,15 @@ from vidb.model.objects import GeneralizedIntervalObject, VideoObject
 from vidb.model.oid import Oid
 from vidb.model.values import value_as_set, value_contains
 from vidb.query.ast import (
-    ANYOBJECT_PRED,
     AttrPath,
     BodyItem,
     CLASS_PREDICATES,
     ComparisonAtom,
     ConcatTerm,
     EntailmentAtom,
-    INTERVAL_PRED,
     Literal,
     MembershipAtom,
     NegatedLiteral,
-    OBJECT_PRED,
     Program,
     Rule,
     SubsetAtom,
@@ -81,88 +79,12 @@ from vidb.query.ast import (
     Variable,
 )
 from vidb.query.safety import check_program, stratify_with_negation
-from vidb.storage.database import VideoDatabase
-
-GroundValue = Any  # Oid or constant
-GroundTuple = Tuple[GroundValue, ...]
+from vidb.storage.database import VideoDatabase, classes_of
+from vidb.storage.relation import GroundTuple, GroundValue, Relation
 
 #: Signature of a computed (filter-only) predicate: called with the
 #: evaluation context and fully ground arguments, returns a truth value.
 ComputedPredicate = Callable[["EvaluationContext", GroundTuple], bool]
-
-
-class Relation:
-    """A set of ground tuples with per-position hash indexes, each built
-    the first time its position is probed (most never are: a query
-    touches a few positions of a few relations, and a semi-naive delta
-    is usually read once)."""
-
-    __slots__ = ("tuples", "_index", "_arity")
-
-    def __init__(self) -> None:
-        self.tuples: Set[GroundTuple] = set()
-        self._index: Dict[int, Dict[GroundValue, Set[GroundTuple]]] = {}
-        #: The arity every tuple shares; None while empty, -1 once mixed.
-        self._arity: Optional[int] = None
-
-    def add(self, row: GroundTuple) -> bool:
-        """Insert; returns True when the tuple is new."""
-        if row in self.tuples:
-            return False
-        if self._arity != len(row):
-            self._arity = len(row) if self._arity is None else -1
-        self.tuples.add(row)
-        for position, buckets in self._index.items():
-            if position < len(row):
-                buckets.setdefault(row[position], set()).add(row)
-        return True
-
-    def _buckets(self, position: int) -> Dict[GroundValue, Set[GroundTuple]]:
-        buckets = self._index.get(position)
-        if buckets is None:
-            buckets = self._index[position] = {}
-            for row in self.tuples:
-                if position < len(row):
-                    buckets.setdefault(row[position], set()).add(row)
-        return buckets
-
-    def select(self, pattern: Sequence[Optional[GroundValue]]
-               ) -> Iterable[GroundTuple]:
-        """Tuples matching a pattern (None = wildcard).
-
-        The result may be a live view of the relation: consume it before
-        inserting.
-        """
-        best: Optional[Set[GroundTuple]] = None
-        bound = 0
-        for position, value in enumerate(pattern):
-            if value is None:
-                continue
-            bound += 1
-            bucket = self._buckets(position).get(value)
-            if bucket is None:
-                return ()  # a bound position has no matches at all
-            if best is None or len(bucket) < len(best):
-                best = bucket
-        source = best if best is not None else self.tuples
-        if self._arity == len(pattern) and bound <= 1:
-            return source  # the index bucket (or the scan) is the answer
-        return [row for row in source if _matches(row, pattern)]
-
-    def __len__(self) -> int:
-        return len(self.tuples)
-
-    def __contains__(self, row: GroundTuple) -> bool:
-        return row in self.tuples
-
-
-def _matches(row: GroundTuple, pattern: Sequence[Optional[GroundValue]]) -> bool:
-    if len(row) != len(pattern):
-        return False
-    for value, wanted in zip(row, pattern):
-        if wanted is not None and value != wanted:
-            return False
-    return True
 
 
 @dataclass
@@ -274,7 +196,16 @@ class _RuleMeter:
 
 
 class EvaluationContext:
-    """The mutable interpretation: relations + the extended active domain."""
+    """The mutable interpretation: relations + the extended active domain.
+
+    The database's relations and object map are read in place (under
+    whatever read lock the caller holds); :attr:`relations` holds only
+    what this evaluation owns — the IDB relations, and private copies of
+    the class relations it extends (made on first write, see
+    :meth:`writable` and :meth:`admit`).  Rule heads never name a
+    database or class relation (:func:`~vidb.query.safety.check_rule`),
+    so nothing here ever writes to the store.
+    """
 
     def __init__(self, db: VideoDatabase,
                  computed: Optional[Dict[str, Tuple[int, ComputedPredicate]]] = None,
@@ -291,7 +222,14 @@ class EvaluationContext:
         #: decision of this evaluation (Definition 21's condition).
         self.kernel = resolve_kernel(kernel)
         self.relations: Dict[str, Relation] = {}
-        self.objects: Dict[Oid, VideoObject] = {}
+        #: oid → object over the extended active domain: the database's
+        #: own map until :meth:`admit` first extends it, then a copy.
+        #: Compiled closures capture it per rule evaluation, and objects
+        #: are only admitted between rule evaluations (heads fire after
+        #: the join), so no closure ever holds a swapped-out map.
+        self.objects: Mapping[Oid, VideoObject] = db.objects
+        #: True once :attr:`objects` is this evaluation's own copy.
+        self.extended = False
         self.computed = dict(computed or {})
         self.stats = EvaluationStats()
         #: The tracer evaluation reports into; ``evaluate`` replaces the
@@ -300,37 +238,39 @@ class EvaluationContext:
         #: Absolute ``time.monotonic()`` instant evaluation must not run
         #: past (None = no limit); see :func:`_check_deadline`.
         self.deadline: Optional[float] = None
-        self._load_edb(extended_domain)
-
-    # -- EDB loading -------------------------------------------------------
-    def _load_edb(self, extended_domain: str) -> None:
-        interval_rel = self._relation(INTERVAL_PRED)
-        object_rel = self._relation(OBJECT_PRED)
-        any_rel = self._relation(ANYOBJECT_PRED)
-        intervals = list(self.db.intervals())
         if extended_domain == "eager":
-            intervals = pairwise_extension(intervals)
-        for interval in intervals:
-            self.objects[interval.oid] = interval
-            interval_rel.add((interval.oid,))
-            any_rel.add((interval.oid,))
-        for entity in self.db.entities():
-            self.objects[entity.oid] = entity
-            object_rel.add((entity.oid,))
-            any_rel.add((entity.oid,))
-        for name in self.db.relation_names():
-            self._relation(name)  # declared-but-empty relations exist too
-        for fact in self.db.facts():
-            self._relation(fact.name).add(fact.args)
+            for interval in pairwise_extension(db.intervals()):
+                if interval.oid not in self.objects:
+                    self.admit(interval)
 
-    def _relation(self, name: str) -> Relation:
-        rel = self.relations.get(name)
-        if rel is None:
-            rel = Relation()
-            self.relations[name] = rel
-        return rel
+    def relation(self, name: str) -> Optional[Relation]:
+        """The relation predicate *name* reads: this evaluation's own,
+        else the database's; None for a computed or unknown predicate."""
+        own = self.relations.get(name)
+        return own if own is not None else self.db.relation(name)
+
+    def writable(self, name: str) -> Relation:
+        """This evaluation's own relation *name*, copying the database's
+        on first write."""
+        own = self.relations.get(name)
+        if own is None:
+            stored = self.db.relation(name)
+            own = self.relations[name] = (
+                Relation() if stored is None else stored.copy())
+        return own
 
     # -- domain growth ---------------------------------------------------------
+    def admit(self, obj: VideoObject) -> List[Tuple[str, GroundTuple]]:
+        """Add *obj* to the extended active domain; returns the class
+        facts that became true (for delta maintenance)."""
+        if not self.extended:
+            self.objects = dict(self.objects)
+            self.extended = True
+        self.objects[obj.oid] = obj
+        row = (obj.oid,)
+        return [(name, row) for name in classes_of(obj)
+                if self.writable(name).add(row)]
+
     def register_interval(self, obj: GeneralizedIntervalObject
                           ) -> Tuple[Oid, List[Tuple[str, GroundTuple]]]:
         """Add a ⊕-created interval object; returns the oid plus the class
@@ -343,12 +283,8 @@ class EvaluationContext:
                     "objects; constructive rules are diverging or the "
                     "object budget is too small"
                 )
-            self.objects[obj.oid] = obj
             self.stats.created_objects += 1
-            if self._relation(INTERVAL_PRED).add((obj.oid,)):
-                new_facts.append((INTERVAL_PRED, (obj.oid,)))
-            if self._relation(ANYOBJECT_PRED).add((obj.oid,)):
-                new_facts.append((ANYOBJECT_PRED, (obj.oid,)))
+            new_facts = self.admit(obj)
         return obj.oid, new_facts
 
     # -- symbol resolution -------------------------------------------------------
@@ -539,7 +475,7 @@ class _Compiler:
         relation consulted is already saturated when this runs."""
         ctx = self.ctx
         args = [self.term(arg) for arg in literal.args]
-        relation = ctx.relations.get(literal.predicate)
+        relation = ctx.relation(literal.predicate)
         if relation is not None:
             tuples = relation.tuples
             return lambda row: tuple(get(row) for get in args) in tuples
@@ -939,7 +875,7 @@ def _join(plan: RulePlan, ctx: EvaluationContext, compiler: _Compiler,
                  for atom in plan.checks_after.get(index, ())]
         literal = plan.literals[index]
         relation = (delta if index == delta_position
-                    else ctx.relations.get(literal.predicate))
+                    else ctx.relation(literal.predicate))
         step = scan(literal, plan.access[index], relation, after, step)
         if index in plan.generators:
             step = generate(plan.generators[index], step)
@@ -1044,7 +980,7 @@ class FixpointResult:
     plans: List[RulePlan] = field(default_factory=list)
 
     def relation(self, name: str) -> FrozenSet[GroundTuple]:
-        rel = self.context.relations.get(name)
+        rel = self.context.relation(name)
         return frozenset(rel.tuples) if rel else frozenset()
 
 
@@ -1147,10 +1083,10 @@ def evaluate(db: VideoDatabase, program: Program,
         labels = rule_labels(program)
     guarded = frozenset(guarded)
     for rule in program:
-        ctx._relation(rule.head.predicate)  # ensure presence
+        ctx.writable(rule.head.predicate)  # ensure presence
 
     def size_of(predicate: str) -> int:
-        relation = ctx.relations.get(predicate)
+        relation = ctx.relation(predicate)
         if relation is not None:
             return len(relation)
         if predicate in ctx.computed:
@@ -1189,7 +1125,7 @@ def _fire(plan: RulePlan, row: Row, ctx: EvaluationContext,
         values.append(value)
         new_facts.extend(side_facts)
     head_fact = (plan.rule.head.predicate, tuple(values))
-    if ctx._relation(head_fact[0]).add(head_fact[1]):
+    if ctx.relations[head_fact[0]].add(head_fact[1]):
         new_facts.append(head_fact)
     if provenance is not None:
         for fact in new_facts:
@@ -1198,20 +1134,38 @@ def _fire(plan: RulePlan, row: Row, ctx: EvaluationContext,
     return new_facts
 
 
+def _note(ctx: EvaluationContext, facts: Iterable[Tuple[str, GroundTuple]],
+          into: Dict[str, Relation]) -> None:
+    """Record facts that became true in a semi-naive delta."""
+    for name, row in facts:
+        if name not in into:
+            into[name] = Relation()
+        into[name].add(row)
+        ctx.stats.derived_facts += 1
+
+
+def delta_round(ctx: EvaluationContext, plans: List[RulePlan],
+                delta: Dict[str, Relation], provenance: Optional[Dict] = None
+                ) -> Dict[str, Relation]:
+    """One semi-naive round: each rule joined with each of its literals
+    in turn reading *delta*; returns the facts that became true."""
+    next_delta: Dict[str, Relation] = {}
+    for plan in plans:
+        with _RuleMeter(ctx.stats, plan.label):
+            for position, literal in enumerate(plan.literals):
+                rows = delta.get(literal.predicate)
+                if rows:
+                    for binding in _bindings(plan, ctx, position, rows):
+                        _note(ctx, _fire(plan, binding, ctx, provenance),
+                              next_delta)
+    return next_delta
+
+
 def _run_seminaive(ctx: EvaluationContext, plans: List[RulePlan],
                    max_iterations: int, provenance: Optional[Dict]) -> None:
     tracer = ctx.tracer
     # Round 0: every rule evaluated in full (EDB relations are the input).
     delta: Dict[str, Relation] = {}
-
-    def note(facts: Iterable[Tuple[str, GroundTuple]],
-             into: Dict[str, Relation]) -> None:
-        for name, row in facts:
-            if name not in into:
-                into[name] = Relation()
-            into[name].add(row)
-            ctx.stats.derived_facts += 1
-
     _check_deadline(ctx)
     round_started = time.perf_counter()
     with tracer.span("fixpoint.iteration", index=ctx.stats.iterations) as span:
@@ -1220,7 +1174,7 @@ def _run_seminaive(ctx: EvaluationContext, plans: List[RulePlan],
             # mutates the relations the join is reading.
             with _RuleMeter(ctx.stats, plan.label):
                 for binding in _bindings(plan, ctx):
-                    note(_fire(plan, binding, ctx, provenance), delta)
+                    _note(ctx, _fire(plan, binding, ctx, provenance), delta)
         span.annotate(derived=sum(len(rows) for rows in delta.values()))
     ctx.stats.iteration_seconds.append(time.perf_counter() - round_started)
     ctx.stats.iterations += 1
@@ -1231,24 +1185,10 @@ def _run_seminaive(ctx: EvaluationContext, plans: List[RulePlan],
                                   f"{max_iterations} iterations")
         _check_deadline(ctx)
         round_started = time.perf_counter()
-        next_delta: Dict[str, Relation] = {}
         with tracer.span("fixpoint.iteration",
                          index=ctx.stats.iterations) as span:
-            for plan in plans:
-                with _RuleMeter(ctx.stats, plan.label):
-                    for position, literal in enumerate(plan.literals):
-                        rows = delta.get(literal.predicate)
-                        if not rows:
-                            continue
-                        bindings = _bindings(plan, ctx,
-                                             delta_position=position,
-                                             delta=rows)
-                        for binding in bindings:
-                            note(_fire(plan, binding, ctx, provenance),
-                                 next_delta)
-            span.annotate(derived=sum(len(rows)
-                                      for rows in next_delta.values()))
-        delta = next_delta
+            delta = delta_round(ctx, plans, delta, provenance)
+            span.annotate(derived=sum(len(rows) for rows in delta.values()))
         ctx.stats.iteration_seconds.append(time.perf_counter() - round_started)
         ctx.stats.iterations += 1
 

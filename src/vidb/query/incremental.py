@@ -18,9 +18,17 @@ Limitations, stated plainly:
   state, so correctness is preserved at the cost of incrementality;
 * positive programs only — a stratified program with negation must be
   re-evaluated (the view refuses to build otherwise);
-* out-of-band writes: a *standalone* view reads the database at build
-  time and tracks its own insert API.  When the view is registered with
-  a :class:`vidb.stream.ViewRegistry`, the registry **seals** it — the
+* no EDB copy: a view reads the database's relations and object map in
+  place and owns only its derived relations.  A fed view (inserts made
+  inside :meth:`feeding`, after the database stored the row) reads the
+  live store, so an insert only seeds the semi-naive delta.  A direct
+  insert on a standalone view copies the relation it touches on first
+  write, so later database writes to it stay invisible; a row the
+  database already holds counts as known outside :meth:`feeding`.  ⊕
+  heads copy ``interval`` / ``anyobject`` and the object map, and fed
+  rows are added to those copies too;
+* out-of-band writes: when the view is registered with a
+  :class:`vidb.stream.ViewRegistry`, the registry **seals** it — the
   registry feeds it committed deltas from the mutation-observer stream,
   direct ``insert_*`` calls raise :class:`~vidb.errors.EvaluationError`
   (diagnostic ``VDB050``), and writes the observer never saw are
@@ -47,23 +55,17 @@ from vidb.model.objects import (
     VideoObject,
 )
 from vidb.model.relations import FactArg
-from vidb.query.ast import (
-    ANYOBJECT_PRED,
-    INTERVAL_PRED,
-    OBJECT_PRED,
-    Program,
-)
+from vidb.query.ast import Program
 from vidb.query.fixpoint import (
     EvaluationContext,
     FixpointResult,
     GroundTuple,
     Relation,
     RulePlan,
-    _bindings,
-    _fire,
+    delta_round,
     evaluate,
 )
-from vidb.storage.database import VideoDatabase
+from vidb.storage.database import VideoDatabase, classes_of
 
 
 class MaterializedView:
@@ -171,8 +173,7 @@ class MaterializedView:
         """Insert one EDB fact and propagate; returns False if known."""
         self._check_unsealed()
         row = tuple(a.oid if isinstance(a, VideoObject) else a for a in args)
-        relation = self._ctx._relation(name)
-        if not relation.add(row):
+        if not self._add(name, row):
             self.last_delta = {}
             return False
         self.inserted_facts += 1
@@ -183,61 +184,56 @@ class MaterializedView:
         """Register a new entity or interval object and propagate the
         class facts it makes true."""
         self._check_unsealed()
-        if obj.oid in self._ctx.objects:
+        if not isinstance(obj, (EntityObject, GeneralizedIntervalObject)):
+            raise EvaluationError(f"cannot insert {obj!r}")
+        ctx = self._ctx
+        if self._feeding:
+            if ctx.extended:
+                ctx.objects[obj.oid] = obj
+            seed = [(name, (obj.oid,)) for name in classes_of(obj)]
+            for name, row in seed:
+                self._add(name, row)
+        elif obj.oid in ctx.objects:
             self.last_delta = {}
             return False
-        self._ctx.objects[obj.oid] = obj
-        new_facts: List[Tuple[str, GroundTuple]] = []
-        if isinstance(obj, GeneralizedIntervalObject):
-            for predicate in (INTERVAL_PRED, ANYOBJECT_PRED):
-                if self._ctx._relation(predicate).add((obj.oid,)):
-                    new_facts.append((predicate, (obj.oid,)))
-        elif isinstance(obj, EntityObject):
-            for predicate in (OBJECT_PRED, ANYOBJECT_PRED):
-                if self._ctx._relation(predicate).add((obj.oid,)):
-                    new_facts.append((predicate, (obj.oid,)))
         else:
-            raise EvaluationError(f"cannot insert {obj!r}")
+            seed = ctx.admit(obj)
         self.inserted_facts += 1
-        self._propagate(new_facts)
+        self._propagate(seed)
         return True
 
     insert_interval = insert_object
     insert_entity = insert_object
 
+    def _add(self, name: str, row: GroundTuple) -> bool:
+        """Add *row* to the view's relation *name*; False when known.
+
+        While fed, the database already holds the row and the view has
+        not seen it: it only goes into a relation the view has copied.
+        A direct insert copies the database's relation on first write.
+        """
+        if self._feeding:
+            own = self._ctx.relations.get(name)
+            if own is not None:
+                own.add(row)
+            return True
+        return self._ctx.writable(name).add(row)
+
     # -- the delta loop -----------------------------------------------------------
     def _propagate(self, seed: List[Tuple[str, GroundTuple]]) -> None:
         derived: Dict[str, Set[GroundTuple]] = {}
         delta: Dict[str, Relation] = {}
-
-        def note(name: str, row: GroundTuple,
-                 into: Dict[str, Relation]) -> None:
-            if name not in into:
-                into[name] = Relation()
-            into[name].add(row)
-            derived.setdefault(name, set()).add(row)
-
         for name, row in seed:
-            note(name, row, delta)
+            delta.setdefault(name, Relation()).add(row)
         while delta:
-            next_delta: Dict[str, Relation] = {}
-            for plan in self._plans:
-                for position, literal in enumerate(plan.literals):
-                    rows = delta.get(literal.predicate)
-                    if not rows:
-                        continue
-                    bindings = _bindings(plan, self._ctx,
-                                         delta_position=position,
-                                         delta=rows)
-                    for binding in bindings:
-                        for fact in _fire(plan, binding, self._ctx, None):
-                            note(fact[0], fact[1], next_delta)
-                            self.propagated_facts += 1
-            delta = next_delta
+            for name, rows in delta.items():
+                derived.setdefault(name, set()).update(rows.tuples)
+            delta = delta_round(self._ctx, self._plans, delta)
+            self.propagated_facts += sum(map(len, delta.values()))
         self.last_delta = derived
 
     def __repr__(self) -> str:
-        derived = sum(len(r.tuples) for r in self._ctx.relations.values())
+        derived = sum(map(len, self._ctx.relations.values()))
         sealed = f", sealed by {self._sealed_by!r}" if self._sealed_by else ""
         return (f"MaterializedView({len(self.program)} rules, "
                 f"{derived} tuples, {self.inserted_facts} inserts{sealed})")

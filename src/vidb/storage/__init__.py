@@ -1,12 +1,7 @@
 """Storage engine: the indexed video database, transactions, persistence."""
 
 from vidb.storage.database import VideoDatabase
-from vidb.storage.index import (
-    AttributeIndex,
-    MembershipIndex,
-    RelationIndex,
-    TemporalIndex,
-)
+from vidb.storage.index import TemporalIndex
 from vidb.storage.persistence import (
     database_from_dict,
     database_to_dict,
@@ -17,12 +12,11 @@ from vidb.storage.persistence import (
     loads,
     save,
 )
+from vidb.storage.relation import Relation
 from vidb.storage.transactions import Transaction
 
 __all__ = [
-    "AttributeIndex",
-    "MembershipIndex",
-    "RelationIndex",
+    "Relation",
     "TemporalIndex",
     "Transaction",
     "VideoDatabase",

@@ -4,6 +4,10 @@ This is the storage engine queries run against.  It offers:
 
 * convenience constructors (``new_entity`` / ``new_interval`` / ``relate``)
   that build model objects from plain Python data;
+* the relations queries read in place (:meth:`relation`): one
+  :class:`~vidb.storage.relation.Relation` per fact relation, the class
+  relations ``interval`` / ``object`` / ``anyobject``, and one oid →
+  object map (:attr:`objects`);
 * index-accelerated access paths (attribute probes, entity membership,
   relation lookups, temporal point/range probes);
 * undo-log transactions (:meth:`transaction`);
@@ -15,26 +19,25 @@ indexes are maintained by remove-then-add.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from vidb.errors import ModelError, UnknownOidError
 from vidb.intervals.generalized import GeneralizedInterval
-from vidb.model.objects import (
-    EntityObject,
-    GeneralizedIntervalObject,
-    VideoObject,
-)
+from vidb.model.objects import ENTITIES_ATTR, EntityObject, GeneralizedIntervalObject, VideoObject
 from vidb.model.oid import Oid
 from vidb.model.relations import FactArg, RelationFact
 from vidb.model.sequence import VideoSequence
-from vidb.storage.index import (
-    AttributeIndex,
-    MembershipIndex,
-    RelationIndex,
-    TemporalIndex,
-)
+from vidb.storage.index import TemporalIndex
+from vidb.storage.relation import ANYOBJECT_PRED, INTERVAL_PRED, OBJECT_PRED, Relation
 
 OidLike = Union[Oid, str]
+
+
+def classes_of(obj: VideoObject) -> Tuple[str, str]:
+    """The class relations *obj* belongs to."""
+    if isinstance(obj, GeneralizedIntervalObject):
+        return INTERVAL_PRED, ANYOBJECT_PRED
+    return OBJECT_PRED, ANYOBJECT_PRED
 
 
 class VideoDatabase:
@@ -42,10 +45,18 @@ class VideoDatabase:
 
     def __init__(self, name: str = "video"):
         self.sequence = VideoSequence(name)
-        self._attribute_index = AttributeIndex()
-        self._membership_index = MembershipIndex()
-        self._relation_index = RelationIndex()
+        #: ``(attribute, value, oid)``, set values once per member — so
+        #: ``("entities", e, interval)`` is δ1 inverted.
+        self._attributes = Relation()
         self._temporal_index = TemporalIndex()
+        #: Fact relations by name: exactly :meth:`relation_names` (a
+        #: relation left empty by removals goes unless declared).
+        self._relations: Dict[str, Relation] = {}
+        #: The class relations.  They shadow a fact relation of the same
+        #: name in :meth:`relation`, as the class predicates do in rules.
+        self._classes = {name: Relation() for name in
+                         (INTERVAL_PRED, OBJECT_PRED, ANYOBJECT_PRED)}
+        self._objects: Dict[Oid, VideoObject] = {}
         self._declared_relations: set = set()
         self._journal: Optional[List] = None  # undo log when inside a transaction
         #: Mutation observers (see :meth:`add_mutation_observer`): each
@@ -117,17 +128,10 @@ class VideoDatabase:
 
     def add(self, obj: VideoObject) -> VideoObject:
         """Register a prebuilt model object (entity or interval)."""
-        if isinstance(obj, GeneralizedIntervalObject):
-            self.sequence.add_interval(obj)
-            self._membership_index.add(obj)
-            self._temporal_index.add(obj)
-            self._log(("remove_object", obj.oid))
-        elif isinstance(obj, EntityObject):
-            self.sequence.add_object(obj)
-            self._log(("remove_object", obj.oid))
-        else:
+        if not isinstance(obj, (EntityObject, GeneralizedIntervalObject)):
             raise ModelError(f"expected an EntityObject or GeneralizedIntervalObject, got {obj!r}")
-        self._attribute_index.add(obj)
+        self._store(obj)
+        self._log(("remove_object", obj.oid))
         self._epoch += 1
         self._emit(("add", obj))
         return obj
@@ -145,10 +149,13 @@ class VideoDatabase:
                 a.oid if isinstance(a, VideoObject) else a for a in args
             )
             fact = RelationFact(relation, coerced)
-        if fact in self.sequence.facts():
+        stored = self._relations.get(fact.name)
+        if stored is not None and fact.args in stored:
             return fact
         self.sequence.add_fact(fact)
-        self._relation_index.add(fact)
+        if stored is None:
+            stored = self._relations[fact.name] = Relation()
+        stored.add(fact.args)
         self._log(("remove_fact", fact))
         self._epoch += 1
         self._emit(("relate", fact))
@@ -160,16 +167,10 @@ class VideoDatabase:
         old = self.get(obj.oid)
         if old is None:
             raise UnknownOidError(f"no object with oid {obj.oid}")
-        self._deindex(old)
-        if isinstance(obj, GeneralizedIntervalObject):
-            self.sequence.add_interval(obj, replace=True)
-            self._membership_index.add(obj)
-            self._temporal_index.add(obj)
-        elif isinstance(obj, EntityObject):
-            self.sequence.add_object(obj, replace=True)
-        else:
+        if not isinstance(obj, (EntityObject, GeneralizedIntervalObject)):
             raise ModelError(f"cannot replace with {obj!r}")
-        self._attribute_index.add(obj)
+        self._deindex(old)
+        self._store(obj, replace=True)
         self._log(("restore_object", old))
         self._epoch += 1
         self._emit(("replace", obj))
@@ -199,18 +200,45 @@ class VideoDatabase:
         return obj
 
     def remove_fact(self, fact: RelationFact) -> None:
-        if fact in self.sequence.facts():
-            self.sequence.remove_fact(fact)
-            self._relation_index.remove(fact)
-            self._log(("restore_fact", fact))
-            self._epoch += 1
-            self._emit(("remove_fact", fact))
+        stored = self._relations.get(fact.name)
+        if stored is None or not stored.remove(fact.args):
+            return
+        if not stored and fact.name not in self._declared_relations:
+            del self._relations[fact.name]
+        self.sequence.remove_fact(fact)
+        self._log(("restore_fact", fact))
+        self._epoch += 1
+        self._emit(("remove_fact", fact))
+
+    def _store(self, obj: VideoObject, replace: bool = False) -> None:
+        if isinstance(obj, GeneralizedIntervalObject):
+            self.sequence.add_interval(obj, replace=replace)
+            self._temporal_index.add(obj)
+        else:
+            self.sequence.add_object(obj, replace=replace)
+        self._objects[obj.oid] = obj
+        for relation, row in self._rows_of(obj):
+            relation.add(row)
 
     def _deindex(self, obj: VideoObject) -> None:
-        self._attribute_index.remove(obj)
         if isinstance(obj, GeneralizedIntervalObject):
-            self._membership_index.remove(obj)
             self._temporal_index.remove(obj)
+        del self._objects[obj.oid]
+        for relation, row in self._rows_of(obj):
+            relation.remove(row)
+
+    def _rows_of(self, obj: VideoObject) -> Iterator[Tuple[Relation, Tuple]]:
+        """Every stored row *obj* contributes: its class rows and its
+        indexable attribute values."""
+        for name in classes_of(obj):
+            yield self._classes[name], (obj.oid,)
+        for name, value in obj.items():
+            for member in value if isinstance(value, frozenset) else (value,):
+                try:
+                    hash(member)
+                except TypeError:
+                    continue  # not indexable
+                yield self._attributes, (name, member, obj.oid)
 
     def _require(self, oid: OidLike) -> VideoObject:
         if isinstance(oid, str):
@@ -224,7 +252,7 @@ class VideoDatabase:
 
     # -- access paths ---------------------------------------------------------
     def get(self, oid: Oid) -> Optional[VideoObject]:
-        return self.sequence.get(oid)
+        return self._objects.get(oid)
 
     def entity(self, oid: OidLike) -> EntityObject:
         return self.sequence.object(self.entity_oid(oid))
@@ -238,10 +266,22 @@ class VideoDatabase:
     def intervals(self) -> Tuple[GeneralizedIntervalObject, ...]:
         return self.sequence.intervals()
 
+    @property
+    def objects(self) -> Mapping[Oid, VideoObject]:
+        """Every stored object (entity or interval) by oid.  Read-only."""
+        return self._objects
+
+    def relation(self, name: str) -> Optional[Relation]:
+        """The stored relation evaluation reads for predicate *name* — a
+        class relation or a fact relation — or None.  Read-only."""
+        found = self._classes.get(name)
+        return found if found is not None else self._relations.get(name)
+
     def facts(self, name: Optional[str] = None) -> FrozenSet[RelationFact]:
         if name is None:
             return self.sequence.facts()
-        return self._relation_index.by_name(name)
+        stored = self._relations.get(name)
+        return _as_facts(name, stored.tuples if stored else ())
 
     def declare_relation(self, name: str) -> None:
         """Register a relation name with no facts (yet).
@@ -253,24 +293,29 @@ class VideoDatabase:
         RelationFact(name, (0,))  # reuse the name validation
         if name not in self._declared_relations:
             self._declared_relations.add(name)
+            self._relations.setdefault(name, Relation())
             self._epoch += 1
             self._emit(("declare_relation", name))
 
     def relation_names(self) -> FrozenSet[str]:
-        return self._relation_index.names() | frozenset(self._declared_relations)
+        return frozenset(self._relations)
 
     def facts_with_arg(self, name: str, position: int, value) -> FrozenSet[RelationFact]:
-        return self._relation_index.by_arg(name, position, value)
+        stored = self._relations.get(name)
+        return _as_facts(name, stored.index(position).get(value, ())
+                         if stored else ())
 
     def find_by_attribute(self, name: str, value) -> List[VideoObject]:
         """Objects whose attribute equals *value* (or contains it, for sets)."""
-        oids = self._attribute_index.lookup(name, value)
+        oids = {row[2] for row in self._attributes.select((name, value, None))}
         return [obj for obj in (self.get(oid) for oid in sorted(oids)) if obj]
 
     def intervals_with_entity(self, entity: OidLike) -> List[GeneralizedIntervalObject]:
         """All generalized intervals where the object appears (query Q2)."""
-        oids = self._membership_index.intervals_of(self.entity_oid(entity))
-        return [self.sequence.interval(oid) for oid in sorted(oids)]
+        rows = self._attributes.select(
+            (ENTITIES_ATTR, self.entity_oid(entity), None))
+        oids = sorted(row[2] for row in rows if row[2].is_interval)
+        return [self.sequence.interval(oid) for oid in oids]
 
     def entities_in(self, interval: OidLike) -> List[EntityObject]:
         """The objects appearing in one interval (query Q1)."""
@@ -330,12 +375,16 @@ class VideoDatabase:
 
     def stats(self) -> Dict[str, int]:
         return {
-            "entities": len(self.sequence.objects()),
-            "intervals": len(self.sequence.intervals()),
-            "facts": len(self.sequence.facts()),
+            "entities": len(self._classes[OBJECT_PRED]),
+            "intervals": len(self._classes[INTERVAL_PRED]),
+            "facts": sum(map(len, self._relations.values())),
         }
 
     def __repr__(self) -> str:
         s = self.stats()
         return (f"VideoDatabase({self.name!r}: {s['entities']} entities, "
                 f"{s['intervals']} intervals, {s['facts']} facts)")
+
+
+def _as_facts(name: str, rows: Iterable[Tuple]) -> FrozenSet[RelationFact]:
+    return frozenset(RelationFact(name, row) for row in rows)

@@ -1,125 +1,22 @@
-"""Secondary indexes for the video database.
+"""The temporal index of the video database.
 
-Four index families back the access paths the query language needs:
-
-* :class:`AttributeIndex` — ``(attribute, scalar value) → oids``; set-valued
-  attributes are indexed per member, so ``victim: o1`` and
-  ``murderer: {o2, o3}`` are both found by exact-value probes.
-* :class:`MembershipIndex` — ``entity oid → interval oids`` (the inverse of
-  δ1), answering "all generalized intervals where object o appears" without
-  scanning.
-* :class:`RelationIndex` — facts by name and by ``(name, position, value)``.
-* :class:`TemporalIndex` — interval-object footprints by fragment, for
-  time-point ("what is on screen at t?") and range-overlap probes.
-
-Indexes are maintained incrementally by :class:`vidb.storage.database.
-VideoDatabase`; they never own the data.
+:class:`TemporalIndex` keeps interval-object footprints by fragment, for
+time-point ("what is on screen at t?") and range-overlap probes.  Every
+other access path — facts by name or argument, attribute values, entity
+membership (δ1 inverted), the class relations — is a
+:class:`~vidb.storage.relation.Relation`, which indexes its argument
+positions on demand.  :class:`vidb.storage.database.VideoDatabase`
+maintains all of them incrementally.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from vidb.intervals.generalized import GeneralizedInterval
-from vidb.model.objects import GeneralizedIntervalObject, VideoObject
+from vidb.model.objects import GeneralizedIntervalObject
 from vidb.model.oid import Oid
-from vidb.model.relations import RelationFact
-
-
-class AttributeIndex:
-    """Exact-match index over scalar attribute values (and set members)."""
-
-    def __init__(self) -> None:
-        self._map: Dict[Tuple[str, Hashable], Set[Oid]] = {}
-
-    @staticmethod
-    def _keys(name: str, value) -> Iterable[Tuple[str, Hashable]]:
-        if isinstance(value, frozenset):
-            for member in value:
-                yield (name, member)
-        else:
-            try:
-                hash(value)
-            except TypeError:
-                return
-            yield (name, value)
-
-    def add(self, obj: VideoObject) -> None:
-        for name, value in obj.items():
-            for key in self._keys(name, value):
-                self._map.setdefault(key, set()).add(obj.oid)
-
-    def remove(self, obj: VideoObject) -> None:
-        for name, value in obj.items():
-            for key in self._keys(name, value):
-                bucket = self._map.get(key)
-                if bucket is not None:
-                    bucket.discard(obj.oid)
-                    if not bucket:
-                        del self._map[key]
-
-    def lookup(self, name: str, value) -> FrozenSet[Oid]:
-        """Oids whose attribute *name* equals *value* or contains it."""
-        return frozenset(self._map.get((name, value), ()))
-
-
-class MembershipIndex:
-    """entity oid → oids of the intervals listing it in ``entities``."""
-
-    def __init__(self) -> None:
-        self._map: Dict[Oid, Set[Oid]] = {}
-
-    def add(self, interval: GeneralizedIntervalObject) -> None:
-        for member in interval.entities:
-            self._map.setdefault(member, set()).add(interval.oid)
-
-    def remove(self, interval: GeneralizedIntervalObject) -> None:
-        for member in interval.entities:
-            bucket = self._map.get(member)
-            if bucket is not None:
-                bucket.discard(interval.oid)
-                if not bucket:
-                    del self._map[member]
-
-    def intervals_of(self, entity: Oid) -> FrozenSet[Oid]:
-        return frozenset(self._map.get(entity, ()))
-
-
-class RelationIndex:
-    """Facts by relation name and by (name, argument position, value)."""
-
-    def __init__(self) -> None:
-        self._by_name: Dict[str, Set[RelationFact]] = {}
-        self._by_arg: Dict[Tuple[str, int, Hashable], Set[RelationFact]] = {}
-
-    def add(self, fact: RelationFact) -> None:
-        self._by_name.setdefault(fact.name, set()).add(fact)
-        for position, arg in enumerate(fact.args):
-            self._by_arg.setdefault((fact.name, position, arg), set()).add(fact)
-
-    def remove(self, fact: RelationFact) -> None:
-        bucket = self._by_name.get(fact.name)
-        if bucket is not None:
-            bucket.discard(fact)
-            if not bucket:
-                del self._by_name[fact.name]
-        for position, arg in enumerate(fact.args):
-            key = (fact.name, position, arg)
-            arg_bucket = self._by_arg.get(key)
-            if arg_bucket is not None:
-                arg_bucket.discard(fact)
-                if not arg_bucket:
-                    del self._by_arg[key]
-
-    def by_name(self, name: str) -> FrozenSet[RelationFact]:
-        return frozenset(self._by_name.get(name, ()))
-
-    def by_arg(self, name: str, position: int, value) -> FrozenSet[RelationFact]:
-        return frozenset(self._by_arg.get((name, position, value), ()))
-
-    def names(self) -> FrozenSet[str]:
-        return frozenset(self._by_name)
 
 
 class TemporalIndex:

@@ -36,6 +36,13 @@ segment = st.tuples(st.lists(edge, min_size=1, max_size=4),
                     st.booleans(), st.booleans())
 script = st.lists(segment, max_size=6)
 
+#: The constructive program of ``test_incremental_properties``: its ⊕
+#: head makes a fed view copy the ``interval`` relation and object map.
+CONSTRUCTIVE = parse_program("""
+    linked(G1, G2) :- next(G1, G2).
+    merged(G1 ++ G2) :- linked(G1, G2).
+""")
+
 
 def build_db():
     db = VideoDatabase("stream-prop")
@@ -49,14 +56,23 @@ class Abort(Exception):
     pass
 
 
-def run_script(db, steps):
-    """Apply *steps*; returns the edges seen only in aborted segments."""
+def run_script(db, steps, grow=False):
+    """Apply *steps*; returns the edges seen only in aborted segments.
+
+    With *grow*, each transaction first adds a fresh interval and links
+    it after its first edge's source."""
     committed_edges = set()
     aborted_edges = set()
-    for edges, commits, removes in steps:
+    for index, (edges, commits, removes) in enumerate(steps):
         try:
             with db.transaction():
                 applied = []
+                if grow:
+                    fresh = f"n{index}"
+                    db.new_interval(fresh, duration=[(100 + index * 10,
+                                                      105 + index * 10)])
+                    db.relate("next", Oid.interval(edges[0][0]),
+                              Oid.interval(fresh))
                 for src, dst in edges:
                     fact = db.relate("next", Oid.interval(src),
                                      Oid.interval(dst))
@@ -92,6 +108,21 @@ class TestObserverFedViewEqualsFromScratch:
                      for row in view.relation("next")}
         assert not (aborted_only & surviving)
         hub.check_epoch()  # ...and the mirror stayed in lockstep.
+
+    @settings(max_examples=30, deadline=None)
+    @given(script)
+    def test_constructive_view_matches_committed_state(self, steps):
+        db = build_db()
+        hub = StreamHub(db)
+        view = ViewRegistry(hub).register("merged", CONSTRUCTIVE)
+
+        run_script(db, steps, grow=True)
+
+        fresh = evaluate(db, CONSTRUCTIVE)
+        for name in ("merged", "linked", "interval", "anyobject"):
+            assert view.relation(name) == fresh.relation(name)
+        assert set(view.context.objects) == set(fresh.context.objects)
+        hub.check_epoch()
 
     @settings(max_examples=40, deadline=None)
     @given(script)

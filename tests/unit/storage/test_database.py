@@ -138,3 +138,63 @@ class TestUpdates:
     def test_string_oid_coercion_in_require(self, db):
         db.set_attribute("a", "name", "Anna")
         assert db.entity("a")["name"] == "Anna"
+
+
+def rows(db, name):
+    return set(db.relation(name).tuples)
+
+
+class TestStoredRelations:
+    def test_class_relations_and_object_map(self, db):
+        entities = {(Oid.entity(n),) for n in "abc"}
+        intervals = {(Oid.interval("g1"),), (Oid.interval("g2"),)}
+        assert rows(db, "object") == entities
+        assert rows(db, "interval") == intervals
+        assert rows(db, "anyobject") == entities | intervals
+        assert set(db.objects) == {row[0] for row in entities | intervals}
+
+    def test_replace_and_remove_maintain_class_relations(self, db):
+        g1 = Oid.interval("g1")
+        db.set_attribute(g1, "subject", "opening")
+        assert db.objects[g1]["subject"] == "opening"
+        assert (g1,) in db.relation("interval")
+        db.remove_object(g1)
+        assert g1 not in db.objects
+        assert (g1,) not in db.relation("interval")
+        assert (g1,) not in db.relation("anyobject")
+
+    def test_emptied_relation_disappears_unless_declared(self, db):
+        fact = next(iter(db.facts("in")))
+        db.declare_relation("seen")
+        db.relate("seen", Oid.entity("a"))
+        db.remove_fact(fact)
+        db.remove_fact(RelationFact("seen", (Oid.entity("a"),)))
+        assert db.relation("in") is None
+        assert db.relation_names() == frozenset({"seen"})
+        assert len(db.relation("seen")) == 0
+
+    def test_rollback_restores_relations(self, db):
+        before = {name: rows(db, name)
+                  for name in ("in", "object", "interval", "anyobject")}
+        try:
+            with db.transaction():
+                db.new_entity("d")
+                db.relate("in", Oid.entity("d"), Oid.interval("g2"))
+                db.remove_fact(next(iter(db.facts("in"))))
+                db.remove_object(Oid.interval("g1"))
+                raise RuntimeError("abort")
+        except RuntimeError:
+            pass
+        assert {name: rows(db, name) for name in before} == before
+        assert set(db.objects) == {row[0] for row in before["anyobject"]}
+
+    def test_writes_do_not_copy_the_fact_set(self, db, monkeypatch):
+        def copy_of_every_fact(*_args):
+            raise AssertionError("VideoSequence.facts() called on a write")
+
+        monkeypatch.setattr(type(db.sequence), "facts", copy_of_every_fact)
+        fact = db.relate("in", Oid.entity("c"), Oid.interval("g2"))
+        assert db.relate("in", Oid.entity("c"), Oid.interval("g2")) == fact
+        db.remove_fact(fact)
+        db.remove_fact(fact)  # absent: a no-op
+        assert db.stats()["facts"] == 1
