@@ -11,7 +11,7 @@ bound mechanically.
 import pytest
 
 from vidb.bench.timing import time_callable
-from vidb.obs.tracer import NULL_TRACER, Tracer
+from vidb.obs.trace import NULL_TRACER, Tracer
 from vidb.query.engine import QueryEngine
 from vidb.query.execution import ExecutionOptions
 

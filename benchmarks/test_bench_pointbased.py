@@ -17,7 +17,7 @@ materialisation step itself costs.
 
 import pytest
 
-from vidb.constraints.solver import entails
+from vidb.constraints.kernel import default_kernel
 from vidb.intervals.generalized import GeneralizedInterval
 from vidb.workloads.generator import WorkloadConfig, random_database
 
@@ -50,9 +50,10 @@ def test_materialisation_cost(benchmark, db):
 
 def test_containment_constraint_route(benchmark, constraints):
     probe = constraints[0]
+    kernel = default_kernel()
 
     def check_all():
-        return sum(1 for c in constraints if entails(c, probe))
+        return sum(1 for c in constraints if kernel.entails(c, probe))
 
     count = benchmark(check_all)
     assert count >= 1
@@ -88,10 +89,11 @@ def test_routes_agree(benchmark, constraints, footprints):
     """Sanity for the whole experiment: both encodings answer alike."""
     probe_constraint = constraints[0]
     probe_footprint = footprints[0]
+    kernel = default_kernel()
 
     def check():
         for constraint, footprint in zip(constraints, footprints):
-            assert entails(constraint, probe_constraint) == \
+            assert kernel.entails(constraint, probe_constraint) == \
                 probe_footprint.contains(footprint)
         return True
 

@@ -46,8 +46,6 @@ from vidb.constraints import (
     SetConjunction,
     SetVar,
     Var,
-    entails,
-    satisfiable,
 )
 from vidb.errors import (
     ConstraintError,
@@ -177,13 +175,11 @@ __all__ = [
     "aggregate",
     "concatenate",
     "connect",
-    "entails",
     "format_snapshot",
     "load",
     "parse_program",
     "parse_query",
     "recover",
-    "satisfiable",
     "save",
     "__version__",
 ]

@@ -54,10 +54,10 @@ from vidb.errors import (
     StandingQueryError,
     VidbError,
 )
+from vidb.obs.metrics import format_snapshot
 from vidb.presentation.edl import edl_from_query
 from vidb.query.engine import QueryEngine
 from vidb.query.execution import ExecutionOptions
-from vidb.service.metrics import format_snapshot
 from vidb.storage.database import VideoDatabase
 from vidb.storage.persistence import load, save
 from vidb.workloads.paper import rope_database
@@ -374,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              "closes)")
     client.add_argument(
         "request", nargs="+", metavar="OP [ARG...]",
-        help="one of: query '?- ...' | metrics | trace [N] | "
+        help="one of: query '?- ...' | metrics | "
              "events [N] [TYPE] | info | ping | "
              "entity OID [k=v...] | interval OID LO-HI[,LO-HI...] "
              "[ENTITY...] | relate NAME ARG... | declare NAME | "
@@ -1008,14 +1008,6 @@ def _cmd_client(args) -> int:
                 _print_answers(client.query(rest[0], min_lsn=args.min_lsn))
             elif op == "metrics":
                 print(format_snapshot(client.metrics()))
-            elif op == "trace":
-                reply = client.trace(limit=int(rest[0]) if rest else None)
-                print(format_snapshot(reply["metrics"]))
-                for entry in reply.get("recent", []):
-                    cached = " (cached)" if entry.get("cached") else ""
-                    print(f"- {entry['query']}  "
-                          f"{entry['elapsed_s']:.6f}s  "
-                          f"{entry['answers']} answer(s){cached}")
             elif op == "info":
                 info = client.info()
                 kernel = (f"  kernel: {info['kernel']}"

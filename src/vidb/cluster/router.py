@@ -62,8 +62,7 @@ from vidb.errors import ClusterError, ProtocolError
 from vidb.obs.events import EventLog, get_event_log
 from vidb.obs.fleet import FleetAggregator, render_fleet_exposition
 from vidb.obs.metrics import MetricsRegistry
-from vidb.obs.trace import FlightRecorder
-from vidb.obs.tracer import current_tracer
+from vidb.obs.trace import FlightRecorder, current_tracer
 from vidb.service.wire import (
     REPLICA_OPS,
     Channel,
@@ -300,8 +299,6 @@ class ClusterRouter(Endpoint):
         return self.cluster_traces(20 if limit is None else limit)
 
     def op_trace(self, conn: Connection, request: Message) -> Message:
-        if request.get("id") is None:
-            return self.forward(conn, request)
         return self.cluster_trace(request["id"])
 
     def op_repoint(self, conn: Connection, request: Message) -> Message:
@@ -458,7 +455,7 @@ class ClusterRouter(Endpoint):
     def cluster_traces(self, limit: int = 20) -> Dict[str, Any]:
         """Most-recent trace summaries across the fleet, merged by
         trace_id (one row per trace, earliest segment's summary wins)."""
-        limit = max(1, limit)
+        limit = max(0, limit)
         rows = self.flight_recorder.summaries(limit)
         for reply in self._fanout({"op": "traces", "limit": limit}):
             rows.extend(reply.get("traces") or ())

@@ -20,8 +20,7 @@ Decision procedures are served by a pluggable **constraint kernel**
 ``satisfiable_many`` / ``entails_many`` used on the fixpoint hot path.
 Two backends ship in-tree: ``"reference"`` (the original pure-Python
 procedures) and ``"interned"`` (hash-consed canonical forms + bitset
-closure, the default).  The module-level ``solver.satisfiable`` etc.
-remain as deprecated shims that delegate to the default kernel.
+closure, the default).
 """
 
 from vidb.constraints.dense import (
@@ -72,10 +71,6 @@ from vidb.constraints.setorder import (
 from vidb.constraints.solver import (
     Span,
     clause_satisfiable,
-    entails,
-    equivalent,
-    satisfiable,
-    simplify,
     solution_set_1var,
     spans_subset,
 )
@@ -114,8 +109,6 @@ __all__ = [
     "disjoin",
     "domain_of",
     "eliminate_variable",
-    "entails",
-    "equivalent",
     "fold_ground",
     "from_dnf",
     "get_kernel",
@@ -126,9 +119,7 @@ __all__ = [
     "project",
     "register_kernel",
     "resolve_kernel",
-    "satisfiable",
     "set_default_kernel",
-    "simplify",
     "solution_set_1var",
     "spans_subset",
 ]

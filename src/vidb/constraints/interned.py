@@ -67,7 +67,7 @@ from vidb.constraints.solver import (
 )
 from vidb.constraints.terms import Var, constants_comparable, is_numeric
 from vidb.errors import ConstraintError
-from vidb.obs.tracer import current_tracer
+from vidb.obs.trace import current_tracer
 
 try:  # numpy is optional; the int-bitmask path is always available
     import numpy as _np

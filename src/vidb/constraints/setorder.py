@@ -29,12 +29,11 @@ identities in them (``G.entities``).
 
 from __future__ import annotations
 
-import warnings
 from time import perf_counter
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Set
 
 from vidb.errors import ConstraintError
-from vidb.obs.tracer import current_tracer
+from vidb.obs.trace import current_tracer
 
 Element = Hashable
 
@@ -330,26 +329,3 @@ class SetConjunction:
 
     def __repr__(self) -> str:
         return "SetConjunction(" + ", ".join(map(repr, self.atoms)) + ")"
-
-
-def _warn_deprecated(name: str, kernel_name: str) -> None:
-    warnings.warn(
-        f"vidb.constraints.setorder.{name}() is deprecated; use the kernel "
-        f"API: vidb.constraints.default_kernel().{kernel_name}(...)",
-        DeprecationWarning, stacklevel=3)
-
-
-def satisfiable(atoms: Iterable[SetAtom]) -> bool:
-    """Deprecated shim: delegates to the default constraint kernel."""
-    _warn_deprecated("satisfiable", "set_satisfiable")
-    from vidb.constraints.kernel import default_kernel
-
-    return default_kernel().set_satisfiable(atoms)
-
-
-def entails(premise: Iterable[SetAtom], conclusion: Iterable[SetAtom]) -> bool:
-    """Deprecated shim: delegates to the default constraint kernel."""
-    _warn_deprecated("entails", "set_entails")
-    from vidb.constraints.kernel import default_kernel
-
-    return default_kernel().set_entails(premise, conclusion)

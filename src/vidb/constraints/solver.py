@@ -5,13 +5,13 @@ dense linear order inequality constraints are decidable, and relies on
 entailment atoms such as ``G.duration => (t > a and t < b)`` during query
 evaluation.  This module supplies those procedures:
 
-``satisfiable(c)``
+``core_satisfiable(c)``
     Is there an assignment of the variables making ``c`` true?  Decided
     per DNF clause with a strongly-connected-component analysis of the
     inequality graph — the classical algorithm for orders that are dense
     and without endpoints (the paper's interpretation domain).
 
-``entails(c1, c2)``
+``core_entails(c1, c2)``
     Does every assignment satisfying ``c1`` satisfy ``c2``?  Reduced to
     unsatisfiability of ``c1 AND NOT c2``; single-variable constraints
     (the temporal case, by far the most common) take an exact fast path
@@ -21,11 +21,15 @@ evaluation.  This module supplies those procedures:
     The canonical solution set of a constraint over one variable, as a
     sorted list of disjoint :class:`Span` records — the bridge between the
     point-based constraint representation and explicit intervals.
+
+These are the reference procedures; callers go through a constraint
+kernel (:func:`vidb.constraints.default_kernel`), whose ``"reference"``
+backend serves them and whose default ``"interned"`` backend reuses the
+span helpers.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -45,7 +49,7 @@ from vidb.constraints.terms import (
     is_numeric,
 )
 from vidb.errors import ConstraintError
-from vidb.obs.tracer import current_tracer
+from vidb.obs.trace import current_tracer
 
 # ---------------------------------------------------------------------------
 # Conjunction satisfiability: inequality-graph SCC analysis
@@ -536,46 +540,3 @@ def simplify_using(clause_sat: Callable[[Sequence[Comparison]], bool],
 def core_simplify(constraint: Constraint) -> Constraint:
     """Light-weight simplification (reference implementation)."""
     return simplify_using(clause_satisfiable, constraint)
-
-
-# ---------------------------------------------------------------------------
-# Deprecated module-level API (kept for established imports)
-# ---------------------------------------------------------------------------
-
-def _warn_deprecated(name: str) -> None:
-    warnings.warn(
-        f"vidb.constraints.solver.{name}() is deprecated; use the kernel "
-        f"API: vidb.constraints.default_kernel().{name}(...)",
-        DeprecationWarning, stacklevel=3)
-
-
-def satisfiable(constraint: Constraint) -> bool:
-    """Deprecated shim: delegates to the default constraint kernel."""
-    _warn_deprecated("satisfiable")
-    from vidb.constraints.kernel import default_kernel
-
-    return default_kernel().satisfiable(constraint)
-
-
-def entails(c1: Constraint, c2: Constraint) -> bool:
-    """Deprecated shim: delegates to the default constraint kernel."""
-    _warn_deprecated("entails")
-    from vidb.constraints.kernel import default_kernel
-
-    return default_kernel().entails(c1, c2)
-
-
-def equivalent(c1: Constraint, c2: Constraint) -> bool:
-    """Deprecated shim: delegates to the default constraint kernel."""
-    _warn_deprecated("equivalent")
-    from vidb.constraints.kernel import default_kernel
-
-    return default_kernel().equivalent(c1, c2)
-
-
-def simplify(constraint: Constraint) -> Constraint:
-    """Deprecated shim: delegates to the default constraint kernel."""
-    _warn_deprecated("simplify")
-    from vidb.constraints.kernel import default_kernel
-
-    return default_kernel().simplify(constraint)

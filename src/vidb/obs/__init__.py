@@ -2,11 +2,16 @@
 
 The observability layer the serving system leans on:
 
-* :mod:`vidb.obs.tracer` — nestable wall-clock spans with counter
-  payloads, plus a no-op tracer for the disabled path;
+* :mod:`vidb.obs.trace` — the one span model: nestable wall-clock
+  :class:`Span` trees with counter payloads, the ambient
+  :class:`Tracer` (which carries the request's W3C-traceparent-style
+  :class:`TraceContext` across the wire and the executor's thread hop),
+  the no-op tracer for the disabled path, the bounded
+  :class:`FlightRecorder` segment ring, and cross-process trace
+  assembly/rendering (``vidb trace``);
 * :mod:`vidb.obs.profile` — the ``EXPLAIN ANALYZE``-style profile
-  renderer behind ``vidb query --profile`` and the server's ``trace``
-  verb;
+  renderer behind ``vidb query --profile`` and the ``query`` op's
+  ``profile`` flag;
 * :mod:`vidb.obs.metrics` — counters, gauges (including callback
   gauges), histograms and labeled metric families in a
   :class:`MetricsRegistry`, with a process-global default registry;
@@ -16,10 +21,6 @@ The observability layer the serving system leans on:
 * :mod:`vidb.obs.events` — a bounded structured JSON event log (slow
   queries, admission rejections, checkpoints, replica resyncs) behind
   the server's ``events`` op and ``vidb top``;
-* :mod:`vidb.obs.trace` — distributed tracing: W3C-traceparent-style
-  :class:`TraceContext` propagation over the wire, a bounded
-  :class:`FlightRecorder` segment ring, and cross-process trace
-  assembly/rendering (``vidb trace``);
 * :mod:`vidb.obs.fleet` — the cluster telemetry plane: the router's
   :class:`FleetAggregator` of scraped member snapshots, federated
   per-node Prometheus exposition and cluster rollups
@@ -44,21 +45,17 @@ from vidb.obs.metrics import (
 )
 from vidb.obs.profile import format_profile
 from vidb.obs.trace import (
-    FlightRecorder,
-    TraceContext,
-    assemble_trace,
-    current_context,
-    parse_traceparent,
-    render_trace,
-    use_context,
-)
-from vidb.obs.tracer import (
     NULL_TRACER,
+    FlightRecorder,
     NullTracer,
     Span,
+    TraceContext,
     Tracer,
     activate,
+    assemble_trace,
     current_tracer,
+    parse_traceparent,
+    render_trace,
 )
 
 __all__ = [
@@ -79,7 +76,6 @@ __all__ = [
     "Tracer",
     "activate",
     "assemble_trace",
-    "current_context",
     "current_tracer",
     "emit",
     "format_number",
@@ -92,5 +88,4 @@ __all__ = [
     "parse_traceparent",
     "render_exposition",
     "render_fleet_exposition",
-    "use_context",
 ]

@@ -1,11 +1,28 @@
-"""Distributed tracing: trace contexts, a flight recorder, tree assembly.
+"""Tracing: one span tree, one ambient tracer, one flight recorder.
 
-PR 2 gave every process a :class:`~vidb.obs.tracer.Tracer`; this module
-makes those per-process span trees stitch together across the wire.
-Three pieces:
+Everything that knows the span-tree format lives here:
 
-* :class:`TraceContext` — a W3C-traceparent-style triple
-  (``trace_id`` / ``span_id`` / sampled flag) serialized as
+* :class:`Span` / :class:`Tracer` — a tree of timed stages (parse,
+  fixpoint iterations, ``server.query``, ``router.forward``, …), each
+  carrying wall-clock duration plus a payload of counters.  Hot paths
+  that run thousands of times per query (dense-order entailment,
+  set-order closure, ⊕ object creation) do not get a span each; they
+  report into flat per-name **aggregates** via :meth:`Tracer.record`.
+  The disabled path is :data:`NULL_TRACER`: ``enabled`` is ``False`` so
+  instrumented sites skip their ``perf_counter`` bookkeeping, and
+  ``span()`` hands back one preallocated no-op context manager.
+* the **ambient tracer** — :func:`activate` makes a tracer this
+  thread's current one, and leaf modules (the constraint solvers, the
+  stream hub) find it with :func:`current_tracer` without a parameter
+  threaded through every signature.  A tracer serving a distributed
+  request carries that request's :class:`TraceContext`
+  (``current_tracer().context``), so the tracer and the context are one
+  ambient slot.  Activation nests and restores the previous tracer, so
+  concurrent requests on different threads never share spans; the
+  service executor re-activates the caller's tracer on its worker
+  thread, so a request's spans form one tree across the hop.
+* :class:`TraceContext` — a W3C-traceparent-style triple (``trace_id``
+  / ``span_id`` / sampled flag) serialized as
   ``00-<32 hex>-<16 hex>-<2 hex flags>`` and carried as an optional
   ``"trace"`` field on JSON-lines requests and replies.  Each hop calls
   :meth:`TraceContext.child` before forwarding, so the receiver knows
@@ -20,13 +37,9 @@ Three pieces:
   every retained segment to disk.
 * :func:`assemble_trace` / :func:`render_trace` — reassemble segments
   fetched from every node (the ``trace <id>`` wire op, fanned out by
-  the router) into one tree keyed by parent span id, and render it with
-  each segment's local spans nested under its node-identity line.
-
-The ambient context (:func:`use_context` / :func:`current_context`)
-mirrors ``tracer.activate``: the server activates the request's context
-on the handler thread so the streaming layer can stamp commit deltas
-with it without threading a parameter through the transaction plumbing.
+  the router) into one tree keyed by parent span id, and render it
+  with each segment's local spans nested under its node-identity line.
+  :meth:`Span.render` and :func:`render_trace` share one renderer.
 """
 
 from __future__ import annotations
@@ -39,20 +52,255 @@ import random
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Union
-
-from vidb.obs.tracer import Span
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
 
 __all__ = [
+    "NULL_TRACER",
     "FlightRecorder",
+    "NullTracer",
+    "Span",
     "TraceContext",
+    "Tracer",
+    "activate",
     "assemble_trace",
-    "current_context",
+    "current_tracer",
     "parse_traceparent",
     "render_trace",
-    "use_context",
 ]
 
+
+# -- the span tree -----------------------------------------------------------
+class Span:
+    """One timed stage: name, duration, payload, children."""
+
+    __slots__ = ("name", "payload", "children", "started_s", "ended_s")
+
+    def __init__(self, name: str, payload: Optional[Dict[str, Any]] = None):
+        self.name = name
+        self.payload: Dict[str, Any] = dict(payload or {})
+        self.children: List["Span"] = []
+        self.started_s: float = 0.0
+        self.ended_s: float = 0.0
+
+    @property
+    def duration_s(self) -> float:
+        return max(0.0, self.ended_s - self.started_s)
+
+    def annotate(self, **payload: Any) -> "Span":
+        """Set payload entries (overwrites)."""
+        self.payload.update(payload)
+        return self
+
+    def count(self, key: str, amount: float = 1) -> "Span":
+        """Add to a numeric payload entry, creating it at zero."""
+        self.payload[key] = self.payload.get(key, 0) + amount
+        return self
+
+    def find(self, name: str) -> List["Span"]:
+        """Every descendant span (including self) with the given name."""
+        found = [self] if self.name == name else []
+        for child in self.children:
+            found.extend(child.find(name))
+        return found
+
+    def as_dict(self) -> Dict[str, Any]:
+        """JSON-serializable tree form (durations rounded to µs)."""
+        out: Dict[str, Any] = {
+            "name": self.name,
+            "seconds": round(self.duration_s, 6),
+        }
+        if self.payload:
+            out["payload"] = dict(self.payload)
+        if self.children:
+            out["children"] = [child.as_dict() for child in self.children]
+        return out
+
+    def render(self, indent: int = 0) -> str:
+        """The indented text tree (the renderer :func:`render_trace`
+        uses for a segment's spans)."""
+        lines: List[str] = []
+        _render_span(self.as_dict(), indent, lines)
+        return "\n".join(lines)
+
+    def __repr__(self) -> str:
+        return f"Span({self.name!r}, {self.duration_s:.6f}s)"
+
+
+def _render_span(span: Dict[str, Any], indent: int, lines: List[str]) -> None:
+    """Render one span in dict form (:meth:`Span.as_dict`) and its
+    subtree, one line per span."""
+    pad = "  " * indent
+    extra = ""
+    payload = span.get("payload")
+    if payload:
+        inner = ", ".join(f"{k}={v}" for k, v in sorted(payload.items()))
+        extra = f"  [{inner}]"
+    seconds = span.get("seconds", 0.0)
+    lines.append(f"{pad}{span.get('name', '?')}  {seconds * 1000:.3f} ms{extra}")
+    for child in span.get("children", ()):
+        _render_span(child, indent + 1, lines)
+
+
+class Tracer:
+    """Collects spans (a tree) and flat hot-path aggregates.
+
+    ``context`` is the distributed-trace context of the request this
+    tracer records (``None`` for a local, in-process trace); code that
+    stamps outgoing work with the trace reads it from the ambient tracer.
+    """
+
+    enabled = True
+
+    def __init__(self, context: Optional["TraceContext"] = None) -> None:
+        self.context = context
+        self.roots: List[Span] = []
+        self.aggregates: Dict[str, Dict[str, float]] = {}
+        self._stack: List[Span] = []
+
+    def _attach(self, span: Span) -> None:
+        if self._stack:
+            self._stack[-1].children.append(span)
+        else:
+            self.roots.append(span)
+
+    @contextlib.contextmanager
+    def span(self, name: str, **payload: Any) -> Iterator[Span]:
+        """Open a nested span; timing stops when the block exits."""
+        span = Span(name, payload)
+        self._attach(span)
+        self._stack.append(span)
+        span.started_s = time.perf_counter()
+        try:
+            yield span
+        finally:
+            span.ended_s = time.perf_counter()
+            self._stack.pop()
+
+    def add_span(self, name: str, started_s: float, **payload: Any) -> Span:
+        """Attach a finished span under the innermost open one: it began
+        at *started_s* (a ``perf_counter`` reading, possibly taken on
+        another thread) and ends now."""
+        span = Span(name, payload)
+        span.started_s, span.ended_s = started_s, time.perf_counter()
+        self._attach(span)
+        return span
+
+    def current(self) -> Optional[Span]:
+        """The innermost open span, if any."""
+        return self._stack[-1] if self._stack else None
+
+    def record(self, name: str, seconds: float = 0.0, count: int = 1) -> None:
+        """Fold one hot-path call into the per-name aggregate."""
+        agg = self.aggregates.get(name)
+        if agg is None:
+            agg = self.aggregates[name] = {"count": 0, "seconds": 0.0}
+        agg["count"] += count
+        agg["seconds"] += seconds
+
+    def activate(self):
+        """Make this tracer the thread-local current tracer (see
+        :func:`activate`)."""
+        return activate(self)
+
+    def root(self) -> Optional[Span]:
+        """The first top-level span (the whole-request span, typically)."""
+        return self.roots[0] if self.roots else None
+
+    def __repr__(self) -> str:
+        return (f"Tracer({len(self.roots)} roots, "
+                f"{len(self.aggregates)} aggregates)")
+
+
+class _NullSpanContext:
+    """A reusable no-op context manager yielding the singleton null span."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> Span:
+        return NULL_SPAN
+
+    def __exit__(self, *exc) -> bool:
+        return False
+
+
+class _NullSpan(Span):
+    """A span that swallows annotations; shared by every disabled site."""
+
+    __slots__ = ()
+
+    def annotate(self, **payload: Any) -> "Span":
+        return self
+
+    def count(self, key: str, amount: float = 1) -> "Span":
+        return self
+
+
+class NullTracer:
+    """The disabled tracer: every operation is a no-op.
+
+    ``enabled`` is ``False``, so call sites guard their ``perf_counter``
+    reads; ``span()`` returns one preallocated context manager, making a
+    ``with tracer.span(...)`` block cost two trivial method calls.  It
+    carries no trace context.
+    """
+
+    enabled = False
+    context: Optional["TraceContext"] = None
+
+    roots: List[Span] = []
+    aggregates: Dict[str, Dict[str, float]] = {}
+
+    def span(self, name: str, **payload: Any) -> _NullSpanContext:
+        return _NULL_SPAN_CONTEXT
+
+    def current(self) -> Optional[Span]:
+        return None
+
+    def record(self, name: str, seconds: float = 0.0, count: int = 1) -> None:
+        return None
+
+    def activate(self):
+        return activate(self)
+
+    def root(self) -> Optional[Span]:
+        return None
+
+    def __repr__(self) -> str:
+        return "NullTracer()"
+
+
+NULL_SPAN = _NullSpan("null")
+_NULL_SPAN_CONTEXT = _NullSpanContext()
+NULL_TRACER = NullTracer()
+
+class _Ambient(threading.local):
+    """The one ambient slot: each thread's current tracer.  The class
+    attribute is every thread's default, so a read is a plain attribute
+    lookup even on a thread that never activated anything."""
+
+    tracer: Any = NULL_TRACER
+
+
+_active = _Ambient()
+
+
+def current_tracer():
+    """The tracer active on this thread (the null tracer by default)."""
+    return _active.tracer
+
+
+@contextlib.contextmanager
+def activate(tracer):
+    """Push a tracer as this thread's current tracer; restores on exit."""
+    previous = _active.tracer
+    _active.tracer = tracer
+    try:
+        yield tracer
+    finally:
+        _active.tracer = previous
+
+
+# -- trace contexts ----------------------------------------------------------
 _TRACEPARENT_VERSION = "00"
 _HEX = frozenset("0123456789abcdef")
 
@@ -123,26 +371,7 @@ def parse_traceparent(header: Any) -> Optional[TraceContext]:
     return TraceContext(trace_id, span_id, sampled=bool(int(flags, 16) & 1))
 
 
-_ambient = threading.local()
-
-
-def current_context() -> Optional[TraceContext]:
-    """The trace context active on this thread, if any."""
-    return getattr(_ambient, "context", None)
-
-
-@contextlib.contextmanager
-def use_context(context: Optional[TraceContext]) -> Iterator[Optional[TraceContext]]:
-    """Make ``context`` this thread's ambient trace context; restores on
-    exit.  Passing ``None`` is allowed and clears the ambient context."""
-    previous = getattr(_ambient, "context", None)
-    _ambient.context = context
-    try:
-        yield context
-    finally:
-        _ambient.context = previous
-
-
+# -- the flight recorder -----------------------------------------------------
 Segment = Dict[str, Any]
 
 
@@ -257,9 +486,11 @@ class FlightRecorder:
             return [dict(s) for s in self._segments if s["trace_id"] == trace_id]
 
     def summaries(self, limit: int = 20) -> List[Dict[str, Any]]:
-        """Most-recent-first one-line summaries for ``vidb trace``."""
+        """The *limit* most recent one-line summaries, newest first, for
+        ``vidb trace`` (none for ``limit <= 0``)."""
+        limit = int(limit)
         with self._lock:
-            recent = list(self._segments)[-max(0, int(limit)):]
+            recent = list(self._segments)[-limit:] if limit > 0 else []
         out = []
         for segment in reversed(recent):
             out.append({
@@ -297,6 +528,7 @@ class FlightRecorder:
             self._sink = None
 
 
+# -- assembly and rendering --------------------------------------------------
 def node_label(node: Dict[str, Any]) -> str:
     """``role@host:port gen=N`` — one segment's process identity."""
     role = node.get("role", "?")
@@ -354,19 +586,6 @@ def assemble_trace(segments: Sequence[Segment]) -> List[Segment]:
     return roots
 
 
-def _render_span_dict(span: Dict[str, Any], indent: int, lines: List[str]) -> None:
-    pad = "  " * indent
-    extra = ""
-    payload = span.get("payload")
-    if payload:
-        inner = ", ".join(f"{k}={v}" for k, v in sorted(payload.items()))
-        extra = f"  [{inner}]"
-    seconds = span.get("seconds", 0.0)
-    lines.append(f"{pad}{span.get('name', '?')}  {seconds * 1000:.3f} ms{extra}")
-    for child in span.get("children", ()):
-        _render_span_dict(child, indent + 1, lines)
-
-
 def _render_segment(segment: Segment, indent: int, lines: List[str]) -> None:
     pad = "  " * indent
     status = segment.get("status", "ok")
@@ -379,22 +598,18 @@ def _render_segment(segment: Segment, indent: int, lines: List[str]) -> None:
         f"  {segment.get('duration_s', 0.0) * 1000:.3f} ms{suffix}")
     spans = segment.get("spans")
     if spans:
-        _render_span_dict(spans, indent + 1, lines)
+        _render_span(spans, indent + 1, lines)
     for child in segment.get("children", ()):
         _render_segment(child, indent + 1, lines)
 
 
-def render_trace(
-    segments: Sequence[Segment],
-    trace_id: Optional[str] = None,
-    render_leaf: Optional[Callable[[Segment], Optional[str]]] = None,
-) -> str:
+def render_trace(segments: Sequence[Segment],
+                 trace_id: Optional[str] = None) -> str:
     """Render an assembled cross-process trace as an indented tree.
 
     Segments sharing an absent parent span (the client's root) are
     grouped under a synthetic ``client`` line so a router+replica pair
-    reads as one tree, not two.  ``render_leaf`` may return extra text
-    (e.g. the PR-2 profile table) appended after a segment's subtree.
+    reads as one tree, not two.
     """
     roots = assemble_trace(segments)
     if not roots:
@@ -416,13 +631,4 @@ def render_trace(
         indent = 2
     for root in roots:
         _render_segment(root, indent, lines)
-    if render_leaf is not None:
-        def _walk(segment: Segment) -> None:
-            extra = render_leaf(segment)
-            if extra:
-                lines.append(extra)
-            for child in segment.get("children", ()):
-                _walk(child)
-        for root in roots:
-            _walk(root)
     return "\n".join(lines)

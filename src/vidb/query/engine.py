@@ -50,7 +50,7 @@ from vidb.errors import (
     UnknownPredicateError,
 )
 from vidb.model.oid import Oid
-from vidb.obs.tracer import NULL_TRACER, Tracer, activate
+from vidb.obs.trace import NULL_TRACER, Tracer, activate, current_tracer
 from vidb.query import stdlib
 from vidb.query.demand import (
     Demand,
@@ -317,9 +317,17 @@ class QueryEngine:
             report.answers           # the AnswerSet
             report.stats.elapsed_s   # wall-clock
             print(report.profile())  # EXPLAIN ANALYZE-style table
+
+        An enabled ambient tracer (a sampled request, see
+        :mod:`vidb.obs.trace`) records this run as its ``query.execute``
+        span; otherwise ``trace=True`` records into a tracer of its own.
+        Either way ``report.trace`` is that span.
         """
         options = ExecutionOptions.coerce(options, **overrides)
-        tracer = Tracer() if options.trace else NULL_TRACER
+        tracer = current_tracer()
+        if not tracer.enabled:
+            tracer = Tracer() if options.trace else NULL_TRACER
+        traced = tracer.enabled
         deadline = (time.monotonic() + options.timeout_s
                     if options.timeout_s is not None else None)
         stages: Dict[str, float] = {}
@@ -328,7 +336,7 @@ class QueryEngine:
             return StageTimer(stages, tracer, name)
 
         started = time.perf_counter()
-        with activate(tracer), tracer.span("query.execute"):
+        with activate(tracer), tracer.span("query.execute") as span:
             with stage("parse"):
                 if isinstance(query, str):
                     query = parse_query(query)
@@ -392,8 +400,8 @@ class QueryEngine:
         stats.stages = dict(stages)
         return ExecutionReport(
             answers=answers, stats=stats, options=options,
-            trace=tracer.root() if options.trace else None,
-            aggregates=dict(tracer.aggregates) if options.trace else {},
+            trace=span if traced else None,
+            aggregates=dict(tracer.aggregates) if traced else {},
             diagnostics=diagnostics, cost=cost, bounds=bounds,
             demand=(_demand_lines(demand, result) if options.trace else ()),
         )

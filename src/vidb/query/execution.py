@@ -19,7 +19,7 @@ from vidb.errors import EvaluationError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from vidb.analysis.cost import CostReport
     from vidb.analysis.diagnostics import Diagnostic
-    from vidb.obs.tracer import Span
+    from vidb.obs.trace import Span
     from vidb.query.engine import AnswerSet
     from vidb.query.fixpoint import EvaluationStats
 

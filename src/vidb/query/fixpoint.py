@@ -56,7 +56,7 @@ from vidb.errors import (
     QueryTimeoutError,
     UnknownPredicateError,
 )
-from vidb.obs.tracer import NULL_TRACER, current_tracer
+from vidb.obs.trace import NULL_TRACER, current_tracer
 from vidb.model.concat import concatenate, pairwise_extension
 from vidb.model.objects import GeneralizedIntervalObject, VideoObject
 from vidb.model.oid import Oid
@@ -1049,7 +1049,7 @@ def evaluate(db: VideoDatabase, program: Program,
         inside a join, raising :class:`~vidb.errors.QueryTimeoutError`
         once passed.
     tracer:
-        A :class:`~vidb.obs.tracer.Tracer`; defaults to the thread's
+        A :class:`~vidb.obs.trace.Tracer`; defaults to the thread's
         current (usually null) tracer.  Per-rule/per-iteration timings in
         ``stats`` are collected either way — the tracer adds the span
         tree and hot-path aggregates.

@@ -8,14 +8,14 @@ Turns the single-caller library into a servable database:
   ``(program fingerprint, normalized query, database epoch)``;
 * :mod:`vidb.service.session` — client sessions with prepared,
   parameterized queries compiled once;
-* :mod:`vidb.service.metrics` — compatibility shim over
-  :mod:`vidb.obs.metrics` (counters, gauges, histograms, labeled
-  families, plain-dict snapshot export);
 * :mod:`vidb.service.wire` — the one JSON-lines wire plane (codec, op
   table, serve loop, trace adoption, client channel) every role shares;
 * :mod:`vidb.service.server` — the stdlib-only TCP server and client
   over it (``vidb serve`` / ``vidb client``);
 * :mod:`vidb.service.top` — the ``vidb top`` live terminal view.
+
+Metrics live in :mod:`vidb.obs.metrics`; the registry classes are
+re-exported here because the executor hands one out.
 
 Quickstart::
 
@@ -32,9 +32,7 @@ Quickstart::
         print(service.snapshot()["cache.hits"])
 """
 
-from vidb.service.cache import CacheKey, ResultCache
-from vidb.service.executor import RWLock, ServiceExecutor
-from vidb.service.metrics import (
+from vidb.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
@@ -42,6 +40,8 @@ from vidb.service.metrics import (
     MetricsRegistry,
     format_snapshot,
 )
+from vidb.service.cache import CacheKey, ResultCache
+from vidb.service.executor import RWLock, ServiceExecutor
 from vidb.service.server import ServiceClient, VideoServer
 from vidb.service.session import PreparedQuery, Session
 from vidb.service.top import render_top, top_loop

@@ -24,7 +24,7 @@ import threading
 from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
-from vidb.service.metrics import MetricsRegistry
+from vidb.obs.metrics import MetricsRegistry
 
 #: (program fingerprint, normalized query text, database epoch)
 CacheKey = Tuple[str, str, int]

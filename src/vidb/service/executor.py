@@ -32,6 +32,14 @@ wraps one :class:`~vidb.storage.database.VideoDatabase` and one shared
   rejections are emitted as structured events into an
   :class:`~vidb.obs.events.EventLog` (the server's ``events`` op and
   ``vidb top`` read them).
+* **Tracing** — a query submitted under an enabled ambient tracer (a
+  sampled request, see :mod:`vidb.obs.trace`) runs under that tracer on
+  the worker thread: ``service.queue_wait``, ``service.lock_wait`` and
+  ``service.cache`` (``outcome=hit|miss``) spans, then on a miss the
+  engine's ``query.execute`` tree, all nest under the caller's open
+  span.  Sampling does not change execution: a sampled query takes the
+  cache like any other.  Only ``ExecutionOptions(trace=True)`` (EXPLAIN
+  ANALYZE) skips the cache read — a hit has nothing to profile.
 """
 
 from __future__ import annotations
@@ -39,7 +47,6 @@ from __future__ import annotations
 import contextlib
 import threading
 import time
-from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
@@ -54,7 +61,8 @@ from vidb.errors import (
     ServiceOverloadedError,
 )
 from vidb.obs.events import EventLog, get_event_log
-from vidb.obs.trace import FlightRecorder
+from vidb.obs.metrics import MetricsRegistry
+from vidb.obs.trace import FlightRecorder, activate, current_tracer
 from vidb.query.ast import Query
 from vidb.query.engine import AnswerSet, QueryEngine
 from vidb.query.execution import ExecutionOptions, ExecutionReport
@@ -65,7 +73,6 @@ from vidb.query.render import (
     query_fingerprint,
 )
 from vidb.service.cache import ResultCache
-from vidb.service.metrics import MetricsRegistry
 from vidb.service.session import Session
 from vidb.storage.database import VideoDatabase
 from vidb.stream.hub import StreamHub
@@ -165,7 +172,6 @@ class ServiceExecutor:
                  default_timeout: Optional[float] = None,
                  metrics: Optional[MetricsRegistry] = None,
                  engine_options: Optional[Dict[str, Any]] = None,
-                 recent_capacity: int = 64,
                  slow_query_ms: Optional[float] = None,
                  event_log: Optional[EventLog] = None,
                  read_only: bool = False,
@@ -235,10 +241,6 @@ class ServiceExecutor:
         self._in_flight = 0
         self._sessions: Dict[str, Session] = {}
         self._sessions_lock = threading.Lock()
-        #: Ring of recent per-query execution summaries (the server's
-        #: ``trace`` verb reads it).  Appends on a deque are atomic, so
-        #: worker threads write without extra locking.
-        self._recent: "deque[Dict[str, Any]]" = deque(maxlen=recent_capacity)
         self._closed = False
         #: The streaming layer (see :mod:`vidb.stream`): a hub turning
         #: mutation-observer events into committed deltas, a registry of
@@ -359,6 +361,9 @@ class ServiceExecutor:
         fixpoint additionally checks it cooperatively at every iteration
         boundary.  Raises :class:`ServiceOverloadedError` immediately
         when ``max_in_flight`` queries are already queued or running.
+        An enabled ambient tracer records the run (its spans nest under
+        the caller's open span), so the caller should wait for the
+        future before it opens further spans on that tracer.
         """
         if self._closed:
             raise ServiceClosedError("executor is shut down")
@@ -378,8 +383,12 @@ class ServiceExecutor:
                     f"(limit {self.max_in_flight}); retry with backoff")
             self._in_flight += 1
         deadline = (time.monotonic() + timeout) if timeout else None
+        # A sampled caller's tracer follows the query onto the worker.
+        tracer = current_tracer()
+        submitted = time.perf_counter() if tracer.enabled else 0.0
         try:
-            future = self._pool.submit(self._run, query, deadline, options)
+            future = self._pool.submit(self._run, query, deadline, options,
+                                       tracer, submitted)
         except RuntimeError:
             with self._admission:
                 self._in_flight -= 1
@@ -428,7 +437,16 @@ class ServiceExecutor:
             self._in_flight -= 1
 
     def _run(self, query: Union[str, Query], deadline: Optional[float],
-             options: ExecutionOptions) -> ExecutionReport:
+             options: ExecutionOptions, tracer: Any,
+             submitted: float) -> ExecutionReport:
+        if tracer.enabled:
+            with activate(tracer):
+                tracer.add_span("service.queue_wait", submitted)
+                return self._serve(query, deadline, options, tracer)
+        return self._serve(query, deadline, options, tracer)
+
+    def _serve(self, query: Union[str, Query], deadline: Optional[float],
+               options: ExecutionOptions, tracer: Any) -> ExecutionReport:
         if deadline is not None and time.monotonic() > deadline:
             self.metrics.inc("queries.timeout")
             self._outcomes.labels(outcome="timeout").inc()
@@ -438,12 +456,19 @@ class ServiceExecutor:
             if isinstance(query, str):
                 query = parse_query(query)
             normalized = normalize_query(query)
-            with self._lock.read_locked():
+            with tracer.span("service.lock_wait"):
+                self._lock.acquire_read()
+            try:
                 key = self._cache.make_key(
                     self._program_fp, normalized, self.db.epoch)
-                # Traced runs bypass the cache read (a hit has no trace to
-                # hand back) but still populate it for later queries.
-                cached = None if options.trace else self._cache.get(key)
+                cached = None
+                # A profiled run skips the cache read (a hit has nothing
+                # to profile) but still populates it for later queries.
+                if not options.trace:
+                    with tracer.span("service.cache") as span:
+                        cached = self._cache.get(key)
+                        span.annotate(
+                            outcome="miss" if cached is None else "hit")
                 if cached is None:
                     remaining = (max(0.0, deadline - time.monotonic())
                                  if deadline is not None else None)
@@ -455,6 +480,8 @@ class ServiceExecutor:
                     report = ExecutionReport(
                         answers=answers, stats=cached.stats,
                         options=options, cached=True)
+            finally:
+                self._lock.release_read()
         except QueryTimeoutError:
             self.metrics.inc("queries.timeout")
             self._outcomes.labels(outcome="timeout").inc()
@@ -476,7 +503,6 @@ class ServiceExecutor:
         self.metrics.observe("queries.latency_seconds", elapsed)
         if self.slow_query_s is not None and elapsed >= self.slow_query_s:
             self._note_slow(query, normalized, report, elapsed)
-        self._note_recent(normalized, report, elapsed)
         return report
 
     def _note_slow(self, query: Query, normalized: str,
@@ -493,29 +519,6 @@ class ServiceExecutor:
             derived_facts=stats.derived_facts,
             stages={name: round(seconds * 1000.0, 3)
                     for name, seconds in stats.stages.items()})
-
-    def _note_recent(self, normalized: str, report: ExecutionReport,
-                     elapsed: float) -> None:
-        entry: Dict[str, Any] = {
-            "query": normalized,
-            "elapsed_s": round(elapsed, 6),
-            "cached": report.cached,
-            "answers": len(report.answers),
-            "iterations": report.stats.iterations,
-            "derived_facts": report.stats.derived_facts,
-        }
-        if report.trace is not None:
-            entry["spans"] = report.trace.as_dict()
-        self._recent.append(entry)
-
-    def recent_traces(self, limit: Optional[int] = None
-                      ) -> List[Dict[str, Any]]:
-        """Most-recent-first summaries of recently executed queries."""
-        entries = list(self._recent)
-        entries.reverse()
-        if limit is not None:
-            entries = entries[:max(0, limit)]
-        return entries
 
     # -- linting -------------------------------------------------------------
     def lint(self, text: str) -> AnalysisResult:

@@ -36,8 +36,7 @@ from vidb.errors import (
     ServiceError,
     StandingQueryError,
 )
-from vidb.obs.trace import TraceContext
-from vidb.obs.tracer import current_tracer
+from vidb.obs.trace import TraceContext, current_tracer
 from vidb.query.execution import ExecutionOptions
 from vidb.service.executor import ServiceExecutor
 from vidb.service.wire import (
@@ -148,19 +147,10 @@ class VideoServer(Endpoint):
 
     def op_query(self, conn: Connection, request: Message) -> Message:
         profile = bool(request.get("profile"))
-        tracer = current_tracer()
         self._await_token(request)
-        report = conn.state.run(
-            request["query"],
-            options=ExecutionOptions(trace=profile or tracer.enabled),
-            timeout=request.get("timeout"))
-        if tracer.enabled and report.trace is not None:
-            # Graft the engine's span tree (built on the worker thread)
-            # under this request's wire-level span, so the
-            # flight-recorder segment carries the full picture.
-            wire_span = tracer.current()
-            if wire_span is not None:
-                wire_span.children.append(report.trace)
+        report = conn.state.run(request["query"],
+                                options=ExecutionOptions(trace=profile),
+                                timeout=request.get("timeout"))
         payload = _answers_payload(report.answers, request.get("limit"))
         if profile:
             payload["stats"] = report.stats.as_dict()
@@ -269,13 +259,8 @@ class VideoServer(Endpoint):
         return {"ok": True, "metrics": self.service.snapshot()}
 
     def op_trace(self, conn: Connection, request: Message) -> Message:
-        trace_id = request.get("id")
-        if trace_id is not None:
-            return {"ok": True, "id": trace_id,
-                    "segments": self.flight_recorder.get(trace_id)}
-        return {"ok": True, "metrics": self.service.snapshot(),
-                "recent": self.service.recent_traces(
-                    limit=request.get("limit"))}
+        return {"ok": True, "id": request["id"],
+                "segments": self.flight_recorder.get(request["id"])}
 
     def op_traces(self, conn: Connection, request: Message) -> Message:
         limit = request.get("limit")
@@ -489,12 +474,10 @@ class ServiceClient:
     def metrics(self) -> Dict[str, Any]:
         return self.request("metrics")["metrics"]
 
-    def trace(self, limit: Optional[int] = None,
-              id: Optional[str] = None) -> Dict[str, Any]:
-        """Without ``id``: service metrics plus summaries of recently
-        executed queries.  With ``id``: the flight-recorder segments of
-        that distributed trace (the router fans this out fleet-wide)."""
-        return self.request("trace", limit=limit, id=id)
+    def trace(self, id: str) -> Dict[str, Any]:
+        """The flight-recorder ``segments`` of one distributed trace
+        (the router fans this out fleet-wide)."""
+        return self.request("trace", id=id)
 
     def traces(self, limit: Optional[int] = None) -> List[Dict[str, Any]]:
         """Most-recent-first flight-recorder segment summaries."""

@@ -49,8 +49,7 @@ from vidb.errors import (
     VidbError,
 )
 from vidb.model.oid import Oid
-from vidb.obs.trace import TraceContext, parse_traceparent, use_context
-from vidb.obs.tracer import NULL_TRACER, Tracer
+from vidb.obs.trace import NULL_TRACER, TraceContext, Tracer, parse_traceparent
 
 Message = Dict[str, Any]
 Handler = Callable[["Connection", Message], Message]
@@ -256,7 +255,7 @@ OPS: Dict[str, Op] = {row.name: row for row in (
     Op("listen", _fields("id:string!")),
     Op("lint", _fields("text:string!"), idempotent=True, replica=True),
     Op("metrics", idempotent=True),
-    Op("trace", _fields("id:string", "limit:integer"), idempotent=True),
+    Op("trace", _fields("id:string!"), idempotent=True),
     Op("traces", _fields("limit:integer"), idempotent=True),
     Op("events", _fields("limit:integer", "type:string"), idempotent=True),
     Op("wal", _fields("after:integer", "limit:integer"), idempotent=True),
@@ -299,10 +298,11 @@ def adopt_trace(endpoint: Any, op: str, sampled: bool, handler: Handler,
 
     A sampled traceparent header under ``"trace"`` (see
     :mod:`vidb.obs.trace`) makes this hop a child context: the handler
-    runs under it with a ``<span_prefix>.<op>`` span, the span tree is
-    recorded as a flight-recorder segment parented to the sender's span
-    id, the request is re-stamped so whatever the handler forwards
-    parents to this segment, and the reply echoes the header.  Without
+    runs inside a ``<span_prefix>.<op>`` span of an activated tracer
+    that carries the context, the span tree is recorded as a
+    flight-recorder segment parented to the sender's span id, the
+    request is re-stamped so whatever the handler forwards parents to
+    this segment, and the reply echoes the header.  Without
     a header, *sampled* ops are head-sampled at the recorder's rate and
     otherwise recorded black-box (timing and error, no spans) when they
     turn out slow or errored; an unsampled header keeps its trace id on
@@ -318,14 +318,14 @@ def adopt_trace(endpoint: Any, op: str, sampled: bool, handler: Handler,
         context = TraceContext.new()
     if context is None and not sampled:
         return handler(conn, request)
-    tracer: Any = Tracer() if context is not None else NULL_TRACER
+    tracer: Any = Tracer(context) if context is not None else NULL_TRACER
     started_at, began = time.time(), time.perf_counter()
     error: Optional[str] = None
     try:
         if context is None:
             return handler(conn, request)
         request["trace"] = header = context.to_header()
-        with use_context(context), tracer.activate():
+        with tracer.activate():
             with tracer.span(f"{endpoint.span_prefix}.{op}", op=op):
                 reply = handler(conn, request)
         reply.setdefault("trace", header)

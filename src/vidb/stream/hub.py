@@ -37,7 +37,7 @@ import time
 from typing import Any, Callable, List, Optional, Tuple
 
 from vidb.errors import EvaluationError
-from vidb.obs.trace import current_context
+from vidb.obs.trace import current_tracer
 from vidb.storage.database import VideoDatabase
 
 #: One raw mutation-observer event (see
@@ -80,8 +80,9 @@ class CommittedDelta:
         self.origin_pc = (time.perf_counter() if origin_pc is None
                           else origin_pc)
         #: Traceparent header of the mutating request, when the commit
-        #: happened under an ambient trace context (see
-        #: :mod:`vidb.obs.trace`); notification batches carry it so a
+        #: happened under a traced request (the ambient tracer's
+        #: context, see :mod:`vidb.obs.trace`); notification batches
+        #: carry it so a
         #: write can be joined to the notifications it caused.
         self.trace = trace
 
@@ -207,7 +208,7 @@ class StreamHub:
 
     def _deliver(self, delta: CommittedDelta) -> None:
         if delta.trace is None:
-            context = current_context()
+            context = current_tracer().context
             if context is not None:
                 delta.trace = context.to_header()
         self.deltas_delivered += 1

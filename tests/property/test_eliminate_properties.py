@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from vidb.constraints.dense import Comparison, conjoin
 from vidb.constraints.eliminate import eliminate_variable, project
-from vidb.constraints.solver import satisfiable
+from vidb.constraints.kernel import default_kernel
 from vidb.constraints.terms import Var
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
@@ -80,7 +80,8 @@ class TestEliminateVariable:
     def test_satisfiability_preserved(self, clause):
         original = conjoin(*clause)
         eliminated = eliminate_variable(original, X)
-        assert satisfiable(eliminated) == satisfiable(original)
+        kernel = default_kernel()
+        assert kernel.satisfiable(eliminated) == kernel.satisfiable(original)
 
     @settings(max_examples=100, deadline=None)
     @given(clauses)
@@ -105,4 +106,5 @@ class TestProject:
         projected = project(original, [])
         assert projected.variables() == frozenset()
         # a closed formula is equivalent to its satisfiability
-        assert satisfiable(projected) == satisfiable(original)
+        kernel = default_kernel()
+        assert kernel.satisfiable(projected) == kernel.satisfiable(original)

@@ -123,6 +123,7 @@ class TestConstraintDuality:
     def test_containment_matches_entailment(self, a, b):
         """The bridge the paper's 'contains' rule relies on: footprint
         containment coincides with duration-constraint entailment."""
-        from vidb.constraints.solver import entails
+        from vidb.constraints.kernel import default_kernel
 
-        assert a.contains(b) == entails(b.to_constraint(), a.to_constraint())
+        assert a.contains(b) == default_kernel().entails(
+            b.to_constraint(), a.to_constraint())

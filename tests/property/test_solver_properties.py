@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vidb.constraints.dense import Comparison, conjoin
-from vidb.constraints.solver import clause_satisfiable, entails, satisfiable
+from vidb.constraints.kernel import default_kernel
+from vidb.constraints.solver import clause_satisfiable
 from vidb.constraints.terms import Var
 
 VARS = [Var("x"), Var("y"), Var("z")]
@@ -86,7 +87,7 @@ class TestSolverVsBruteForce:
     def test_disjunction_satisfiable_iff_some_branch(self, c1, c2):
         disjunction = conjoin(*c1) | conjoin(*c2)
         expected = brute_force_satisfiable(c1) or brute_force_satisfiable(c2)
-        assert satisfiable(disjunction) == expected
+        assert default_kernel().satisfiable(disjunction) == expected
 
 
 class TestEntailmentProperties:
@@ -94,20 +95,20 @@ class TestEntailmentProperties:
     @given(clauses)
     def test_entailment_reflexive(self, clause):
         c = conjoin(*clause)
-        assert entails(c, c)
+        assert default_kernel().entails(c, c)
 
     @settings(max_examples=100, deadline=None)
     @given(clauses, atoms())
     def test_conjunction_entails_its_atoms(self, clause, extra):
         c = conjoin(*(clause + [extra]))
-        assert entails(c, extra)
+        assert default_kernel().entails(c, extra)
 
     @settings(max_examples=100, deadline=None)
     @given(clauses, clauses)
     def test_entailment_sound_on_candidate_assignments(self, c1, c2):
         """Soundness: when the solver claims c1 => c2, every candidate
         assignment satisfying c1 also satisfies c2."""
-        if entails(conjoin(*c1), conjoin(*c2)):
+        if default_kernel().entails(conjoin(*c1), conjoin(*c2)):
             candidates = candidate_values(list(c1) + list(c2))
             variables = sorted(
                 {v for a in list(c1) + list(c2) for v in a.variables()},
@@ -121,5 +122,6 @@ class TestEntailmentProperties:
     @given(clauses, clauses, clauses)
     def test_entailment_transitive(self, c1, c2, c3):
         a, b, c = conjoin(*c1), conjoin(*c2), conjoin(*c3)
-        if entails(a, b) and entails(b, c):
-            assert entails(a, c)
+        kernel = default_kernel()
+        if kernel.entails(a, b) and kernel.entails(b, c):
+            assert kernel.entails(a, c)

@@ -1,7 +1,5 @@
 """Unit tests for the constraint kernel API: registry, interning,
-caching, batching, shims, and engine-level kernel selection."""
-
-import warnings
+caching, batching, and engine-level kernel selection."""
 
 import pytest
 
@@ -243,34 +241,6 @@ class TestSetOrderOps:
         before = kernel.counters()["set.hits"]
         kernel.set_satisfiable(list(reversed(atoms)) + [Member("a", X)])
         assert kernel.counters()["set.hits"] == before + 1
-
-
-# -- deprecation shims ---------------------------------------------------------
-
-class TestShims:
-    def test_solver_shims_warn_and_delegate(self):
-        from vidb.constraints import solver
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert solver.satisfiable(x > 1)
-            assert solver.entails(conjoin(x > 2), conjoin(x > 1))
-            assert solver.equivalent(TRUE, TRUE)
-            solver.simplify(conjoin(x > 1, x > 0))
-        messages = [str(w.message) for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-        assert any("satisfiable" in m for m in messages)
-        assert any("entails" in m for m in messages)
-        assert all("default_kernel" in m for m in messages)
-
-    def test_setorder_shims_warn_and_delegate(self):
-        from vidb.constraints import setorder
-        X = SetVar("X")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert setorder.satisfiable([Member("a", X)])
-            assert setorder.entails([Member("a", X)], [Member("a", X)])
-        assert sum(issubclass(w.category, DeprecationWarning)
-                   for w in caught) >= 2
 
 
 # -- engine-level selection ----------------------------------------------------

@@ -9,10 +9,18 @@ from vidb.constraints.setorder import (
     SubsetConst,
     SubsetVar,
     SupersetConst,
-    entails,
-    satisfiable,
 )
+from vidb.constraints.kernel import default_kernel
 from vidb.errors import ConstraintError
+
+
+def satisfiable(atoms):
+    return default_kernel().set_satisfiable(atoms)
+
+
+def entails(premise, conclusion):
+    return default_kernel().set_entails(premise, conclusion)
+
 
 X = SetVar("X")
 Y = SetVar("Y")

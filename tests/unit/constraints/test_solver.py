@@ -5,19 +5,35 @@ from fractions import Fraction
 import pytest
 
 from vidb.constraints.dense import FALSE, TRUE, Comparison, conjoin, disjoin
+from vidb.constraints.kernel import default_kernel
 from vidb.constraints.solver import (
     Span,
     clause_satisfiable,
-    entails,
-    equivalent,
     normalize_spans,
-    satisfiable,
-    simplify,
     solution_set_1var,
     spans_subset,
 )
 from vidb.constraints.terms import Var
 from vidb.errors import ConstraintError
+
+
+# The decision procedures as the rest of vidb reaches them: through the
+# default constraint kernel.
+def satisfiable(constraint):
+    return default_kernel().satisfiable(constraint)
+
+
+def entails(c1, c2):
+    return default_kernel().entails(c1, c2)
+
+
+def equivalent(c1, c2):
+    return default_kernel().equivalent(c1, c2)
+
+
+def simplify(constraint):
+    return default_kernel().simplify(constraint)
+
 
 t = Var("t")
 x = Var("x")

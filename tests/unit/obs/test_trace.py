@@ -8,13 +8,15 @@ import pytest
 
 from vidb.obs.trace import (
     FlightRecorder,
+    Span,
     TraceContext,
+    Tracer,
+    activate,
     assemble_trace,
-    current_context,
+    current_tracer,
     node_label,
     parse_traceparent,
     render_trace,
-    use_context,
 )
 
 
@@ -55,17 +57,18 @@ class TestTraceContext:
         assert parse_traceparent(header) is None
 
     def test_ambient_context_is_scoped_and_thread_local(self):
+        """The context rides on the ambient tracer: one slot."""
         context = TraceContext.new()
-        assert current_context() is None
-        with use_context(context):
-            assert current_context() is context
+        assert current_tracer().context is None
+        with activate(Tracer(context)):
+            assert current_tracer().context is context
             seen = []
             thread = threading.Thread(
-                target=lambda: seen.append(current_context()))
+                target=lambda: seen.append(current_tracer().context))
             thread.start()
             thread.join()
             assert seen == [None]
-        assert current_context() is None
+        assert current_tracer().context is None
 
 
 class TestFlightRecorder:
@@ -123,6 +126,14 @@ class TestFlightRecorder:
         rows = recorder.summaries(limit=2)
         assert [row["op"] for row in rows] == ["op3", "op2"]
         assert all("duration_ms" in row for row in rows)
+
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_summaries_non_positive_limit_is_empty(self, limit):
+        recorder = FlightRecorder(sample_rate=1.0)
+        for index in range(5):
+            recorder.record(TraceContext.new(), node={"role": "s"},
+                            op=f"op{index}")
+        assert recorder.summaries(limit) == []
 
     def test_sink_receives_json_lines(self):
         sink = io.StringIO()
@@ -192,12 +203,17 @@ class TestAssembly:
     def test_render_empty(self):
         assert render_trace([]) == "(no segments)"
 
-    def test_render_leaf_callback_appends(self):
+    def test_segment_spans_render_like_span_render(self):
+        """One renderer: a segment's span tree prints exactly as
+        :meth:`Span.render` prints the same tree, one level deeper."""
+        root = Span("server.query", {"op": "query"})
+        root.children.append(Span("service.cache", {"outcome": "hit"}))
         context = TraceContext.new()
-        text = render_trace(
-            [self._segment(context, None, {"role": "primary"})],
-            render_leaf=lambda segment: f"    extra:{segment['op']}")
-        assert "extra:query" in text
+        text = render_trace([self._segment(context, None,
+                                           {"role": "primary"},
+                                           spans=root.as_dict())])
+        assert root.render(indent=2) in text
+        assert "service.cache  0.000 ms  [outcome=hit]" in text
 
     def test_node_label(self):
         assert node_label({"role": "replica", "host": "10.0.0.1",

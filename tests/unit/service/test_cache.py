@@ -3,7 +3,7 @@
 import pytest
 
 from vidb.service.cache import ResultCache
-from vidb.service.metrics import MetricsRegistry
+from vidb.obs.metrics import MetricsRegistry
 
 
 def key(query="?- object(V0).", epoch=0, program="fp"):

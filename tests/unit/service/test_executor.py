@@ -270,26 +270,41 @@ class TestExecutionReports:
         with pytest.raises(VidbError):
             future.result()
 
-    def test_recent_traces_most_recent_first(self, service):
-        service.execute(Q_APPEARS)
-        service.execute("?- object(O).")
-        recent = service.recent_traces()
-        # entries carry the normalized (cache-key) query text
-        assert "object" in recent[0]["query"]
-        assert "interval" in recent[1]["query"]
-        assert len(recent) == 2
-        for entry in recent:
-            assert {"query", "elapsed_s", "cached", "answers",
-                    "iterations", "derived_facts"} <= set(entry)
-        assert service.recent_traces(limit=1) == recent[:1]
+    def test_ambient_tracer_follows_the_query_onto_the_worker(self, service):
+        """A sampled caller's tracer records the run: executor spans and,
+        on a miss, the engine's tree nest under the caller's open span;
+        a hit is served from the cache like any other query."""
+        from vidb.obs.trace import Tracer
 
-    def test_recent_traces_include_spans_when_traced(self, service):
+        names = []
+        for __ in range(2):
+            tracer = Tracer()
+            with tracer.activate(), tracer.span("caller"):
+                report = service.execute_report(Q_APPEARS)
+            names.append([child.name for child in tracer.root().children])
+            (cache,) = tracer.root().find("service.cache")
+            assert cache.payload["outcome"] == ("hit" if report.cached
+                                                else "miss")
+        assert names == [
+            ["service.queue_wait", "service.lock_wait", "service.cache",
+             "query.execute"],
+            ["service.queue_wait", "service.lock_wait", "service.cache"]]
+        assert service.snapshot()["cache.hits"] == 1
+
+    def test_profiled_run_under_ambient_tracer_reports_its_span(self,
+                                                              service):
+        from vidb.obs.trace import Tracer
         from vidb.query.execution import ExecutionOptions
 
-        service.execute_report(Q_APPEARS,
-                               options=ExecutionOptions(trace=True))
-        entry = service.recent_traces()[0]
-        assert entry["spans"]["name"] == "query.execute"
+        service.execute(Q_APPEARS)  # warm: the profile must still run
+        tracer = Tracer()
+        with tracer.activate(), tracer.span("caller"):
+            report = service.execute_report(
+                Q_APPEARS, options=ExecutionOptions(trace=True))
+        assert report.cached is False
+        assert tracer.root().find("service.cache") == []
+        assert report.trace is tracer.root().find("query.execute")[0]
+        assert report.trace.find("fixpoint.iteration")
 
     def test_session_run_returns_report(self, service):
         with service.open_session() as session:

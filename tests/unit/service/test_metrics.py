@@ -1,10 +1,10 @@
-"""Unit tests for vidb.service.metrics."""
+"""Unit tests for the service metrics registry (vidb.obs.metrics)."""
 
 import threading
 
 import pytest
 
-from vidb.service.metrics import (
+from vidb.obs.metrics import (
     Counter,
     Histogram,
     MetricsRegistry,

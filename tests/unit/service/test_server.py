@@ -144,21 +144,6 @@ class TestObservabilityOps:
         reply = client.query("?- object(O).")
         assert "profile" not in reply and "trace" not in reply
 
-    def test_trace_op_lists_recent_queries(self, client):
-        client.query("?- object(O).")
-        client.query("?- interval(G).", profile=True)
-        reply = client.trace()
-        assert reply["metrics"]["queries.served"] == 2
-        recent = reply["recent"]
-        assert len(recent) == 2
-        assert "spans" in recent[0]      # profiled query, most recent
-        assert "spans" not in recent[1]
-
-    def test_trace_op_limit(self, client):
-        for __ in range(3):
-            client.query("?- object(O).")
-        assert len(client.trace(limit=2)["recent"]) == 2
-
 
 class TestDistributedTracing:
     """Cross-process trace contract at the wire boundary: header
@@ -226,6 +211,49 @@ class TestDistributedTracing:
         (segment,) = segments
         assert segment["status"] == "error"
         assert segment["parent_span_id"] == context.span_id
+
+    def test_sampled_query_takes_the_cache(self, server):
+        """Sampling observes without changing execution: a sampled
+        repeat is a cache hit whose segment shows the probe, and the
+        reply is the unsampled reply."""
+        host, port = server.address
+        query = "?- interval(G), object(O), O in G.entities."
+        with ServiceClient(host, port) as plain:
+            expected = plain.query(query)
+            hits = plain.metrics()["cache.hits"]
+        context = TraceContext.new(sampled=True)
+        with ServiceClient(host, port, trace_context=context) as client:
+            replies = [client.query(query) for __ in range(2)]
+            segments = client.trace(id=context.trace_id)["segments"]
+        for reply in replies:
+            assert parse_traceparent(reply.pop("trace")) is not None
+            assert reply == expected
+        with ServiceClient(host, port) as plain:
+            assert plain.metrics()["cache.hits"] == hits + 2
+        trees = [segment["spans"] for segment in segments
+                 if segment["op"] == "query"]
+        assert len(trees) == 2
+        for tree in trees:
+            assert tree["name"] == "server.query"
+            children = {child["name"]: child for child in tree["children"]}
+            assert children["service.cache"]["payload"] == {"outcome": "hit"}
+            assert {"service.queue_wait", "service.lock_wait"} <= set(children)
+            assert "query.execute" not in json.dumps(tree)
+
+    def test_sampled_miss_nests_the_engine_under_the_request(self, server):
+        host, port = server.address
+        context = TraceContext.new(sampled=True)
+        with ServiceClient(host, port, trace_context=context) as client:
+            client.query("?- object(O).")
+            segments = client.trace(id=context.trace_id)["segments"]
+        (tree,) = [s["spans"] for s in segments if s["op"] == "query"]
+        assert [child["name"] for child in tree["children"]] == [
+            "service.queue_wait", "service.lock_wait", "service.cache",
+            "query.execute"]
+        assert tree["children"][2]["payload"] == {"outcome": "miss"}
+        engine = tree["children"][3]
+        assert [c["name"] for c in engine["children"]][:2] == [
+            "parse", "safety"]
 
     def test_traces_op_lists_summaries_most_recent_first(self, server):
         host, port = server.address

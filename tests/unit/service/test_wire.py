@@ -18,6 +18,7 @@ import pytest
 
 from vidb.cluster import ClusterRouter, ReplicaServer
 from vidb.durability import DurableDatabase
+from vidb.obs.trace import TraceContext
 from vidb.service import ServiceExecutor, VideoServer
 from vidb.service.wire import MAX_REQUEST_BYTES, OPS, UNKNOWN_OP
 from vidb.storage.database import VideoDatabase
@@ -254,6 +255,24 @@ class TestRequestMetrics:
             assert wire.still_serves()
         snapshot = endpoint.metrics.snapshot()
         assert snapshot["requests_total{op=ping,outcome=ok}"] >= 1
+
+
+class TestTraceOps:
+    def test_traces_limit_zero_lists_nothing(self, endpoint):
+        """``limit: 0`` means no rows, on every role — not the whole
+        ring (a recorded segment is there to be left out)."""
+        header = TraceContext.new(sampled=True).to_header()
+        with Wire(endpoint) as wire:
+            assert wire.ask({"op": "ping", "trace": header})["ok"] is True
+            assert len(wire.ask({"op": "traces", "limit": 1})["traces"]) == 1
+            assert wire.ask({"op": "traces", "limit": 0}) == {
+                "ok": True, "traces": []}
+
+    def test_trace_without_id_is_a_protocol_error(self, endpoint):
+        with Wire(endpoint) as wire:
+            reply = wire.ask({"op": "trace"})
+            assert reply["ok"] is False and reply["error"] == "protocol"
+            assert wire.still_serves()
 
 
 class TestOpTable:

@@ -240,11 +240,11 @@ class TestLatencyAndTracing:
         assert sub.describe()["last_latency_ms"] == batch["latency_ms"]
 
     def test_batch_carries_ambient_trace_header(self, db, engine, manager):
-        from vidb.obs.trace import TraceContext, use_context
+        from vidb.obs.trace import TraceContext, Tracer
 
         sub = manager.subscribe(QUERY, engine)
         context = TraceContext.new(sampled=True)
-        with use_context(context):
+        with Tracer(context).activate():
             db.relate("appears", "o1", "gi1")
         db.relate("appears", "o2", "gi2")  # untraced commit
         traced, untraced = sub.poll()
