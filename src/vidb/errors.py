@@ -212,3 +212,28 @@ class EvaluationError(QueryError):
 
 class UnknownPredicateError(EvaluationError):
     """A body literal refers to a predicate that is neither EDB nor IDB."""
+
+
+class ObjectBudgetError(EvaluationError):
+    """A ``++`` head would grow the extended active domain past its
+    object budget (``max_objects``).
+
+    Attributes
+    ----------
+    rule:
+        The label of the constructive rule whose head fired.
+    left, right:
+        The operand oids of the ⊕ it was about to create.
+    budget:
+        The object budget.
+    """
+
+    def __init__(self, rule: str, left, right, budget: int):
+        super().__init__(
+            f"rule {rule!r}: {left} ++ {right} would exceed the object "
+            f"budget of {budget}; constructive rules are diverging or "
+            "max_objects is too small")
+        self.rule = rule
+        self.left = left
+        self.right = right
+        self.budget = budget

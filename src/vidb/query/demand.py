@@ -7,23 +7,31 @@ to read one projection off it.  This module decides which part is:
 * :func:`reachable_predicates` / :func:`relevant_rules` — the predicates
   and rules a query can possibly touch.  This is the one definition of
   reachability; the engine, the analyzer and standing queries share it.
+* :func:`constructive_closure` — the rules of the ⊕ *overlay*: every
+  constructive rule, every other rule of its head predicate, and every
+  rule those use.  Its fixpoint is a function of the database epoch, not
+  of the query, so the engine evaluates it once per epoch and queries
+  read its predicates — and the ``interval`` / ``anyobject`` classes it
+  grows — as stored relations.
 * :func:`rewrite` — the adorned **magic-set** rewrite.  Each goal
   literal is adorned bound/free per argument (constants and variables
   bound by literals to its left are bound); a predicate demanded under
   an adornment with a bound position gets a copy of its rules guarded
   by a *demand* literal, and demand rules pass the bindings sideways,
   left to right, into the rule bodies.  ``?- reach(e, Y).`` therefore
-  derives only the part of ``reach`` that starts at ``e``.
+  derives only the part of ``reach`` that starts at ``e``.  Predicates
+  the overlay serves — every predicate with a ``++`` head among them,
+  whose created values cannot be demanded — are neither adorned nor
+  emitted.
 
 The all-free adornment is exactly predicate reachability, and the
 rewrite falls back to it — the rules as written, under their own names
 — wherever demand could change what a rule sees rather than how much
 work it does: predicates reached under negation (the rewritten program
-must stay stratified, so the negated side depends on nothing adorned),
-``++`` head arguments (the value is created, it cannot be demanded) and
-the class predicates ``interval`` / ``object`` / ``anyobject`` (never
-adorned, so constructive rules stay relevant to every ``interval``
-query exactly as under plain reachability).
+must stay stratified, so the negated side depends on nothing adorned)
+and the class predicates ``interval`` / ``object`` / ``anyobject``
+(never adorned; the ⊕-created members of ``interval`` / ``anyobject``
+come from the overlay).
 """
 
 from __future__ import annotations
@@ -44,7 +52,6 @@ from typing import (
 from vidb.query.ast import (
     ANYOBJECT_PRED,
     BodyItem,
-    ConcatTerm,
     INTERVAL_PRED,
     Literal,
     NegatedLiteral,
@@ -70,14 +77,16 @@ def goal_predicates(body: Iterable[BodyItem]) -> FrozenSet[str]:
                      if isinstance(item, (Literal, NegatedLiteral)))
 
 
-def _reach(program: Program, goals: Iterable[str]
+def _reach(program: Program, goals: Iterable[str],
+           stored: FrozenSet[str] = frozenset()
            ) -> Tuple[Set[str], List[bool]]:
     """``(needed predicates, per-rule chosen flag)`` for *goals*.
 
     A rule participates when its head predicate is (transitively)
     needed, or when it is constructive and the growing ``interval`` /
     ``anyobject`` classes are needed (constructive rules feed those
-    classes).
+    classes).  Rules of a *stored* predicate never participate: it is
+    read as a relation.
     """
     needed: Set[str] = set(goals)
     rules = program.rules
@@ -86,7 +95,7 @@ def _reach(program: Program, goals: Iterable[str]
     while changed:
         changed = False
         for index, rule in enumerate(rules):
-            if chosen[index]:
+            if chosen[index] or rule.head.predicate in stored:
                 continue
             feeds_classes = rule.is_constructive and (
                 INTERVAL_PRED in needed or ANYOBJECT_PRED in needed)
@@ -119,6 +128,18 @@ def relevant_rules(program: Program, goals: Iterable[str]) -> Program:
                     if keep])
 
 
+def constructive_closure(program: Program) -> Program:
+    """The rules of the ⊕ overlay: the rules relevant to the heads of
+    the constructive rules (empty when no rule is constructive).
+
+    Nothing outside the closure feeds it — the classes it reads grow
+    only by its own ``++`` heads — so its least fixpoint is that of the
+    whole program restricted to its predicates and the classes.
+    """
+    heads = {rule.head.predicate for rule in program if rule.is_constructive}
+    return relevant_rules(program, heads) if heads else Program()
+
+
 # ---------------------------------------------------------------------------
 # The magic-set rewrite
 # ---------------------------------------------------------------------------
@@ -145,6 +166,9 @@ class Demand:
     demands: Dict[str, Tuple[str, str]] = field(default_factory=dict)
     #: Predicates evaluated as written although reached, with the reason.
     fallbacks: Dict[str, str] = field(default_factory=dict)
+    #: The overlay's predicates (and grown classes) the query reads;
+    #: empty when it needs no overlay.
+    served: FrozenSet[str] = frozenset()
 
     def display(self, text: str) -> str:
         """*text* with generated predicate names spelled ``p^bf`` /
@@ -169,9 +193,9 @@ class Demand:
             provenance.setdefault(
                 (predicate, row), (self.source.get(id(rule), rule), binding))
 
-    def describe(self) -> List[str]:
+    def describe(self, overlay: str) -> List[str]:
         """The adornment summary lines of the EXPLAIN ``-- demand --``
-        section."""
+        section; *overlay* says where the served predicates came from."""
         lines = []
         if self.adorned:
             lines.append("adorned: " + ", ".join(sorted(
@@ -179,6 +203,8 @@ class Demand:
                 for predicate, adornment in self.adorned.values())))
         else:
             lines.append("adorned: (none — every goal is all-free)")
+        for predicate in sorted(self.served):
+            lines.append(f"from overlay: {predicate} ({overlay})")
         for predicate, reason in sorted(self.fallbacks.items()):
             lines.append(f"as written: {predicate} ({reason})")
         return lines
@@ -190,37 +216,37 @@ def _is_bound(term, bound: Set[Variable]) -> bool:
 
 class _Rewriter:
     def __init__(self, program: Program, query_rule: Rule,
-                 taken: Iterable[str], order: Optional[LiteralOrder]):
+                 taken: Iterable[str], order: Optional[LiteralOrder],
+                 stored: FrozenSet[str], inline: bool):
         self.order = order
         goals = goal_predicates(query_rule.body)
-        needed, chosen = _reach(program, goals)
+        needed, chosen = _reach(program, goals, stored)
         self.rules: Dict[str, List[Tuple[int, Rule]]] = {}
         for index, (rule, keep) in enumerate(zip(program.rules, chosen)):
             if keep:
                 self.rules.setdefault(rule.head.predicate, []).append(
                     (index, rule))
         self.query_index = len(program.rules)
-        self.taken = set(taken) | needed | set(self.rules)
+        self.taken = set(taken) | needed | set(self.rules) | stored
         self.result = Demand(Program())
+        if stored:
+            self.result.served = frozenset(
+                needed & (stored | {INTERVAL_PRED, ANYOBJECT_PRED}))
         self.names: Dict[Tuple[str, str, str], str] = {}
         #: ``(source index, rule)`` in emission order.
         self.emitted: List[Tuple[int, Rule]] = []
+        if inline and self.result.served:
+            self.emitted = [(index, rule)
+                            for index, rule in enumerate(program.rules)
+                            if rule.head.predicate in stored]
         self.seen_demand_rules: Set[Rule] = set()
         self.queue: List[Tuple[str, str]] = []
         self.done: Set[Tuple[str, str]] = set()
-        #: Head positions some rule fills with a ``++`` term.
-        self.created: Dict[str, Set[int]] = {}
-        for predicate, rules in self.rules.items():
-            self.created[predicate] = {
-                position for _, rule in rules
-                for position, arg in enumerate(rule.head.args)
-                if isinstance(arg, ConcatTerm)}
-        self._mark_as_written(query_rule, needed)
+        self._mark_as_written(query_rule)
 
-    def _mark_as_written(self, query_rule: Rule, needed: Set[str]) -> None:
+    def _mark_as_written(self, query_rule: Rule) -> None:
         """The predicates evaluated under their own names, unadorned:
-        everything reached under negation or from a constructive rule
-        that feeds a needed class, closed under rule bodies."""
+        everything reached under negation, closed under rule bodies."""
         reasons = self.result.fallbacks
         relevant = [rule for rules in self.rules.values()
                     for _, rule in rules]
@@ -229,12 +255,6 @@ class _Rewriter:
                 if negated.predicate in self.rules:
                     reasons.setdefault(negated.predicate,
                                        "reached under negation")
-        if INTERVAL_PRED in needed or ANYOBJECT_PRED in needed:
-            for rule in relevant:
-                if rule.is_constructive:
-                    reasons.setdefault(
-                        rule.head.predicate,
-                        "constructive rule feeding a class predicate")
         frontier = list(reasons)
         while frontier:
             predicate = frontier.pop()
@@ -263,15 +283,13 @@ class _Rewriter:
     # -- one rule ----------------------------------------------------------------
     def _adornment(self, literal: Literal, bound: Set[Variable]) -> str:
         """The adornment *literal* is demanded under, or ``""`` when its
-        predicate is not adorned at all (EDB, class, computed, or
-        evaluated as written)."""
+        predicate is not adorned at all (EDB, class, computed, served by
+        the overlay, or evaluated as written)."""
         predicate = literal.predicate
         if predicate not in self.rules or predicate in self.result.fallbacks:
             return ""
-        created = self.created[predicate]
-        return "".join(
-            "b" if position not in created and _is_bound(arg, bound) else "f"
-            for position, arg in enumerate(literal.args))
+        return "".join("b" if _is_bound(arg, bound) else "f"
+                       for arg in literal.args)
 
     def _rewrite_rule(self, index: int, rule: Rule, adornment: str) -> None:
         head = rule.head
@@ -357,14 +375,24 @@ class _Rewriter:
 
 def rewrite(program: Program, query_rule: Rule, *,
             taken: Iterable[str] = (),
-            order: Optional[LiteralOrder] = None) -> Demand:
+            order: Optional[LiteralOrder] = None,
+            stored: Optional[FrozenSet[str]] = None,
+            inline: bool = False) -> Demand:
     """The magic-set rewrite of *program* for *query_rule* (the anonymous
     rule whose body is the query).
 
     *taken* names predicates generated names must avoid (database
     relations, computed predicates); *order* is the join order sideways
     information passing follows inside a body (default: as written).
+    *stored* is the overlay's predicates, the heads of
+    :func:`constructive_closure` (computed when not given); the result
+    reads those it needs (:attr:`Demand.served`) from the overlay,
+    unless *inline* puts the overlay's rules, as written, into the
+    program instead.
     The rewritten query rule keeps its identity when no goal is adorned,
     and is always the last rule of the result.
     """
-    return _Rewriter(program, query_rule, taken, order).run(query_rule)
+    if stored is None:
+        stored = constructive_closure(program).idb_predicates()
+    return _Rewriter(program, query_rule, taken, order, stored,
+                     inline).run(query_rule)

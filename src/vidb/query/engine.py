@@ -15,6 +15,11 @@ A query is compiled to an anonymous rule whose head projects the answer
 variables, the program (plus that rule) is saturated, and the answer
 relation is read off.  ``explain()`` returns the derivation tree of a
 fact, built from the provenance the fixpoint records.
+
+The constructive closure (:func:`~vidb.query.demand.constructive_closure`)
+does not depend on the query, so the engine evaluates it once per
+database epoch — the ⊕ *overlay* — and every query that needs it reads
+it as stored relations.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ from vidb.obs.trace import NULL_TRACER, Tracer, activate, current_tracer
 from vidb.query import stdlib
 from vidb.query.demand import (
     Demand,
+    constructive_closure,
     goal_predicates,
     reachable_predicates,
     relevant_rules as relevant_rules,  # re-exported: the public name
@@ -73,6 +79,7 @@ from vidb.query.ast import (
 )
 from vidb.query.fixpoint import (
     ComputedPredicate,
+    EvaluationContext,
     EvaluationStats,
     FixpointResult,
     GroundTuple,
@@ -186,12 +193,13 @@ class AnswerSet:
         return f"AnswerSet({len(self._rows)} answers over {self.variables})"
 
 
-def _demand_lines(demand: Optional[Demand],
-                  result: FixpointResult) -> Tuple[str, ...]:
-    """The EXPLAIN ``-- demand --`` section: which goals were adorned,
-    then per rule the join order that ran and where each constraint was
-    checked."""
-    lines = demand.describe() if demand else ["adorned: (rule pruning off)"]
+def _demand_lines(demand: Optional[Demand], result: FixpointResult,
+                  overlay: str) -> Tuple[str, ...]:
+    """The EXPLAIN ``-- demand --`` section: which goals were adorned and
+    where the overlay's predicates came from, then per rule the join
+    order that ran and where each constraint was checked."""
+    lines = (demand.describe(overlay) if demand
+             else ["adorned: (rule pruning off)"])
     for plan in result.plans:
         line = f"{plan.label}: {plan.describe()}"
         lines.append(demand.display(line) if demand else line)
@@ -202,6 +210,21 @@ def _row_sort_key(row: GroundTuple):
     return tuple(
         (0, str(v)) if isinstance(v, Oid) else (1, str(v)) for v in row
     )
+
+
+class _EpochState:
+    """What an engine derives from one ``(program version, database
+    epoch)``: the statistics and derived-predicate sizes the cost
+    advisories use, and the ⊕ overlay.  Each is filled on first use; two
+    threads racing to fill one compute equal values and publish with one
+    assignment each."""
+
+    __slots__ = ("key", "sizing", "overlay")
+
+    def __init__(self, key: Optional[Tuple[int, int]]):
+        self.key = key
+        self.sizing: Optional[Tuple[Stats, Dict[str, float]]] = None
+        self.overlay: Optional[FixpointResult] = None
 
 
 class QueryEngine:
@@ -239,8 +262,8 @@ class QueryEngine:
         #: normalized query, database epoch) — the epoch key means the
         #: warm path re-estimates only after an actual mutation.
         self._cost_cache = _LruCache(256)
-        self._sizes: Optional[Tuple[Tuple[int, int], Stats,
-                                    Dict[str, float]]] = None
+        #: The current epoch's state (see :meth:`_epoch_state`).
+        self._state: Optional[_EpochState] = None
         self._program_version = 0
         self.program = Program()
         self.computed: Dict[str, Tuple[int, ComputedPredicate]] = (
@@ -252,6 +275,19 @@ class QueryEngine:
             self.add_rules(rules)
 
     # -- program management -------------------------------------------------
+    @property
+    def program(self) -> Program:
+        """The rules queries run against; assigning bumps the program
+        version every per-program cache is keyed on."""
+        return self._program
+
+    @program.setter
+    def program(self, program: Program) -> None:
+        self._program = program
+        self._closure = constructive_closure(program)
+        self._overlay_predicates = self._closure.idb_predicates()
+        self._program_version += 1
+
     def add_rules(self, rules: Union[str, Program, Rule, Iterable[Rule]]
                   ) -> "QueryEngine":
         """Append rules (text or AST); re-checks program safety."""
@@ -266,7 +302,6 @@ class QueryEngine:
         candidate = self.program.extend(addition)
         check_program(candidate, edb_relations=self.db.relation_names())
         self.program = candidate
-        self._program_version += 1
         return self
 
     def register_computed(self, name: str, arity: int,
@@ -322,6 +357,14 @@ class QueryEngine:
         :mod:`vidb.obs.trace`) records this run as its ``query.execute``
         span; otherwise ``trace=True`` records into a tracer of its own.
         Either way ``report.trace`` is that span.
+
+        A query that reads the ⊕ overlay's predicates reads the engine's
+        overlay for the current epoch, building it first if no query has
+        (inside this query's ``evaluate`` stage, under its deadline).  A
+        run that overrides ``kernel`` or ``mode`` or records
+        ``provenance``, and every run of an ``extended_domain="eager"``
+        engine, evaluates the overlay's rules inline instead, so those
+        oracles stay independent of it.
         """
         options = ExecutionOptions.coerce(options, **overrides)
         tracer = current_tracer()
@@ -331,6 +374,10 @@ class QueryEngine:
         deadline = (time.monotonic() + options.timeout_s
                     if options.timeout_s is not None else None)
         stages: Dict[str, float] = {}
+        state = self._epoch_state()
+        inline = (options.kernel is not None or options.mode is not None
+                  or options.provenance is not None
+                  or self.extended_domain == "eager")
 
         def stage(name: str):
             return StageTimer(stages, tracer, name)
@@ -355,7 +402,8 @@ class QueryEngine:
                     if analysis is not None:
                         diagnostics = analysis.diagnostics
                         bounds = self._bounds_lines(query, analysis)
-                    cost, cost_diags = self._cost_estimate(query, prune)
+                    cost, cost_diags = self._cost_estimate(query, prune,
+                                                           state)
                     if cost_diags:
                         diagnostics = tuple(diagnostics) + cost_diags
             answer_vars = query.answer_variables
@@ -369,11 +417,16 @@ class QueryEngine:
             labels: Optional[Dict[int, str]] = None
             with stage("prune"):
                 if prune:
-                    demand, labels = self._demand(anonymous)
+                    demand, labels = self._demand(anonymous, inline)
                     program = demand.program
                 else:
                     program = self.program.extend([anonymous])
+            base: Optional[EvaluationContext] = None
+            built = False
             with stage("evaluate"):
+                if demand is not None and demand.served and not inline:
+                    overlay, built = self._overlay(state, deadline, tracer)
+                    base = overlay.context
                 result = evaluate(
                     self.db, program,
                     mode=options.mode or self.mode,
@@ -388,7 +441,10 @@ class QueryEngine:
                             else self.kernel),
                     labels=labels,
                     guarded=demand.guarded if demand else (),
+                    base=base,
                 )
+                if built:
+                    result.stats.absorb(overlay.stats)
             with stage("collect"):
                 rows = result.relation(ANSWER_PREDICATE)
                 answers = AnswerSet([v.name for v in answer_vars], rows,
@@ -398,15 +454,57 @@ class QueryEngine:
         stats = result.stats
         stats.elapsed_s = time.perf_counter() - started
         stats.stages = dict(stages)
+        demand_lines: Tuple[str, ...] = ()
+        if options.trace:
+            demand_lines = _demand_lines(
+                demand, result,
+                "inline" if inline else
+                f"epoch {self.db.epoch}, {'built' if built else 'reused'}")
         return ExecutionReport(
             answers=answers, stats=stats, options=options,
             trace=span if traced else None,
             aggregates=dict(tracer.aggregates) if traced else {},
             diagnostics=diagnostics, cost=cost, bounds=bounds,
-            demand=(_demand_lines(demand, result) if options.trace else ()),
+            demand=demand_lines,
         )
 
-    def _demand(self, query_rule: Rule) -> Tuple[Demand, Dict[int, str]]:
+    def _epoch_state(self) -> _EpochState:
+        """The state of the current program version and database epoch.
+
+        Inside a transaction it is a fresh one that is never stored: a
+        rollback restores the epoch number, so a later, different state
+        can reach it again.
+        """
+        if self.db.in_transaction:
+            return _EpochState(None)
+        key = (self._program_version, self.db.epoch)
+        state = self._state
+        if state is None or state.key != key:
+            state = self._state = _EpochState(key)
+        return state
+
+    def _overlay(self, state: _EpochState, deadline: Optional[float],
+                 tracer) -> Tuple[FixpointResult, bool]:
+        """The ⊕ overlay of *state* and whether this call built it.
+
+        The overlay is the least fixpoint of the constructive closure;
+        it is published only once complete, so a timeout or a budget
+        error leaves nothing behind and the next query retries.
+        """
+        overlay = state.overlay
+        if overlay is not None:
+            return overlay, False
+        with tracer.span("query.overlay", epoch=self.db.epoch):
+            overlay = evaluate(
+                self.db, self._closure, mode=self.mode,
+                computed=self.computed, max_objects=self.max_objects,
+                reorder_joins=self.reorder_joins, deadline=deadline,
+                tracer=tracer, kernel=self.kernel)
+        state.overlay = overlay
+        return overlay, True
+
+    def _demand(self, query_rule: Rule, inline: bool
+                ) -> Tuple[Demand, Dict[int, str]]:
         """The demand-rewritten program for one query, plus the label of
         every rule in it: that of the rule as written it came from."""
         order = None
@@ -421,7 +519,8 @@ class QueryEngine:
                     constraints, bound)[0]
 
         demand = rewrite(self.program, query_rule, order=order,
-                         taken=self.db.relation_names() | set(self.computed))
+                         taken=self.db.relation_names() | set(self.computed),
+                         stored=self._overlay_predicates, inline=inline)
         written = [demand.source.get(id(rule), rule)
                    for rule in demand.program]
         by_source = rule_labels({id(rule): rule for rule in written}.values())
@@ -468,20 +567,20 @@ class QueryEngine:
                                          diagnostics=analysis.diagnostics)
             raise SafetyError(diag.message)
 
-    def _cost_estimate(self, query: Query, prune: bool
+    def _cost_estimate(self, query: Query, prune: bool, state: _EpochState
                        ) -> Tuple[Optional[CostReport],
                                   Tuple[Diagnostic, ...]]:
-        """Cost advisories for one query, cached per database epoch."""
+        """Cost advisories for one query, cached per database epoch
+        (never inside a transaction, like :meth:`_epoch_state`)."""
         try:
-            key = (self._program_version, normalize_query(query),
-                   self.db.epoch, prune)
+            key = (state.key, normalize_query(query), prune)
         except Exception:
             return None, ()
-        cached = self._cost_cache.get(key)
+        cached = self._cost_cache.get(key) if state.key else None
         if cached is not None:
             return cached
         try:
-            stats, sizes = self._sizing()
+            stats, sizes = self._sizing(state)
             relevant = None
             if prune:
                 relevant = reachable_predicates(
@@ -494,19 +593,22 @@ class QueryEngine:
             # Advisory infrastructure: estimation defects must never
             # take down query execution.
             value = (None, ())
-        self._cost_cache.put(key, value)
+        if state.key:
+            self._cost_cache.put(key, value)
         return value
 
-    def _sizing(self) -> Tuple[Stats, Dict[str, float]]:
-        """Database statistics and derived-predicate sizes: one entry,
-        recomputed when the program or the database epoch changes, so a
-        new query text pays only for its own body."""
-        key = (self._program_version, self.db.epoch)
-        if self._sizes is None or self._sizes[0] != key:
+    def _sizing(self, state: Optional[_EpochState] = None
+                ) -> Tuple[Stats, Dict[str, float]]:
+        """Database statistics and derived-predicate sizes, computed once
+        per epoch state, so a new query text pays only for its own
+        body."""
+        if state is None:
+            state = self._epoch_state()
+        if state.sizing is None:
             stats = Stats.from_database(self.db)
-            self._sizes = (key, stats, size_program(
+            state.sizing = (stats, size_program(
                 self.program, stats, computed=tuple(self.computed)))
-        return self._sizes[1], self._sizes[2]
+        return state.sizing
 
     def _bounds_lines(self, query: Query, analysis: AnalysisResult
                       ) -> Tuple[str, ...]:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import (
     Any,
     Callable,
@@ -53,6 +53,7 @@ from vidb.constraints.kernel import KernelSpec, resolve_kernel
 from vidb.constraints.terms import Var, constants_comparable, is_constant
 from vidb.errors import (
     EvaluationError,
+    ObjectBudgetError,
     QueryTimeoutError,
     UnknownPredicateError,
 )
@@ -137,6 +138,18 @@ class EvaluationStats:
             profile = self.rules[label] = RuleProfile()
         return profile
 
+    def absorb(self, other: "EvaluationStats") -> None:
+        """Count *other*'s work as this run's (a query reports the ⊕
+        overlay it built)."""
+        self.derived_facts += other.derived_facts
+        self.created_objects += other.created_objects
+        self.rule_firings += other.rule_firings
+        self.constraint_checks += other.constraint_checks
+        for label, theirs in other.rules.items():
+            mine = self.rule_profile(label)
+            for name in (f.name for f in fields(RuleProfile)):
+                setattr(mine, name, getattr(mine, name) + getattr(theirs, name))
+
     def as_dict(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {
             "mode": self.mode,
@@ -198,36 +211,42 @@ class _RuleMeter:
 class EvaluationContext:
     """The mutable interpretation: relations + the extended active domain.
 
-    The database's relations and object map are read in place (under
-    whatever read lock the caller holds); :attr:`relations` holds only
-    what this evaluation owns — the IDB relations, and private copies of
-    the class relations it extends (made on first write, see
-    :meth:`writable` and :meth:`admit`).  Rule heads never name a
-    database or class relation (:func:`~vidb.query.safety.check_rule`),
-    so nothing here ever writes to the store.
+    The layer below — the database, or a finished evaluation over it
+    (the engine's ⊕ overlay) — is read in place (under whatever read
+    lock the caller holds); :attr:`relations` holds only what this
+    evaluation owns — the IDB relations, and private copies of the class
+    relations it extends (made on first write, see :meth:`writable` and
+    :meth:`admit`).  Rule heads never name a database or class relation
+    (:func:`~vidb.query.safety.check_rule`), and nothing writes to the
+    layer below.
     """
 
     def __init__(self, db: VideoDatabase,
                  computed: Optional[Dict[str, Tuple[int, ComputedPredicate]]] = None,
                  max_objects: int = 50_000,
                  extended_domain: str = "lazy",
-                 kernel: KernelSpec = None):
+                 kernel: KernelSpec = None,
+                 base: Optional["EvaluationContext"] = None):
         if extended_domain not in ("lazy", "eager"):
             raise EvaluationError(
                 f"extended_domain must be 'lazy' or 'eager', got {extended_domain!r}"
             )
         self.db = db
+        #: The read-only layer under :attr:`relations`: *base*, else the
+        #: database.
+        self.below: Union[VideoDatabase, EvaluationContext] = (
+            db if base is None else base)
         self.max_objects = max_objects
         #: The constraint kernel serving every satisfiability/entailment
         #: decision of this evaluation (Definition 21's condition).
         self.kernel = resolve_kernel(kernel)
         self.relations: Dict[str, Relation] = {}
-        #: oid → object over the extended active domain: the database's
-        #: own map until :meth:`admit` first extends it, then a copy.
+        #: oid → object over the extended active domain: the layer
+        #: below's map until :meth:`admit` first extends it, then a copy.
         #: Compiled closures capture it per rule evaluation, and objects
         #: are only admitted between rule evaluations (heads fire after
         #: the join), so no closure ever holds a swapped-out map.
-        self.objects: Mapping[Oid, VideoObject] = db.objects
+        self.objects: Mapping[Oid, VideoObject] = self.below.objects
         #: True once :attr:`objects` is this evaluation's own copy.
         self.extended = False
         self.computed = dict(computed or {})
@@ -245,16 +264,17 @@ class EvaluationContext:
 
     def relation(self, name: str) -> Optional[Relation]:
         """The relation predicate *name* reads: this evaluation's own,
-        else the database's; None for a computed or unknown predicate."""
+        else the layer below's; None for a computed or unknown
+        predicate."""
         own = self.relations.get(name)
-        return own if own is not None else self.db.relation(name)
+        return own if own is not None else self.below.relation(name)
 
     def writable(self, name: str) -> Relation:
-        """This evaluation's own relation *name*, copying the database's
-        on first write."""
+        """This evaluation's own relation *name*, copying the layer
+        below's on first write."""
         own = self.relations.get(name)
         if own is None:
-            stored = self.db.relation(name)
+            stored = self.below.relation(name)
             own = self.relations[name] = (
                 Relation() if stored is None else stored.copy())
         return own
@@ -270,22 +290,6 @@ class EvaluationContext:
         row = (obj.oid,)
         return [(name, row) for name in classes_of(obj)
                 if self.writable(name).add(row)]
-
-    def register_interval(self, obj: GeneralizedIntervalObject
-                          ) -> Tuple[Oid, List[Tuple[str, GroundTuple]]]:
-        """Add a ⊕-created interval object; returns the oid plus the class
-        facts that became true (for delta maintenance)."""
-        new_facts: List[Tuple[str, GroundTuple]] = []
-        if obj.oid not in self.objects:
-            if len(self.objects) >= self.max_objects:
-                raise EvaluationError(
-                    f"extended active domain exceeded {self.max_objects} "
-                    "objects; constructive rules are diverging or the "
-                    "object budget is too small"
-                )
-            self.stats.created_objects += 1
-            new_facts = self.admit(obj)
-        return obj.oid, new_facts
 
     # -- symbol resolution -------------------------------------------------------
     def resolve_symbol(self, symbol: Symbol) -> GroundValue:
@@ -947,6 +951,8 @@ def _instantiate_head_arg(arg: Term, row: Row, plan: RulePlan,
         if oid in ctx.objects:
             # f(id1, id2) names one object: it is already in the domain
             return oid, facts_left + facts_right
+        if len(ctx.objects) >= ctx.max_objects:
+            raise ObjectBudgetError(plan.label, left, right, ctx.max_objects)
         tracer = ctx.tracer
         if tracer.enabled:
             t0 = time.perf_counter()
@@ -954,8 +960,8 @@ def _instantiate_head_arg(arg: Term, row: Row, plan: RulePlan,
             tracer.record("concat.create", time.perf_counter() - t0)
         else:
             combined = concatenate(left_obj, right_obj)
-        oid, new_facts = ctx.register_interval(combined)
-        return oid, facts_left + facts_right + new_facts
+        ctx.stats.created_objects += 1
+        return oid, facts_left + facts_right + ctx.admit(combined)
     if isinstance(arg, Variable):
         try:
             return row[plan.slots[arg]], []
@@ -1021,7 +1027,8 @@ def evaluate(db: VideoDatabase, program: Program,
              tracer=None,
              kernel: KernelSpec = None,
              labels: Optional[Dict[int, str]] = None,
-             guarded: Iterable[int] = ()) -> FixpointResult:
+             guarded: Iterable[int] = (),
+             base: Optional[EvaluationContext] = None) -> FixpointResult:
     """Compute the least fixpoint of ``T_P`` over the database.
 
     Parameters
@@ -1065,6 +1072,9 @@ def evaluate(db: VideoDatabase, program: Program,
     guarded:
         ``id(rule)`` of the rules whose first body literal is a demand
         guard, which join planning keeps first.
+    base:
+        A finished evaluation over *db* (the engine's ⊕ overlay) read,
+        like the database under it, as stored relations and objects.
     """
     started = time.perf_counter()
     if tracer is None:
@@ -1074,7 +1084,8 @@ def evaluate(db: VideoDatabase, program: Program,
         raise EvaluationError(f"unknown evaluation mode {mode!r}")
     strata = stratify_with_negation(program)
     ctx = EvaluationContext(db, computed=computed, max_objects=max_objects,
-                            extended_domain=extended_domain, kernel=kernel)
+                            extended_domain=extended_domain, kernel=kernel,
+                            base=base)
     ctx.stats.mode = mode
     ctx.stats.kernel = ctx.kernel.name
     ctx.tracer = tracer

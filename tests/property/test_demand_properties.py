@@ -8,12 +8,14 @@ kernel="reference"`` — the whole program saturated, every body run as
 written, textbook ``T_P`` rounds, reference solver.
 
 Programs are assembled from rule blocks (left- and right-linear
-recursion, negation over a recursive predicate, a ``++`` head, and
-entailment / membership / subset / comparison atoms), queries put a
-constant in every goal argument position, and the data comes from the
-strategies the other property suites already use: the interval graph of
-``test_semantics_theorems`` and the interval objects of
-``test_concat_properties``.
+recursion, negation over a recursive predicate, two ``++`` heads over
+derived predicates, and entailment / membership / subset / comparison
+atoms), queries put a constant in every goal argument position, and the
+data comes from the strategies the other property suites already use:
+the interval graph of ``test_semantics_theorems`` and the interval
+objects of ``test_concat_properties``.  One engine is also reused
+across a schedule of writes, removals and rolled-back transactions, so
+its per-epoch ⊕ overlay is held to the oracle after every step.
 """
 
 from hypothesis import given, settings
@@ -50,6 +52,8 @@ BLOCKS = {
             ("left", "contains")),
     "concat": ("merged(G1 ++ G2) :- edge(G1, G2), contains(G1, G2).",
                ("contains",)),
+    "splice": ("spliced(G1 ++ G2) :- reach(G1, G2), shares(G1, G2, O).",
+               ("left", "shares")),
     "window": ("early(G) :- interval(G), "
                "G.duration => (t >= 0 and t <= 12).", ()),
 }
@@ -60,7 +64,8 @@ GOALS = {
     "negation": ("blocked", "ii"), "isolated": ("isolated", "i"),
     "contains": ("contains", "ii"), "shares": ("shares", "iio"),
     "pair": ("pair", "io"), "rated": ("rated", "io"), "via": ("via", "ii"),
-    "concat": ("merged", "i"), "window": ("early", "i"),
+    "concat": ("merged", "i"), "splice": ("spliced", "i"),
+    "window": ("early", "i"),
 }
 
 #: Extra conjuncts a query may add over its first goal's variables.
@@ -86,9 +91,9 @@ def databases(draw):
 
 
 @st.composite
-def programs_and_queries(draw):
+def programs_and_queries(draw, required=()):
     chosen = draw(st.sets(st.sampled_from(sorted(BLOCKS)), min_size=1,
-                          max_size=5))
+                          max_size=5)) | set(required)
     blocks = set()
     frontier = list(chosen)
     while frontier:
@@ -127,6 +132,93 @@ def programs_and_queries(draw):
                     continue
                 goals.append(text.format(V=variable))
     return rules, "?- " + ", ".join(goals) + "."
+
+
+#: Mutations a schedule draws from (``rollback`` wraps a few of the
+#: others in a transaction that is rolled back, then commits as many
+#: new intervals, so the database is back at an epoch the transaction
+#: used, in a different state).
+MUTATIONS = ["edge", "unedge", "interval", "remove"]
+
+
+@st.composite
+def mutations(draw, name):
+    kind = draw(st.sampled_from(MUTATIONS))
+    if kind == "edge":
+        return kind, draw(st.sampled_from(NODES)), draw(st.sampled_from(NODES))
+    if kind == "interval":
+        return kind, draw(interval_objects(name=name))
+    return kind, draw(st.integers(0, 7))
+
+
+@st.composite
+def schedules(draw):
+    steps = []
+    for index in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            inner = range(draw(st.integers(1, 3)))
+            steps.append((
+                "rollback",
+                [draw(mutations(f"t{index}_{i}")) for i in inner],
+                [draw(interval_objects(name=f"r{index}_{i}")) for i in inner]))
+        else:
+            steps.append(draw(mutations(f"h{index}")))
+    return steps
+
+
+def mutate(db, step):
+    """Apply one drawn mutation; a removal picks among what exists."""
+    kind, *args = step
+    if kind == "edge":
+        db.relate("edge", Oid.interval(args[0]), Oid.interval(args[1]))
+    elif kind == "interval":
+        db.add(args[0])
+    elif kind == "unedge":
+        facts = sorted(db.facts("edge"), key=str)
+        if facts:
+            db.remove_fact(facts[args[0] % len(facts)])
+    else:
+        oids = sorted(obj.oid for obj in db.intervals())
+        if oids:
+            db.remove_object(oids[args[0] % len(oids)])
+
+
+class TestOneEngineAcrossWrites:
+    """One engine — and so one ⊕ overlay per epoch — reused while the
+    database changes, rolled-back transactions included, answers as a
+    fresh unoptimised engine would after every step."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(databases(), programs_and_queries(required=("concat", "splice")),
+           schedules())
+    def test_reused_engine_equals_the_oracle_after_every_step(
+            self, db, pq, schedule):
+        rules, query = pq
+        fast = QueryEngine(db, rules=rules)
+        oracle = QueryEngine(db, rules=rules, prune_rules=False,
+                             reorder_joins=False, mode="naive",
+                             kernel="reference")
+
+        def check():
+            for text in (query, "?- interval(G).", "?- spliced(G)."):
+                assert fast.query(text).rows() == oracle.query(text).rows()
+
+        check()
+        for step in schedule:
+            if step[0] == "rollback":
+                before = db.epoch
+                with db.transaction() as txn:
+                    for inner in step[1]:
+                        mutate(db, inner)
+                    check()
+                    inside = db.epoch
+                    txn.rollback()
+                for replacement in step[2][:inside - before]:
+                    db.add(replacement)
+                assert db.epoch == inside
+            else:
+                mutate(db, step)
+            check()
 
 
 class TestDemandIsAnswerPreserving:

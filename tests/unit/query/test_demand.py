@@ -123,22 +123,39 @@ class TestFallbacks:
         assert set(demand.fallbacks) == {"blocked", "reach"}
         assert not demand.adorned
 
-    def test_concat_head_argument_is_never_bound(self):
-        rules = "merged(X, G1 ++ G2) :- pair(X, G1, G2).\n"
-        bound_first = demand_of(rules, "?- merged(a, G).")
-        assert list(bound_first.adorned.values()) == [("merged", "bf")]
-        bound_created = demand_of(rules, "?- merged(X, g1).")
-        assert not bound_created.adorned  # "fb" would bind the ++ position
+    def test_constructive_predicates_are_served_never_adorned(self):
+        rules = ("merged(X, G1 ++ G2) :- pair(X, G1, G2).\n"
+                 "pair(X, G1, G2) :- link(X, G1), link(X, G2).\n")
+        for goal in ("merged(a, G)", "merged(X, g1)"):
+            demand = demand_of(rules, f"?- {goal}.")
+            assert not demand.adorned and not demand.demands
+            assert demand.served == {"merged"}
+            assert [rule.head.predicate for rule in demand.program] == [
+                ANSWER_PREDICATE]
 
-    def test_constructive_rules_stay_relevant_to_interval_queries(self):
+    def test_interval_queries_read_the_overlay(self):
         rules = stdlib.STDLIB_RULES + (
             "\ncat(G1 ++ G2) :- interval(G1), interval(G2), "
             "{a, b} subset G1.entities, {a, b} subset G2.entities.\n")
         demand = demand_of(rules, "?- contains(g5, G2).")
-        assert "cat" in demand.fallbacks
-        assert any(rule.is_constructive for rule in demand.program)
+        assert demand.served == {"interval"} and not demand.fallbacks
+        assert not any(rule.is_constructive for rule in demand.program)
+        assert "from overlay: interval (epoch 3, built)" in demand.describe(
+            "epoch 3, built")
         unrelated = demand_of(rules + REACH, "?- reach(e1, Y).")
-        assert not any(rule.is_constructive for rule in unrelated.program)
+        assert not unrelated.served
+
+    def test_inline_puts_the_overlay_rules_back_as_written(self):
+        rules = REACH + (
+            "merged(G1 ++ G2) :- interval(G1), interval(G2).\n"
+            "seen(G) :- merged(G), interval(G).\n")
+        query = parse_query("?- seen(G).")
+        head = Literal(ANSWER_PREDICATE, list(query.answer_variables))
+        inline = rewrite(parse_program(rules),
+                         Rule(head, query.body, name="query"), inline=True)
+        assert inline.served == {"merged", "interval"}
+        assert [rule.head.predicate for rule in inline.program] == [
+            "merged", "seen", ANSWER_PREDICATE]
 
 
 def plan_of(rule_text: str, sizes=None, guarded=False) -> RulePlan:
