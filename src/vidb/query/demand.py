@@ -1,4 +1,5 @@
-"""Demand-driven evaluation between rules: reachability and magic sets.
+"""Demand-driven evaluation between rules: reachability, magic sets and
+factoring.
 
 Theorem 3 defines a query's answers as a projection of the least
 fixpoint of ``T_P``; it does not say the whole fixpoint must be computed
@@ -23,6 +24,16 @@ to read one projection off it.  This module decides which part is:
   the overlay serves — every predicate with a ``++`` head among them,
   whose created values cannot be demanded — are neither adorned nor
   emitted.
+* *Factoring* (Naughton et al., "Argument reduction by factoring",
+  VLDB 1989) — a linear recursion (:func:`linear_recursion`, computed
+  once per program) demanded with bound and free arguments, whose free
+  arguments pass through the recursive literal unchanged, is rewritten
+  as a closure over the bound arguments keyed by the demand's seed,
+  joined with the exit rules: ``?- reach(X, e).`` derives the ancestors
+  of ``e`` once, where magic sets alone would demand ``reach(X, Y)`` for
+  each ancestor ``Y``.  The rewrite decides when it pops ``(p,
+  adornment)``; whatever does not qualify gets magic sets.  Inline
+  (oracle) runs never factor.
 
 The all-free adornment is exactly predicate reachability, and the
 rewrite falls back to it — the rules as written, under their own names
@@ -58,6 +69,7 @@ from vidb.query.ast import (
     Program,
     Rule,
     Variable,
+    term_variables,
 )
 
 #: ``order(literals, bound, constraints)`` — the join order sideways
@@ -128,6 +140,48 @@ def relevant_rules(program: Program, goals: Iterable[str]) -> Program:
                     if keep])
 
 
+#: predicate -> ``{program index of each of its rules: the recursive
+#: literal of a linear rule, or None for an exit rule}``.
+LinearRecursion = Dict[str, Dict[int, Optional[Literal]]]
+
+
+def linear_recursion(program: Program) -> LinearRecursion:
+    """The recursive predicates the rewrite may factor: every rule of
+    ``p`` is an *exit* rule (nothing in its body reaches ``p``) or a
+    *linear* one (exactly one positive ``p`` literal, and no other body
+    predicate reaches ``p``).  A fact of the program alone, so the
+    engine computes it once per program version.
+    """
+    below: Dict[str, Set[str]] = {}
+    for rule in program:
+        below.setdefault(rule.head.predicate, set()).update(
+            goal_predicates(rule.body))
+    reaches = {start: _reach(program, goals)[0]
+               for start, goals in below.items()}
+    result: LinearRecursion = {}
+    for predicate in below:
+        if predicate not in reaches[predicate]:
+            continue  # not recursive
+        shapes: Dict[int, Optional[Literal]] = {}
+        for index, rule in enumerate(program.rules):
+            if rule.head.predicate != predicate:
+                continue
+            recursive = [item for item in rule.body
+                         if isinstance(item, (Literal, NegatedLiteral))
+                         and (item.predicate == predicate
+                              or predicate in reaches.get(item.predicate, ()))]
+            if not recursive:
+                shapes[index] = None
+            elif (len(recursive) == 1 and isinstance(recursive[0], Literal)
+                  and recursive[0].predicate == predicate):
+                shapes[index] = recursive[0]
+            else:
+                break
+        else:
+            result[predicate] = shapes
+    return result
+
+
 def constructive_closure(program: Program) -> Program:
     """The rules of the ⊕ overlay: the rules relevant to the heads of
     the constructive rules (empty when no rule is constructive).
@@ -164,6 +218,8 @@ class Demand:
     adorned: Dict[str, Tuple[str, str]] = field(default_factory=dict)
     #: demand predicate -> ``(source predicate, adornment)``.
     demands: Dict[str, Tuple[str, str]] = field(default_factory=dict)
+    #: factored closure predicate -> ``(source predicate, adornment)``.
+    factored: Dict[str, Tuple[str, str]] = field(default_factory=dict)
     #: Predicates evaluated as written although reached, with the reason.
     fallbacks: Dict[str, str] = field(default_factory=dict)
     #: The overlay's predicates (and grown classes) the query reads;
@@ -172,17 +228,22 @@ class Demand:
 
     def display(self, text: str) -> str:
         """*text* with generated predicate names spelled ``p^bf`` /
-        ``demand p^bf``."""
-        for name, (predicate, adornment) in self.demands.items():
-            text = text.replace(name, f"demand {predicate}^{adornment}")
-        for name, (predicate, adornment) in self.adorned.items():
-            text = text.replace(name, f"{predicate}^{adornment}")
+        ``demand p^bf`` / ``factor p^bf``; longer names are replaced
+        first, so none renders half-substituted."""
+        spelled = {}
+        for prefix, table in (("", self.adorned), ("demand ", self.demands),
+                              ("factor ", self.factored)):
+            for name, (predicate, adornment) in table.items():
+                spelled[name] = f"{prefix}{predicate}^{adornment}"
+        for name in sorted(spelled, key=len, reverse=True):
+            text = text.replace(name, spelled[name])
         return text
 
     def translate_provenance(self, provenance: Dict) -> None:
         """Re-key *provenance* (``fact -> (rule, binding)``) to source
         predicates and source rules, dropping demand facts, so derivation
-        trees read as if the program had run as written."""
+        trees read as if the program had run as written.  (Runs that
+        record provenance are inline, so nothing in them is factored.)"""
         entries = list(provenance.items())
         provenance.clear()
         for (predicate, row), (rule, binding) in entries:
@@ -203,6 +264,8 @@ class Demand:
                 for predicate, adornment in self.adorned.values())))
         else:
             lines.append("adorned: (none — every goal is all-free)")
+        lines.extend(sorted(f"factored: {predicate}^{adornment}"
+                            for predicate, adornment in self.factored.values()))
         for predicate in sorted(self.served):
             lines.append(f"from overlay: {predicate} ({overlay})")
         for predicate, reason in sorted(self.fallbacks.items()):
@@ -214,11 +277,26 @@ def _is_bound(term, bound: Set[Variable]) -> bool:
     return term in bound if isinstance(term, Variable) else True
 
 
+def _fresh(rule: Rule, count: int) -> List[Variable]:
+    """*count* seed-column variables that *rule* does not use."""
+    used = {variable.name for variable in rule.variables()}
+    names = ["C"] if count == 1 else [f"C{k}" for k in range(1, count + 1)]
+    fresh = []
+    for name in names:
+        while name in used:
+            name += "_"
+        used.add(name)
+        fresh.append(Variable(name))
+    return fresh
+
+
 class _Rewriter:
     def __init__(self, program: Program, query_rule: Rule,
                  taken: Iterable[str], order: Optional[LiteralOrder],
-                 stored: FrozenSet[str], inline: bool):
+                 stored: FrozenSet[str], inline: bool,
+                 linear: LinearRecursion):
         self.order = order
+        self.linear = {} if inline else linear
         goals = goal_predicates(query_rule.body)
         needed, chosen = _reach(program, goals, stored)
         self.rules: Dict[str, List[Tuple[int, Rule]]] = {}
@@ -270,13 +348,14 @@ class _Rewriter:
         name = self.names.get(key)
         if name is None:
             name = (f"{predicate}__{adornment}" if kind == "adorned"
-                    else f"demand__{predicate}__{adornment}")
+                    else f"{kind}__{predicate}__{adornment}")
             while name in self.taken:
                 name += "_"
             self.taken.add(name)
             self.names[key] = name
-            table = (self.result.adorned if kind == "adorned"
-                     else self.result.demands)
+            table = {"adorned": self.result.adorned,
+                     "demand": self.result.demands,
+                     "factor": self.result.factored}[kind]
             table[name] = (predicate, adornment)
         return name
 
@@ -301,10 +380,18 @@ class _Rewriter:
                  if flag == "b"])
             head = Literal(self._name("adorned", head.predicate, adornment),
                            head.args)
+        self._emit(index, rule, head, guard, rule.body)
+
+    def _emit(self, index: int, rule: Rule, head: Literal,
+              guard: Optional[Literal], body: Sequence[BodyItem]) -> None:
+        """Emit ``head :- guard, body`` (reported under *rule*, the rule
+        as written it comes from), demanding the IDB literals of *body*
+        with the bindings that pass sideways from *guard*."""
         bound: Set[Variable] = set(guard.variables()) if guard else set()
-        filters = [item for item in rule.constraints()
-                   if not isinstance(item, NegatedLiteral)]
-        literals: Sequence[Literal] = rule.literals()
+        filters = [item for item in body
+                   if not isinstance(item, (Literal, NegatedLiteral))]
+        literals: Sequence[Literal] = [item for item in body
+                                       if isinstance(item, Literal)]
         if self.order is not None and len(literals) > 1:
             literals = self.order(literals, frozenset(bound), filters)
         prefix: List[BodyItem] = [guard] if guard else []
@@ -329,7 +416,7 @@ class _Rewriter:
         if guard is None and not renamed:
             self.emitted.append((index, rule))  # evaluated as written
             return
-        body = [renamed.get(id(item), item) for item in rule.body]
+        body = [renamed.get(id(item), item) for item in body]
         rewritten = Rule(head, ([guard] if guard else []) + body,
                          name=rule.name)
         self.result.source[id(rewritten)] = rule
@@ -358,12 +445,84 @@ class _Rewriter:
             self.result.guarded.add(id(demand))
         self.emitted.append((index, demand))
 
+    # -- factoring -------------------------------------------------------------
+    def _factorable(self, predicate: str, adornment: str) -> bool:
+        """Whether *predicate* under *adornment* reduces to a closure over
+        its bound arguments: it is linear-recursive, and in each linear
+        rule the head's free positions hold distinct variables that the
+        recursive literal holds at the same positions and nothing else
+        mentions, and the recursive literal's bound arguments are bound
+        by the head's or by the other positive literals."""
+        shapes = self.linear.get(predicate)
+        if shapes is None or "b" not in adornment or "f" not in adornment:
+            return False
+        bound_at = [i for i, flag in enumerate(adornment) if flag == "b"]
+        free_at = [i for i, flag in enumerate(adornment) if flag == "f"]
+        for index, rule in self.rules[predicate]:
+            recursive = shapes[index]
+            if recursive is None:
+                continue
+            passed = [rule.head.args[i] for i in free_at]
+            if (any(not isinstance(arg, Variable) or recursive.args[i] != arg
+                    for i, arg in zip(free_at, passed))
+                    or len(set(passed)) != len(passed)):
+                return False
+            rest = [item for item in rule.body if item is not recursive]
+            head_bound = set().union(
+                *(term_variables(rule.head.args[i]) for i in bound_at))
+            needs = set().union(
+                *(term_variables(recursive.args[i]) for i in bound_at))
+            if (head_bound | needs).union(
+                    *(item.variables() for item in rest)) & set(passed):
+                return False
+            if not needs <= head_bound.union(
+                    *(item.variables() for item in rest
+                      if isinstance(item, Literal))):
+                return False
+        return True
+
+    def _factor(self, predicate: str, adornment: str) -> None:
+        """Emit the seed-tagged closure of *predicate* under *adornment*:
+        ``factor(C̄, C̄) :- demand(C̄)``; per linear rule ``p(h̄) :- r,
+        rest``, ``factor(C̄, r̄_B) :- factor(C̄, h̄_B), rest``; per exit
+        rule, ``p^α(h̄[B := C̄]) :- factor(C̄, h̄_B), body``."""
+        factor = self._name("factor", predicate, adornment)
+        demand = self._name("demand", predicate, adornment)
+        adorned = self._name("adorned", predicate, adornment)
+        shapes = self.linear[predicate]
+
+        def bound(args):
+            return [arg for arg, flag in zip(args, adornment) if flag == "b"]
+
+        seeded = False
+        for index, rule in self.rules[predicate]:
+            seed = _fresh(rule, adornment.count("b"))
+            recursive = shapes[index]
+            guard = Literal(factor, seed + bound(rule.head.args))
+            if recursive is None:
+                args = iter(seed)
+                head = Literal(adorned, [
+                    next(args) if flag == "b" else arg
+                    for arg, flag in zip(rule.head.args, adornment)])
+                self._emit(index, rule, head, guard, rule.body)
+                continue
+            if not seeded:
+                seeded = True
+                self._emit(index, rule, Literal(factor, seed + seed),
+                           Literal(demand, seed), ())
+            head = Literal(factor, seed + bound(recursive.args))
+            self._emit(index, rule, head, guard,
+                       [item for item in rule.body if item is not recursive])
+
     # -- driver --------------------------------------------------------------------
     def run(self, query_rule: Rule) -> Demand:
         self._rewrite_rule(self.query_index, query_rule,
                            "f" * query_rule.head.arity)
         while self.queue:
             predicate, adornment = self.queue.pop()
+            if self._factorable(predicate, adornment):
+                self._factor(predicate, adornment)
+                continue
             for index, rule in self.rules[predicate]:
                 self._rewrite_rule(index, rule, adornment)
         for predicate in self.result.fallbacks:
@@ -377,6 +536,7 @@ def rewrite(program: Program, query_rule: Rule, *,
             taken: Iterable[str] = (),
             order: Optional[LiteralOrder] = None,
             stored: Optional[FrozenSet[str]] = None,
+            linear: Optional[LinearRecursion] = None,
             inline: bool = False) -> Demand:
     """The magic-set rewrite of *program* for *query_rule* (the anonymous
     rule whose body is the query).
@@ -385,14 +545,18 @@ def rewrite(program: Program, query_rule: Rule, *,
     relations, computed predicates); *order* is the join order sideways
     information passing follows inside a body (default: as written).
     *stored* is the overlay's predicates, the heads of
-    :func:`constructive_closure` (computed when not given); the result
-    reads those it needs (:attr:`Demand.served`) from the overlay,
-    unless *inline* puts the overlay's rules, as written, into the
-    program instead.
+    :func:`constructive_closure`, and *linear* the factoring candidates,
+    :func:`linear_recursion` (each computed when not given).  The result
+    reads the stored predicates it needs (:attr:`Demand.served`) from
+    the overlay and factors what qualifies, unless *inline* puts the
+    overlay's rules, as written, into the program instead and factors
+    nothing — the oracle runs stay independent of both.
     The rewritten query rule keeps its identity when no goal is adorned,
     and is always the last rule of the result.
     """
     if stored is None:
         stored = constructive_closure(program).idb_predicates()
+    if linear is None:
+        linear = linear_recursion(program)
     return _Rewriter(program, query_rule, taken, order, stored,
-                     inline).run(query_rule)
+                     inline, linear).run(query_rule)

@@ -61,6 +61,7 @@ from vidb.query.demand import (
     Demand,
     constructive_closure,
     goal_predicates,
+    linear_recursion,
     reachable_predicates,
     relevant_rules as relevant_rules,  # re-exported: the public name
     rewrite,
@@ -286,6 +287,7 @@ class QueryEngine:
         self._program = program
         self._closure = constructive_closure(program)
         self._overlay_predicates = self._closure.idb_predicates()
+        self._linear = linear_recursion(program)
         self._program_version += 1
 
     def add_rules(self, rules: Union[str, Program, Rule, Iterable[Rule]]
@@ -363,8 +365,8 @@ class QueryEngine:
         (inside this query's ``evaluate`` stage, under its deadline).  A
         run that overrides ``kernel`` or ``mode`` or records
         ``provenance``, and every run of an ``extended_domain="eager"``
-        engine, evaluates the overlay's rules inline instead, so those
-        oracles stay independent of it.
+        engine, evaluates the overlay's rules inline instead and factors
+        no linear recursion, so those oracles stay independent of both.
         """
         options = ExecutionOptions.coerce(options, **overrides)
         tracer = current_tracer()
@@ -520,7 +522,8 @@ class QueryEngine:
 
         demand = rewrite(self.program, query_rule, order=order,
                          taken=self.db.relation_names() | set(self.computed),
-                         stored=self._overlay_predicates, inline=inline)
+                         stored=self._overlay_predicates,
+                         linear=self._linear, inline=inline)
         written = [demand.source.get(id(rule), rule)
                    for rule in demand.program]
         by_source = rule_labels({id(rule): rule for rule in written}.values())

@@ -8,12 +8,14 @@ kernel="reference"`` — the whole program saturated, every body run as
 written, textbook ``T_P`` rounds, reference solver.
 
 Programs are assembled from rule blocks (left- and right-linear
-recursion, negation over a recursive predicate, two ``++`` heads over
-derived predicates, and entailment / membership / subset / comparison
-atoms), queries put a constant in every goal argument position, and the
-data comes from the strategies the other property suites already use:
-the interval graph of ``test_semantics_theorems`` and the interval
-objects of ``test_concat_properties``.  One engine is also reused
+recursion, factorable or not: a persistent variable read by a filter,
+non-linear and mutual recursion; negation over a recursive predicate,
+two ``++`` heads over derived predicates, and entailment / membership /
+subset / comparison atoms), queries put a constant in every goal
+argument position, and the data comes from the strategies the other
+property suites already use: the interval graph of
+``test_semantics_theorems`` and the interval objects of
+``test_concat_properties``.  One engine is also reused
 across a schedule of writes, removals and rolled-back transactions, so
 its per-epoch ⊕ overlay is held to the oracle after every step.
 """
@@ -50,12 +52,28 @@ BLOCKS = {
               "G.rating >= 3, O.role = \"host\".", ()),
     "via": ("via(X, Z) :- reach(X, Y), contains(Y, Z).",
             ("left", "contains")),
+    # reach(X, Y) demanded for every edge source Y, each answer keeping
+    # the seed it came from
+    "seeds": ("source_of(X, Y) :- edge(Y, W), reach(X, Y).", ("left",)),
     "concat": ("merged(G1 ++ G2) :- edge(G1, G2), contains(G1, G2).",
                ("contains",)),
     "splice": ("spliced(G1 ++ G2) :- reach(G1, G2), shares(G1, G2, O).",
                ("left", "shares")),
     "window": ("early(G) :- interval(G), "
                "G.duration => (t >= 0 and t <= 12).", ()),
+    # factorable as hop(X, c): an IDB literal and a constraint atom ride
+    # in the recursive body
+    "hop": ("hop(X, Y) :- edge(X, Y).\n"
+            "hop(X, Z) :- hop(X, Y), contains(Y, Z), o2 in Y.entities.",
+            ("contains",)),
+    # not factorable: the persistent X is read by a filter
+    "near": ("near(X, Y) :- edge(X, Y).\n"
+             "near(X, Z) :- near(X, Y), edge(Y, Z), X != Z.", ()),
+    "tc": ("tc(X, Y) :- edge(X, Y).\n"
+           "tc(X, Z) :- tc(X, Y), tc(Y, Z).", ()),
+    "mutual": ("odd(X, Y) :- edge(X, Y).\n"
+               "odd(X, Z) :- even(X, Y), edge(Y, Z).\n"
+               "even(X, Z) :- odd(X, Y), edge(Y, Z).", ()),
 }
 
 #: Goal templates per block: predicate and argument sorts.
@@ -65,7 +83,8 @@ GOALS = {
     "contains": ("contains", "ii"), "shares": ("shares", "iio"),
     "pair": ("pair", "io"), "rated": ("rated", "io"), "via": ("via", "ii"),
     "concat": ("merged", "i"), "splice": ("spliced", "i"),
-    "window": ("early", "i"),
+    "window": ("early", "i"), "hop": ("hop", "ii"), "near": ("near", "ii"),
+    "tc": ("tc", "ii"), "mutual": ("odd", "ii"), "seeds": ("source_of", "ii"),
 }
 
 #: Extra conjuncts a query may add over its first goal's variables.
@@ -231,6 +250,18 @@ class TestDemandIsAnswerPreserving:
                              reorder_joins=False, mode="naive",
                              kernel="reference")
         assert fast.query(query).rows() == oracle.query(query).rows()
+
+    @settings(max_examples=40, deadline=None)
+    @given(databases())
+    def test_a_factored_closure_keeps_each_answer_with_its_seed(self, db):
+        # both queries demand reach(X, c) for several constants c at once
+        rules = BLOCKS["left"][0] + "\n" + BLOCKS["seeds"][0]
+        fast = QueryEngine(db, rules=rules)
+        oracle = QueryEngine(db, rules=rules, prune_rules=False,
+                             reorder_joins=False, mode="naive",
+                             kernel="reference")
+        for text in ("?- source_of(X, Y).", "?- reach(X, g1), reach(Y, g2)."):
+            assert fast.query(text).rows() == oracle.query(text).rows()
 
     @settings(max_examples=60, deadline=None)
     @given(databases(), programs_and_queries())

@@ -62,15 +62,68 @@ class TestAdornments:
     def test_reach_free_bound_walks_the_edges_backwards(self):
         demand = demand_of(REACH, "?- reach(X, e3).")
         assert sorted(demand.adorned.values()) == [("reach", "fb")]
-        # in(Y, Z, G) has the bound argument, so it passes Y sideways
-        assert ("demand reach^fb(Y) :- demand reach^fb(Z), in(Y, Z, G)."
-                in rendered(demand))
+        assert "factored: reach^fb" in demand.describe("")
+        # X passes through reach(X, Y) unchanged, so the closure is keyed
+        # by the seed C and walks in(Y, Z, G) from Z back to Y
+        assert rendered(demand) == [
+            "reach^fb(X, C) :- factor reach^fb(C, Y), in(X, Y, G).",
+            "factor reach^fb(C, C) :- demand reach^fb(C).",
+            "factor reach^fb(C, Y) :- factor reach^fb(C, Z), in(Y, Z, G).",
+            "query: demand reach^fb(e3).",
+            "query: q__answer(X) :- reach^fb(X, e3).",
+        ]
 
-    def test_textual_order_demands_the_whole_left_linear_closure(self):
+    def test_textual_order_factors_the_same_closure(self):
         demand = demand_of(REACH, "?- reach(X, e3).", planned=False)
-        # reach(X, Y) comes first as written, with nothing bound
-        assert ("reach", "ff") not in demand.adorned.values()
-        assert any(rule.head.predicate == "reach" for rule in demand.program)
+        assert rendered(demand) == rendered(demand_of(REACH,
+                                                      "?- reach(X, e3)."))
+        assert not any(rule.head.predicate == "reach"
+                       for rule in demand.program)
+
+    def test_path_bound_free_is_factored(self):
+        rules = ("path(X, Y) :- edge(X, Y).\n"
+                 "path(X, Z) :- edge(X, Y), path(Y, Z).\n")
+        demand = demand_of(rules, "?- path(e, Y).")
+        assert demand.describe("") == ["adorned: path^bf",
+                                       "factored: path^bf"]
+        assert rendered(demand) == [
+            "path^bf(C, Y) :- factor path^bf(C, X), edge(X, Y).",
+            "factor path^bf(C, C) :- demand path^bf(C).",
+            "factor path^bf(C, Y) :- factor path^bf(C, X), edge(X, Y).",
+            "query: demand path^bf(e).",
+            "query: q__answer(Y) :- path^bf(e, Y).",
+        ]
+
+    def test_idb_literals_in_a_factored_body_are_demanded(self):
+        rules = REACH + ("hop(X, Y) :- reach(X, Y).\n"
+                         "hop(X, Z) :- hop(X, Y), reach(Y, Z), Y != Z.\n")
+        demand = demand_of(rules, "?- hop(X, e3).")
+        assert sorted(demand.factored.values()) == [("hop", "fb"),
+                                                    ("reach", "fb")]
+        assert rendered(demand)[-4:] == [
+            "demand reach^fb(Z) :- factor hop^fb(C, Z).",
+            "factor hop^fb(C, Y) :- factor hop^fb(C, Z), reach^fb(Y, Z), "
+            "Y != Z.",
+            "query: demand hop^fb(e3).",
+            "query: q__answer(X) :- hop^fb(X, e3).",
+        ]
+
+    @pytest.mark.parametrize("rules, goal", [
+        # the persistent X is also read by a filter
+        ("near(X, Y) :- edge(X, Y).\n"
+         "near(X, Z) :- near(X, Y), edge(Y, Z), X != Z.\n", "near(X, e3)"),
+        ("tc(X, Y) :- edge(X, Y).\n"
+         "tc(X, Z) :- tc(X, Y), tc(Y, Z).\n", "tc(X, e3)"),
+        ("odd(X, Y) :- edge(X, Y).\n"
+         "odd(X, Z) :- even(X, Y), edge(Y, Z).\n"
+         "even(X, Z) :- odd(X, Y), edge(Y, Z).\n", "odd(X, e3)"),
+    ], ids=["persistent-variable-in-body", "non-linear", "mutual"])
+    def test_refusals_keep_magic_sets(self, rules, goal):
+        demand = demand_of(rules, f"?- {goal}.")
+        assert not demand.factored
+        assert "factor" not in "\n".join(rendered(demand))
+        predicate = goal.split("(")[0]
+        assert (predicate, "fb") in demand.adorned.values()
 
     @pytest.mark.parametrize("goal, adornment", [
         ("contains(g5, G2)", "bf"), ("contains(G1, g5)", "fb")])
@@ -256,6 +309,19 @@ class TestEngine:
         assert set(stats.rules) == {"reach", "reach#2", "query"}
         full = engine.execute("?- reach(a, Y).", prune_rules=False).stats
         assert stats.derived_facts < full.derived_facts
+        factored = engine.execute("?- reach(X, a).", trace=True)
+        assert "factored: reach^fb" in factored.demand
+        assert set(factored.stats.rules) == {"reach", "reach#2", "query"}
+
+    def test_oracle_runs_are_not_factored(self, db):
+        engine = QueryEngine(db, rules=self.RULES)
+        text = "?- reach(X, c), reach(Y, b)."
+        factored = engine.execute(text, trace=True)
+        assert "factored: reach^fb" in factored.demand
+        inline = engine.execute(text, trace=True, kernel="reference")
+        assert not any(line.startswith("factored:") for line in inline.demand)
+        assert (factored.answers.rows() == inline.answers.rows()
+                == baseline(db, self.RULES).query(text).rows())
 
     def test_explain_shows_no_demand_literals(self, db):
         engine = QueryEngine(db, rules=self.RULES)
@@ -286,6 +352,31 @@ class TestEngine:
         assert "rule pruning off" in "\n".join(report.demand)
         assert {"contains", "same_object_in", "merged"} <= set(
             report.stats.rules)
+
+
+class TestFactoringCounts:
+    """Queried from its non-persistent end, a linear recursion derives
+    the reached set, not the reached set squared: magic sets alone
+    demand ``reach(X, Y)`` for every ancestor ``Y``.  Derived-fact
+    counts repeat exactly, so the bound is deterministic."""
+
+    N = 60
+    RULES = ("reach(X, Y) :- edge(X, Y).\n"
+             "reach(X, Z) :- reach(X, Y), edge(Y, Z).\n"
+             "path(X, Y) :- edge(X, Y).\n"
+             "path(X, Z) :- edge(X, Y), path(Y, Z).\n")
+
+    @pytest.mark.parametrize("text", ["?- reach(X, n30).", "?- path(n0, Y)."])
+    def test_chain_with_a_back_edge_derives_linearly(self, text):
+        db = VideoDatabase("chain")
+        db.declare_relation("edge")
+        for i in range(self.N - 1):
+            db.relate("edge", f"n{i}", f"n{i + 1}")
+        db.relate("edge", f"n{self.N - 1}", "n10")  # one back edge
+        report = QueryEngine(db, rules=self.RULES).execute(text)
+        assert report.stats.derived_facts <= 4 * self.N
+        assert report.answers.rows() == QueryEngine(
+            db, rules=self.RULES, prune_rules=False).query(text).rows()
 
 
 class TestStandingViews:
