@@ -16,8 +16,7 @@ Decision procedures are served by a pluggable **constraint kernel**
 (:mod:`vidb.constraints.kernel`): get one with :func:`default_kernel`
 (or :func:`get_kernel` / :func:`make_kernel` by name) and call
 ``satisfiable`` / ``entails`` / ``equivalent`` / ``simplify`` /
-``set_satisfiable`` / ``set_entails`` on it — plus the batched
-``satisfiable_many`` / ``entails_many`` used on the fixpoint hot path.
+``set_satisfiable`` / ``set_entails`` on it, one decision per call.
 Two backends ship in-tree: ``"reference"`` (the original pure-Python
 procedures) and ``"interned"`` (hash-consed canonical forms + bitset
 closure, the default).

@@ -10,8 +10,7 @@ the same entailment atom, and most tuples produce structurally identical
 of atom keys, so clause order, atom order and duplicates vanish, and
 ``1`` and ``1.0`` share a key).  Two structurally different constraints
 with the same canonical key share one form, and every per-form result
-(satisfiability, single-variable solution spans, simplification) is
-computed once.
+(satisfiability, single-variable solution spans) is computed once.
 
 **Pair caching.**  Entailment verdicts are cached by the pair of form
 indices, so a repeated ``c1 => c2`` check — the common case in the
@@ -20,15 +19,13 @@ fixpoint — is a single dict hit.
 **Bitset closure.**  Clause satisfiability and set-order bound
 propagation replace the per-edge Python object graphs of the reference
 procedures with transitive closure over int bitmask rows
-(Floyd–Warshall on machine words; a numpy boolean-matrix drop-in takes
-over for unusually large clauses when numpy is importable).
+(Floyd–Warshall on machine words).
 
 Semantics are identical to the ``"reference"`` backend — the property
 parity suite (``tests/property/test_kernel_parity.py``) holds this
 backend to it atom for atom.  Tracer aggregate names are kept
 compatible (``solver.entails``, ``solver.satisfiable``,
-``setorder.closure``) so profiles read the same under either backend;
-batched calls additionally record ``kernel.entails_many``.
+``setorder.closure``) so profiles read the same under either backend.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ from __future__ import annotations
 import threading
 from time import perf_counter
 from typing import (
-    Callable,
     Dict,
     FrozenSet,
     Hashable,
@@ -68,14 +64,6 @@ from vidb.constraints.solver import (
 from vidb.constraints.terms import Var, constants_comparable, is_numeric
 from vidb.errors import ConstraintError
 from vidb.obs.trace import current_tracer
-
-try:  # numpy is optional; the int-bitmask path is always available
-    import numpy as _np
-except Exception:  # pragma: no cover - exercised only without numpy
-    _np = None
-
-#: Node count at which clause closure switches to the numpy matrix path.
-NUMPY_MIN_NODES = 96
 
 _AtomKey = Tuple[str, str, str, object]
 _EMPTY: FrozenSet[Hashable] = frozenset()
@@ -132,8 +120,10 @@ class InternedForm:
 # Bitset transitive closure
 # ---------------------------------------------------------------------------
 
-def _closure_int(succ: Sequence[Set[int]]) -> Callable[[int, int], bool]:
-    """Reflexive-transitive closure over int bitmask rows (Warshall)."""
+def _reach_rows(succ: Sequence[Set[int]]) -> List[int]:
+    """Reflexive-transitive closure of the successor lists *succ* as int
+    bitmask rows (Warshall): bit ``j`` of ``rows[i]`` is set iff ``j``
+    is reachable from ``i``."""
     n = len(succ)
     rows: List[int] = []
     for i in range(n):
@@ -147,32 +137,7 @@ def _closure_int(succ: Sequence[Set[int]]) -> Callable[[int, int], bool]:
         for i in range(n):
             if rows[i] & bit:
                 rows[i] |= row_k
-    return lambda i, j: bool((rows[i] >> j) & 1)
-
-
-def _closure_np(succ: Sequence[Set[int]]) -> Callable[[int, int], bool]:
-    """Reflexive-transitive closure on a numpy boolean matrix."""
-    n = len(succ)
-    matrix = _np.eye(n, dtype=bool)
-    for i, targets in enumerate(succ):
-        for j in targets:
-            matrix[i, j] = True
-    for k in range(n):
-        sources = matrix[:, k].copy()
-        matrix[sources] |= matrix[k]
-    return lambda i, j: bool(matrix[i, j])
-
-
-def transitive_closure(succ: Sequence[Set[int]]) -> Callable[[int, int], bool]:
-    """Reachability oracle ``reach(i, j)`` for the successor lists *succ*.
-
-    Reflexive (``reach(i, i)`` always holds).  Picks the numpy matrix
-    path for large node counts when numpy is available, int bitmask rows
-    otherwise.
-    """
-    if _np is not None and len(succ) >= NUMPY_MIN_NODES:
-        return _closure_np(succ)
-    return _closure_int(succ)
+    return rows
 
 
 def _decide_clause(atoms: Sequence[Comparison]) -> bool:
@@ -248,7 +213,10 @@ def _decide_clause(atoms: Sequence[Comparison]) -> bool:
 
     if not succ:
         return True
-    reach = transitive_closure(succ)
+    rows = _reach_rows(succ)
+
+    def reach(a: int, b: int) -> bool:
+        return bool((rows[a] >> b) & 1)
 
     for a, b in strict:
         if reach(b, a):  # the edge a -> b closes a cycle: strict edge in an SCC
@@ -321,19 +289,7 @@ class _SetState:
                 raise ConstraintError(f"not a set-order atom: {atom!r}")
 
         n = len(succ)
-        reach_rows: List[int] = []
-        for i in range(n):
-            bits = 1 << i
-            for j in succ[i]:
-                bits |= 1 << j
-            reach_rows.append(bits)
-        for k in range(n):
-            bit = 1 << k
-            row_k = reach_rows[k]
-            for i in range(n):
-                if reach_rows[i] & bit:
-                    reach_rows[i] |= row_k
-        self.reach = reach_rows
+        reach_rows = self.reach = _reach_rows(succ)
 
         # lower[v] = union of seeds of every u with u ⊆ ... ⊆ v;
         # upper[v] = intersection of caps of every w with v ⊆ ... ⊆ w.
@@ -402,8 +358,9 @@ class InternedKernel(ConstraintKernel):
     """Interning + bitset-closure backend (the default kernel).
 
     All caches are bounded by *max_forms* / *max_cached*; overflow clears
-    the affected cache wholesale (constraints are immutable, so a
-    cleared cache only costs recomputation, never correctness).
+    the affected cache wholesale and counts an eviction (constraints are
+    immutable, so a cleared cache only costs recomputation, never
+    correctness).
     """
 
     name = "interned"
@@ -416,9 +373,7 @@ class InternedKernel(ConstraintKernel):
         self._forms: Dict[FrozenSet[FrozenSet[_AtomKey]], InternedForm] = {}
         self._by_constraint: Dict[Constraint, InternedForm] = {}
         self._entails_cache: Dict[Tuple[int, int], bool] = {}
-        self._clause_cache: Dict[FrozenSet[_AtomKey], bool] = {}
         self._spans_cache: Dict[Tuple[int, str], object] = {}
-        self._simplify_cache: Dict[int, Constraint] = {}
         self._set_states: Dict[FrozenSet[Tuple[object, ...]], _SetState] = {}
         self._set_entails_cache: Dict[Tuple[int, FrozenSet[Tuple[object, ...]]], bool] = {}
         self._counters: Dict[str, int] = {}
@@ -427,12 +382,19 @@ class InternedKernel(ConstraintKernel):
     def _bump(self, counter: str) -> None:
         self._counters[counter] = self._counters.get(counter, 0) + 1
 
+    def _put(self, cache: Dict, key: Hashable, value: object) -> None:
+        """Store into a *max_cached*-bounded cache: a full cache is
+        cleared wholesale first, counting an eviction."""
+        if len(cache) >= self._max_cached:
+            cache.clear()
+            self._bump("evictions")
+        cache[key] = value
+
     #: Stable counter keys (reported even at zero, so metric gauges have
     #: a fixed shape from the first snapshot).
     COUNTER_KEYS = (
         "canon.hits", "canon.misses", "sat.hits", "sat.misses",
-        "entails.hits", "entails.misses", "clause.hits", "clause.misses",
-        "simplify.hits", "simplify.misses", "set.hits", "set.misses",
+        "entails.hits", "entails.misses", "set.hits", "set.misses",
         "set_entails.hits", "set_entails.misses", "evictions",
     )
 
@@ -454,9 +416,7 @@ class InternedKernel(ConstraintKernel):
         self._forms = {}
         self._by_constraint = {}
         self._entails_cache = {}
-        self._clause_cache = {}
         self._spans_cache = {}
-        self._simplify_cache = {}
         self._set_states = {}
         self._set_entails_cache = {}
 
@@ -487,31 +447,16 @@ class InternedKernel(ConstraintKernel):
                 self._bump("canon.misses")
             else:
                 self._bump("canon.hits")
-            if len(self._by_constraint) >= self._max_cached:
-                self._by_constraint = {}
-            self._by_constraint[constraint] = form
+            self._put(self._by_constraint, constraint, form)
         return form
 
     # -- clause satisfiability ---------------------------------------------
-    def _clause_sat(self, atoms: Sequence[Comparison]) -> bool:
-        key = frozenset(atom_key(atom) for atom in atoms)
-        cached = self._clause_cache.get(key)
-        if cached is not None:
-            self._bump("clause.hits")
-            return cached
-        self._bump("clause.misses")
-        verdict = _decide_clause(atoms)
-        if len(self._clause_cache) >= self._max_cached:
-            self._clause_cache = {}
-        self._clause_cache[key] = verdict
-        return verdict
-
     def _form_sat(self, form: InternedForm) -> bool:
         if form.sat is not None:
             self._bump("sat.hits")
             return form.sat
         self._bump("sat.misses")
-        form.sat = any(self._clause_sat(clause) for clause in form.clauses)
+        form.sat = any(_decide_clause(clause) for clause in form.clauses)
         return form.sat
 
     # -- dense-order API ---------------------------------------------------
@@ -545,9 +490,7 @@ class InternedKernel(ConstraintKernel):
             return verdict
         self._bump("entails.misses")
         verdict = self._decide_entails(f1, f2)
-        if len(self._entails_cache) >= self._max_cached:
-            self._entails_cache = {}
-        self._entails_cache[pair] = verdict
+        self._put(self._entails_cache, pair, verdict)
         return verdict
 
     def _decide_entails(self, f1: InternedForm, f2: InternedForm) -> bool:
@@ -567,7 +510,7 @@ class InternedKernel(ConstraintKernel):
                 return spans_subset(inner, outer)
 
         combined = conjoin(f1.constraint, f2.constraint.negate())
-        return not any(self._clause_sat(clause) for clause in combined.dnf())
+        return not any(_decide_clause(clause) for clause in combined.dnf())
 
     def _spans(self, form: InternedForm, var: Var) -> Optional[List[Span]]:
         key = (form.index, var.name)
@@ -579,50 +522,14 @@ class InternedKernel(ConstraintKernel):
         try:
             spans = solution_set_1var(form.constraint, var)
         except ConstraintError:
-            self._spans_cache[key] = _NO_SPANS
+            self._put(self._spans_cache, key, _NO_SPANS)
             return None
         spans = normalize_spans(spans)
-        if len(self._spans_cache) >= self._max_cached:
-            self._spans_cache = {}
-        self._spans_cache[key] = spans
+        self._put(self._spans_cache, key, spans)
         return spans
 
     def simplify(self, constraint: Constraint) -> Constraint:
-        form = self.intern(constraint)
-        cached = self._simplify_cache.get(form.index)
-        if cached is not None:
-            self._bump("simplify.hits")
-            return cached
-        self._bump("simplify.misses")
-        result = simplify_using(self._clause_sat, constraint)
-        if len(self._simplify_cache) >= self._max_cached:
-            self._simplify_cache = {}
-        self._simplify_cache[form.index] = result
-        return result
-
-    # -- batched dense-order ----------------------------------------------
-    def entails_many(self, pairs: Sequence[Tuple[Constraint, Constraint]]
-                     ) -> List[bool]:
-        tracer = current_tracer()
-        if not tracer.enabled:
-            return [self._entails(c1, c2) for c1, c2 in pairs]
-        t0 = perf_counter()
-        try:
-            # Each distinct canonical pair is computed once (pair cache);
-            # per-pair time still lands in the solver.entails aggregate.
-            out: List[bool] = []
-            for c1, c2 in pairs:
-                t1 = perf_counter()
-                try:
-                    out.append(self._entails(c1, c2))
-                finally:
-                    tracer.record("solver.entails", perf_counter() - t1)
-            return out
-        finally:
-            tracer.record("kernel.entails_many", perf_counter() - t0)
-
-    def satisfiable_many(self, constraints: Sequence[Constraint]) -> List[bool]:
-        return [self.satisfiable(c) for c in constraints]
+        return simplify_using(_decide_clause, constraint)
 
     # -- set-order API -----------------------------------------------------
     def _set_state(self, atoms: Sequence[SetAtom]) -> _SetState:
@@ -639,6 +546,7 @@ class InternedKernel(ConstraintKernel):
         if len(self._set_states) >= self._max_forms:
             self._set_states = {}
             self._set_entails_cache = {}
+            self._bump("evictions")
         self._set_states[key] = state
         return state
 
@@ -677,9 +585,7 @@ class InternedKernel(ConstraintKernel):
             return verdict
         self._bump("set_entails.misses")
         verdict = all(state.entails_atom(atom) for atom in conclusion)
-        if len(self._set_entails_cache) >= self._max_cached:
-            self._set_entails_cache = {}
-        self._set_entails_cache[pair] = verdict
+        self._put(self._set_entails_cache, pair, verdict)
         return verdict
 
 

@@ -40,9 +40,7 @@ from typing import (
     Callable,
     Dict,
     Iterable,
-    List,
     Optional,
-    Sequence,
     Tuple,
     Union,
 )
@@ -61,9 +59,8 @@ DEFAULT_KERNEL_NAME = "interned"
 class ConstraintKernel:
     """Abstract decision-procedure backend for both constraint classes.
 
-    Subclasses implement the four dense-order operations, the two
-    set-order operations, and may override the batched entry points
-    (the defaults loop).  Kernels must be semantically interchangeable:
+    Subclasses implement the dense-order operations and the two
+    set-order operations.  Kernels must be semantically interchangeable:
     the property parity suite (``tests/property/test_kernel_parity.py``)
     asserts every registered backend agrees with ``"reference"``.
 
@@ -92,28 +89,6 @@ class ConstraintKernel:
     def simplify(self, constraint: Constraint) -> Constraint:
         """A logically equivalent, lighter constraint."""
         raise NotImplementedError
-
-    # -- batched dense-order operations -----------------------------------
-    def satisfiable_many(self, constraints: Sequence[Constraint]
-                         ) -> List[bool]:
-        """Satisfiability of each constraint, in order.
-
-        One call per rule iteration lets a backend amortise canonical
-        forms and closures across all candidate tuples; the base
-        implementation simply loops.
-        """
-        return [self.satisfiable(c) for c in constraints]
-
-    def entails_many(self, pairs: Sequence[Tuple[Constraint, Constraint]]
-                     ) -> List[bool]:
-        """Entailment verdict for each ``(premise, conclusion)`` pair.
-
-        This is the fixpoint's hot path: all entailment atoms of one
-        rule iteration arrive as a single batch, so a backend computes
-        each distinct canonical pair once no matter how many candidate
-        tuples share it.
-        """
-        return [self.entails(c1, c2) for c1, c2 in pairs]
 
     # -- set-order operations ---------------------------------------------
     def set_satisfiable(self, atoms: Iterable[SetAtom]) -> bool:

@@ -17,7 +17,6 @@ from vidb.bench.tables import format_table
 _KNOWN_AGGREGATES = (
     "solver.entails",
     "solver.satisfiable",
-    "kernel.entails_many",
     "setorder.closure",
     "concat.create",
 )

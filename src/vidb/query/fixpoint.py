@@ -25,6 +25,12 @@ Definition 19:
   reading used by the paper's examples.
 * ``"eager"`` — all pairwise concatenations of database intervals are added
   up front (Definition 19 verbatim) before rules run.
+
+Each rule runs as a nested-loop join in its :class:`RulePlan` order.
+Every constraint atom — comparisons, memberships, negations and the
+``=>`` entailment atoms alike — is checked inside the join at the
+earliest literal that grounds it, and a row that fails one atom is
+never asked the next.
 """
 
 from __future__ import annotations
@@ -541,18 +547,12 @@ class RulePlan:
     constraints checked before any join).  ``generators[i]`` is a
     membership atom ``O in G.entities`` whose collection is bound before
     literal ``i`` — the class literal ``object(O)`` — so ``O`` is drawn
-    from the collection and the literal only probed.  ``deferred`` holds
-    entailment atoms pulled out of the final join position: they would
-    prune nothing during the join (every literal is already bound), so
-    the drivers check them *after* the join as one batched
-    :meth:`~vidb.constraints.kernel.ConstraintKernel.entails_many` call,
-    letting the kernel compute each distinct canonical pair once.
+    from the collection and the literal only probed.
     """
 
     rule: Rule
     literals: Tuple[Literal, ...]
     checks_after: Dict[int, Tuple[BodyItem, ...]]
-    deferred: Tuple[EntailmentAtom, ...] = ()
     generators: Dict[int, MembershipAtom] = field(default_factory=dict)
     #: The label statistics for this rule are reported under.
     label: str = ""
@@ -589,7 +589,6 @@ class RulePlan:
     @classmethod
     def compile(cls, rule: Rule,
                 size_of: Optional[Callable[[str], int]] = None,
-                defer_entailments: bool = True,
                 guarded: bool = False) -> "RulePlan":
         """Compile a rule.
 
@@ -603,11 +602,6 @@ class RulePlan:
         earliest literal that grounds it; join order never changes
         answers — only cost.  *guarded* keeps the first literal (a
         demand guard) first.
-
-        With *defer_entailments* (the default), entailment atoms that
-        only become ground at the last literal are moved to ``deferred``
-        for batched checking; atoms ground earlier stay inline so their
-        pruning power during the join is kept.
         """
         literals = list(rule.literals())
         remaining = list(rule.constraints())
@@ -632,20 +626,8 @@ class RulePlan:
             raise EvaluationError(
                 f"constraints {remaining!r} never become ground in {rule!r}"
             )
-        deferred: List[EntailmentAtom] = []
-        final = len(literals) - 1
-        if defer_entailments and final >= 0 and final in checks:
-            stay = [c for c in checks[final]
-                    if not isinstance(c, EntailmentAtom)]
-            deferred = [c for c in checks[final]
-                        if isinstance(c, EntailmentAtom)]
-            if stay:
-                checks[final] = stay
-            else:
-                del checks[final]
         return cls(rule, tuple(literals),
-                   {i: tuple(cs) for i, cs in checks.items()},
-                   tuple(deferred), generators)
+                   {i: tuple(cs) for i, cs in checks.items()}, generators)
 
     def describe(self) -> str:
         """The chosen literal order and where each constraint runs, as
@@ -663,10 +645,7 @@ class RulePlan:
             if index in self.checks_after:
                 text += " " + bracket(self.checks_after[index])
             parts.append(text)
-        line = " -> ".join(parts) or f"{self.rule.head!r}."
-        if self.deferred:
-            line += " | batched " + bracket(self.deferred)
-        return line
+        return " -> ".join(parts) or f"{self.rule.head!r}."
 
 
 def _split_subset(atom: BodyItem) -> List[BodyItem]:
@@ -774,13 +753,14 @@ def _reorder_literals(literals: Sequence[Literal],
 _DEADLINE_STRIDE = 1024
 
 
-def _join(plan: RulePlan, ctx: EvaluationContext, compiler: _Compiler,
-          delta_position: Optional[int] = None,
-          delta: Optional[Relation] = None) -> List[Row]:
+def _bindings(plan: RulePlan, ctx: EvaluationContext,
+              delta_position: Optional[int] = None,
+              delta: Optional[Relation] = None) -> List[Row]:
     """Enumerate the rows satisfying the body (literals + scheduled
     checks), by nested-loop join in plan order; the literal at
     *delta_position* reads *delta* (a semi-naive round's new tuples)
-    instead of its whole relation.
+    instead of its whole relation.  Rows are materialised: head
+    instantiation mutates the relations being read.
 
     The plan fixes which variables are bound on entry to each literal,
     so each literal is prepared once — its relation, its constant and
@@ -788,6 +768,7 @@ def _join(plan: RulePlan, ctx: EvaluationContext, compiler: _Compiler,
     that calls the next; no step inspects the binding to find out.
     """
     slots = plan.slots
+    compiler = _Compiler(ctx, slots)
     values: List[GroundValue] = [None] * len(slots)
     out: List[Row] = []
     candidates = 0
@@ -890,43 +871,6 @@ def _join(plan: RulePlan, ctx: EvaluationContext, compiler: _Compiler,
     finally:
         ctx.stats.constraint_checks += checked
     return out
-
-
-def _bindings(plan: RulePlan, ctx: EvaluationContext,
-              delta_position: Optional[int] = None,
-              delta: Optional[Relation] = None) -> List[Row]:
-    """Materialised body rows with deferred entailments batch-checked.
-
-    The join runs first (rows must be materialised anyway: head
-    instantiation mutates the relations being read); then every deferred
-    entailment atom of every surviving row is evaluated through one
-    :meth:`~vidb.constraints.kernel.ConstraintKernel.entails_many` call,
-    so a backend sees the whole rule iteration's workload at once.
-    """
-    compiler = _Compiler(ctx, plan.slots)
-    rows = _join(plan, ctx, compiler, delta_position, delta)
-    if not plan.deferred or not rows:
-        return rows
-    sides = [(compiler.entail_side(atom.left),
-              compiler.entail_side(atom.right)) for atom in plan.deferred]
-    keep = [True] * len(rows)
-    pairs: List[Tuple[Constraint, Constraint]] = []
-    owners: List[int] = []
-    for i, row in enumerate(rows):
-        for left, right in sides:
-            ctx.stats.constraint_checks += 1
-            premise = left(row)
-            conclusion = right(row)
-            if premise is None or conclusion is None:
-                keep[i] = False
-                break
-            pairs.append((premise, conclusion))
-            owners.append(i)
-    if pairs:
-        for i, verdict in zip(owners, ctx.kernel.entails_many(pairs)):
-            if not verdict:
-                keep[i] = False
-    return [row for i, row in enumerate(rows) if keep[i]]
 
 
 def _instantiate_head_arg(arg: Term, row: Row, plan: RulePlan,

@@ -104,13 +104,6 @@ class TestDenseParity:
         assert reference.equivalent(interned.simplify(c), c)
         assert reference.equivalent(reference.simplify(c), c)
 
-    @given(st.lists(st.tuples(dense_constraints(), dense_constraints()),
-                    min_size=0, max_size=5))
-    @settings(max_examples=100, deadline=None)
-    def test_entails_many(self, pairs):
-        assert (interned.entails_many(pairs)
-                == [reference.entails(a, b) for a, b in pairs])
-
 
 class TestSetOrderParity:
     @given(set_atom_lists)

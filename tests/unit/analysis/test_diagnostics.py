@@ -1,5 +1,8 @@
 """Unit tests for the diagnostic value types and their registry."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from vidb.analysis.diagnostics import (
@@ -13,6 +16,8 @@ from vidb.analysis.diagnostics import (
     sort_diagnostics,
 )
 from vidb.query.ast import SourceSpan
+
+DOC = Path(__file__).resolve().parents[3] / "docs" / "ANALYSIS.md"
 
 
 class TestRegistry:
@@ -39,6 +44,13 @@ class TestRegistry:
                     "VDB040", "VDB041", "VDB042", "VDB043", "VDB044",
                     "VDB060", "VDB061", "VDB062"}
         assert expected <= set(CODES)
+
+    def test_docs_table_matches_the_registry(self):
+        section = DOC.read_text().split("## Diagnostic codes", 1)[1]
+        table = dict(re.findall(r"^\| (VDB\d{3}) \| (\w+) +\|", section,
+                                re.MULTILINE))
+        assert table == {code: severity
+                         for code, (severity, _) in CODES.items()}
 
 
 class TestMake:

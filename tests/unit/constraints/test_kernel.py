@@ -1,5 +1,5 @@
 """Unit tests for the constraint kernel API: registry, interning,
-caching, batching, and engine-level kernel selection."""
+caching, and engine-level kernel selection."""
 
 import pytest
 
@@ -177,30 +177,22 @@ class TestInterning:
         assert counters["sat.misses"] == 0
 
 
-# -- batched APIs --------------------------------------------------------------
+# -- bounded caches -----------------------------------------------------------
 
-class TestBatchedApis:
-    def test_entails_many_matches_single(self):
-        kernel = InternedKernel()
-        reference = ReferenceKernel()
-        pairs = [
-            (conjoin(x > 2), conjoin(x > 1)),
-            (conjoin(x > 1), conjoin(x > 2)),
-            (conjoin(x > 1, x < 3), disjoin(conjoin(x < 5), conjoin(y > 0))),
-            (FALSE, conjoin(x > 1)),
-            (conjoin(x > 2), conjoin(x > 1)),  # duplicate: cache hit
-        ]
-        assert (kernel.entails_many(pairs)
-                == [reference.entails(a, b) for a, b in pairs])
+class TestEvictions:
+    def test_every_overflow_counts(self):
+        kernel = InternedKernel(max_cached=2)
+        for bound in (1, 2, 3):
+            assert kernel.entails(conjoin(x > bound + 1), conjoin(x > bound))
+        assert kernel.counters()["evictions"] >= 1
 
-    def test_satisfiable_many_default_loop(self):
-        kernel = ReferenceKernel()
-        out = kernel.satisfiable_many(
-            [conjoin(x > 1, x < 2), conjoin(x > 2, x < 1), TRUE, FALSE])
-        assert out == [True, False, True, False]
-
-    def test_entails_many_empty(self):
-        assert InternedKernel().entails_many([]) == []
+    def test_set_entailment_overflow_counts(self):
+        kernel = InternedKernel(max_forms=1000, max_cached=1)
+        X = SetVar("X")
+        premise = [SupersetConst(["a", "b"], X)]
+        for element in ("a", "b"):
+            assert kernel.set_entails(premise, [Member(element, X)])
+        assert kernel.counters()["evictions"] >= 1
 
 
 # -- set-order kernel ops ------------------------------------------------------

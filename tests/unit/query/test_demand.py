@@ -15,7 +15,13 @@ import pytest
 from vidb.errors import QueryTimeoutError
 from vidb.model.oid import Oid
 from vidb.query import stdlib
-from vidb.query.ast import Literal, MembershipAtom, Rule, SubsetAtom
+from vidb.query.ast import (
+    EntailmentAtom,
+    Literal,
+    MembershipAtom,
+    Rule,
+    SubsetAtom,
+)
 from vidb.query.demand import rewrite
 from vidb.query.engine import ANSWER_PREDICATE, QueryEngine
 from vidb.query.fixpoint import RulePlan, _reorder_literals
@@ -223,7 +229,7 @@ class TestSelectionFirstJoins:
         plan = plan_of("q(G, O) :- interval(G), object(O), O in G.entities, "
                        "G.duration => (t > 10 and t < 20).")
         assert [l.predicate for l in plan.literals] == ["interval", "object"]
-        assert len(plan.checks_after[0]) == 1 and not plan.deferred
+        assert len(plan.checks_after[0]) == 1
         assert plan.describe() == (
             "interval(G) [G.duration => (t > 10 and t < 20)] -> "
             "object(O) from G.entities")
@@ -269,8 +275,8 @@ class TestSelectionFirstJoins:
             "G.duration => (t > 10 and t < 20)."))
         assert [l.predicate for l in plan.literals] == ["object", "interval"]
         assert not plan.generators
-        assert [type(c) for c in plan.checks_after[1]] == [SubsetAtom]
-        assert len(plan.deferred) == 1
+        assert [type(c) for c in plan.checks_after[1]] == [
+            SubsetAtom, EntailmentAtom]
 
 
 @pytest.fixture
@@ -397,8 +403,8 @@ class TestStandingViews:
             assert plan.literals == plan.rule.literals()
             assert not plan.generators
         near = view._plans[1]
-        assert [type(c) for c in near.checks_after[0]] == [SubsetAtom]
-        assert len(near.deferred) == 1
+        assert [type(c) for c in near.checks_after[0]] == [
+            SubsetAtom, EntailmentAtom]
         assert view.insert_fact("appears", Oid.entity("b"),
                                 Oid.interval("g1"))
         row = (Oid.entity("b"), Oid.interval("g1"))

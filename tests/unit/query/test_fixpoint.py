@@ -2,12 +2,45 @@
 
 import pytest
 
+from vidb.constraints.interned import InternedKernel
+from vidb.constraints.kernel import ConstraintKernel
 from vidb.errors import EvaluationError, SafetyError, UnknownPredicateError
 from vidb.intervals.generalized import GeneralizedInterval
 from vidb.model.oid import Oid
+from vidb.query.engine import QueryEngine
+from vidb.query.execution import ExecutionOptions
 from vidb.query.fixpoint import Relation, RulePlan, evaluate
 from vidb.query.parser import parse_program, parse_rule
 from vidb.storage.database import VideoDatabase
+
+
+class CountingKernel(ConstraintKernel):
+    """Counts the decisions asked of the interned kernel it wraps."""
+
+    name = "counting"
+
+    def __init__(self):
+        self.inner = InternedKernel()
+        self.calls = 0
+
+    def _ask(self, decide, *args):
+        self.calls += 1
+        return decide(*args)
+
+    def satisfiable(self, constraint):
+        return self._ask(self.inner.satisfiable, constraint)
+
+    def entails(self, c1, c2):
+        return self._ask(self.inner.entails, c1, c2)
+
+    def simplify(self, constraint):
+        return self._ask(self.inner.simplify, constraint)
+
+    def set_satisfiable(self, atoms):
+        return self._ask(self.inner.set_satisfiable, atoms)
+
+    def set_entails(self, premise, conclusion):
+        return self._ask(self.inner.set_entails, premise, conclusion)
 
 
 def gi(*pairs):
@@ -153,6 +186,24 @@ class TestConstraintChecking:
         result = evaluate(db, parse_program(
             "q(O) :- object(O), O.name => (t > 0)."))
         assert result.relation("q") == frozenset()
+
+    def test_entailments_short_circuit_in_the_join(self):
+        # Both atoms are grounded by the last literal; each is checked
+        # inline, so the second is asked only of rows the first passes.
+        rules = ("q(G) :- interval(G), G.duration => (t >= 0 and t <= 32), "
+                 "G.duration => (t >= 0 and t <= 15).")
+        db = VideoDatabase("short-circuit")
+        for i in range(8):
+            db.new_interval(f"g{i}", duration=[(10 * i, 10 * i + 5)])
+        kernel = CountingKernel()
+        result = evaluate(db, parse_program(rules), kernel=kernel)
+        passing_first = 3  # g0, g1, g2 lie within [0, 32]
+        assert kernel.calls == 8 + passing_first
+        answers = {row[0] for row in result.relation("q")}
+        assert answers == {Oid.interval("g0"), Oid.interval("g1")}
+        oracle = QueryEngine(db, rules=rules).execute(
+            "?- q(G).", ExecutionOptions(kernel="reference", mode="naive"))
+        assert set(oracle.answers.column("G")) == answers
 
 
 class TestRecursion:
