@@ -1,18 +1,21 @@
-"""Cost and cardinality estimation for rule bodies (VDB042/VDB043).
+"""Cost and cardinality estimation for rule bodies (VDB042).
 
-A classic System-R-flavoured estimator over the rule language: every
-body literal contributes its relation's row count (from live database
-statistics), a join on an already-bound variable keeps the running
-cardinality flat (foreign-key assumption: distinct count = relation
-size), and a literal sharing *no* variable with what came before
-multiplies — the cartesian blowup this pass exists to flag.  Derived
-predicates are sized bottom-up through the dependency graph with a few
-rounds of iteration so recursive programs converge to a (capped) fixed
-point.
+A classic System-R-flavoured estimator over the rule language, walking
+each body in the order the join planner runs it
+(:func:`~vidb.query.fixpoint._reorder_literals`, fed these estimates):
+every body literal contributes its relation's row count (from live
+database statistics), a join on an already-bound variable — or a class
+literal generated from a bound membership collection — keeps the
+running cardinality flat (foreign-key assumption: distinct count =
+relation size), and a literal sharing *no* variable with what came
+before multiplies — the cartesian blowup this pass exists to flag.
+Derived predicates are sized bottom-up through the dependency graph
+with a few rounds of iteration so recursive programs converge to a
+(capped) fixed point.
 
 The numbers are advisories, not guarantees: they drive the VDB042
-cartesian-blowup warning, the VDB043 literal-reordering suggestion, and
-the ``-- cost --`` section of EXPLAIN profiles.  Estimation runs only
+cartesian-blowup warning and the ``-- cost --`` section of EXPLAIN
+profiles.  Estimation runs only
 when statistics are supplied (``vidb lint --database``, or the engine's
 prepare path, which snapshots them per epoch), so plain file lints are
 unaffected.
@@ -21,19 +24,20 @@ unaffected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from vidb.analysis.diagnostics import Diagnostic, make
 from vidb.query.ast import (
     CLASS_PREDICATES,
+    BodyItem,
     Literal,
-    NegatedLiteral,
     Program,
     Query,
-    Rule,
     SourceSpan,
     Variable,
+    term_variables,
 )
+from vidb.query.fixpoint import _reorder_literals
 
 #: Cardinality assumed for predicates the statistics know nothing about
 #: (service-declared stream relations before their first fact, etc.).
@@ -49,9 +53,6 @@ SIZE_CAP = 1e12
 #: rows *and* exceeds the largest single input by ``BLOWUP_FACTOR``.
 BLOWUP_ROWS = 1000.0
 BLOWUP_FACTOR = 8.0
-
-#: VDB043 fires when the greedy reordering at least halves the peak.
-REORDER_GAIN = 2.0
 
 _SIZING_ROUNDS = 4
 
@@ -93,19 +94,12 @@ class RuleCost:
     estimate: float
     peak: float
     largest_input: float
-    order: Tuple[str, ...]
-    suggested_order: Tuple[str, ...]
-    suggested_peak: float
     rule_name: Optional[str] = None
     predicate: Optional[str] = None
 
     @property
     def blowup(self) -> float:
         return self.peak / max(self.largest_input, 1.0)
-
-    @property
-    def reorder_gain(self) -> float:
-        return self.peak / max(self.suggested_peak, 1.0)
 
 
 @dataclass(frozen=True)
@@ -127,31 +121,12 @@ class CostReport:
                     "a join is close to a cartesian product",
                     span=cost.span, rule_index=cost.rule_index,
                     rule_name=cost.rule_name, predicate=cost.predicate))
-            if (cost.peak >= BLOWUP_ROWS
-                    and cost.suggested_order != cost.order
-                    and cost.reorder_gain >= REORDER_GAIN):
-                order = ", ".join(cost.suggested_order)
-                out.append(make(
-                    "VDB043",
-                    f"{cost.label}: reordering body literals as "
-                    f"({order}) cuts the estimated peak from "
-                    f"~{_fmt(cost.peak)} to ~{_fmt(cost.suggested_peak)} "
-                    "rows",
-                    span=cost.span, rule_index=cost.rule_index,
-                    rule_name=cost.rule_name, predicate=cost.predicate))
         return tuple(out)
 
-    def rows(self) -> List[Tuple[str, str, str, str, str]]:
-        """``(label, est, peak, blowup, hint)`` rows for the profile."""
-        out = []
-        for cost in self.costs:
-            hint = ""
-            if (cost.suggested_order != cost.order
-                    and cost.reorder_gain >= REORDER_GAIN):
-                hint = "reorder: " + ", ".join(cost.suggested_order)
-            out.append((cost.label, _fmt(cost.estimate), _fmt(cost.peak),
-                        f"{cost.blowup:.1f}x", hint))
-        return out
+    def rows(self) -> List[Tuple[str, str, str, str]]:
+        """``(label, est, peak, blowup)`` rows for the profile."""
+        return [(cost.label, _fmt(cost.estimate), _fmt(cost.peak),
+                 f"{cost.blowup:.1f}x") for cost in self.costs]
 
 
 def _fmt(value: float) -> str:
@@ -164,24 +139,17 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def _literal_vars(literal: Literal) -> Tuple[str, ...]:
-    return tuple(arg.name for arg in literal.args
-                 if isinstance(arg, Variable))
-
-
-def _body_shape(body) -> Tuple[List[Literal], int, int]:
-    """Positive literals, negation count, and constraint-atom count."""
+def _body_shape(body) -> Tuple[List[Literal], List[BodyItem]]:
+    """Positive literals, and the filter items the planner schedules
+    around them (constraint atoms and negations)."""
     positives: List[Literal] = []
-    negations = 0
-    filters = 0
+    filters: List[BodyItem] = []
     for item in body:
         if isinstance(item, Literal):
             positives.append(item)
-        elif isinstance(item, NegatedLiteral):
-            negations += 1
         else:
-            filters += 1
-    return positives, negations, filters
+            filters.append(item)
+    return positives, filters
 
 
 class _Estimator:
@@ -201,71 +169,37 @@ class _Estimator:
             return DEFAULT_SIZE
         return base
 
-    def walk(self, literals: Sequence[Literal]
-             ) -> Tuple[float, float, float]:
-        """``(final rows, peak rows, largest input)`` for one order."""
+    def _planner_size(self, predicate: str) -> float:
+        size = self.size_of(predicate)
+        return -1 if size is None else size
+
+    def estimate_body(self, body) -> Tuple[float, float, float]:
+        """``(final rows, peak rows, largest input)`` of *body* joined in
+        the order the planner runs it."""
+        positives, filters = _body_shape(body)
+        order, generators = _reorder_literals(
+            positives, self._planner_size, filters)
         rows = 1.0
         peak = 1.0
         largest = 0.0
-        bound: set = set()
-        for literal in literals:
+        bound: Set[Variable] = set()
+        for index, literal in enumerate(order):
             size = self.size_of(literal.predicate)
             if size is None:  # computed predicate: pure filter
                 rows *= FILTER_SELECTIVITY
                 continue
             largest = max(largest, size)
-            variables = _literal_vars(literal)
-            joins = sum(1 for name in set(variables) if name in bound)
-            joins += sum(1 for arg in literal.args
-                         if not isinstance(arg, Variable))
+            if index in generators:
+                bound |= term_variables(generators[index].element)
+            variables = literal.variables()
+            joins = len(variables & bound) + sum(
+                1 for arg in literal.args if not isinstance(arg, Variable))
             rows *= size / max(size, 1.0) ** min(joins, 2)
             rows = min(rows, SIZE_CAP)
             peak = max(peak, rows)
-            bound.update(variables)
+            bound |= variables
+        rows *= FILTER_SELECTIVITY ** len(filters)
         return rows, peak, largest
-
-    def estimate_body(self, body) -> Tuple[float, float, float,
-                                           Tuple[str, ...],
-                                           Tuple[str, ...], float]:
-        positives, negations, filters = _body_shape(body)
-        rows, peak, largest = self.walk(positives)
-        rows *= FILTER_SELECTIVITY ** (negations + filters)
-        order = tuple(lit.predicate for lit in positives)
-        suggested, suggested_peak = self.reorder(positives)
-        return rows, peak, largest, order, suggested, suggested_peak
-
-    def reorder(self, positives: Sequence[Literal]
-                ) -> Tuple[Tuple[str, ...], float]:
-        """Greedy smallest-growth order over the positive literals."""
-        remaining = list(range(len(positives)))
-        chosen: List[int] = []
-        bound: set = set()
-        rows = 1.0
-        peak = 1.0
-        while remaining:
-            best = None
-            best_rows = None
-            for index in remaining:
-                literal = positives[index]
-                size = self.size_of(literal.predicate)
-                if size is None:
-                    candidate = rows * FILTER_SELECTIVITY
-                else:
-                    variables = _literal_vars(literal)
-                    joins = sum(1 for name in set(variables)
-                                if name in bound)
-                    joins += sum(1 for arg in literal.args
-                                 if not isinstance(arg, Variable))
-                    candidate = rows * size / max(size, 1.0) ** min(joins, 2)
-                if best_rows is None or candidate < best_rows:
-                    best, best_rows = index, candidate
-            assert best is not None and best_rows is not None
-            chosen.append(best)
-            remaining.remove(best)
-            rows = min(best_rows, SIZE_CAP)
-            peak = max(peak, rows)
-            bound.update(_literal_vars(positives[best]))
-        return tuple(positives[i].predicate for i in chosen), peak
 
 
 def size_program(program: Program, stats: Stats, *,
@@ -282,7 +216,7 @@ def size_program(program: Program, stats: Stats, *,
             name = rule.head.predicate
             if name not in totals:
                 continue
-            rows, _, _, _, _, _ = estimator.estimate_body(rule.body)
+            rows, _, _ = estimator.estimate_body(rule.body)
             totals[name] = min(totals[name] + rows, SIZE_CAP)
         for name, total in totals.items():
             if sizes.get(name) != total:
@@ -313,17 +247,14 @@ def estimate_program(program: Program, stats: Stats, *,
     for index, rule in enumerate(program):
         if relevant is not None and rule.head.predicate not in relevant:
             continue
-        rows, peak, largest, order, suggested, s_peak = (
-            estimator.estimate_body(rule.body))
+        rows, peak, largest = estimator.estimate_body(rule.body)
         label = rule.name or f"rule #{index} ({rule.head.predicate})"
         costs.append(RuleCost(label, index, rule.span, rows, peak, largest,
-                              order, suggested, s_peak,
                               rule_name=rule.name,
                               predicate=rule.head.predicate))
     for position, query in enumerate(queries):
-        rows, peak, largest, order, suggested, s_peak = (
-            estimator.estimate_body(query.body))
+        rows, peak, largest = estimator.estimate_body(query.body)
         label = "query" if len(queries) == 1 else f"query #{position}"
-        costs.append(RuleCost(label, None, query.span, rows, peak, largest,
-                              order, suggested, s_peak))
+        costs.append(RuleCost(label, None, query.span, rows, peak,
+                              largest))
     return CostReport(tuple(costs), dict(sizes))

@@ -62,7 +62,6 @@ CODES: Dict[str, Tuple[str, str]] = {
     "VDB041": (WARNING, "inter-rule contradiction: producer bounds are "
                         "incompatible with this body"),
     "VDB042": (WARNING, "estimated cartesian blowup in join"),
-    "VDB043": (INFO, "a cheaper literal ordering exists"),
     "VDB044": (INFO, "narrowed bounds inferred for derived predicate"),
     "VDB060": (ERROR, "standing query uses a non-monotone operator"),
     "VDB061": (WARNING, "standing query answer set can grow without bound"),

@@ -9,6 +9,8 @@ Commands::
     vidb explain rope.json "?- ..."      print derivation trees
     vidb lint rules.vdb                  static analysis: VDB0xx diagnostics
     vidb edl rope.json "?- ..." G        compile interval answers to an EDL
+    vidb analytics rope.json             screen time and co-occurrence report
+    vidb timeline rope.json              ASCII Gantt chart of the intervals
     vidb serve rope.json --port 7421     run the JSON-lines query server
     vidb serve --data-dir state          serve durably (WAL + snapshots)
     vidb serve ... --metrics-port 9464   also expose Prometheus /metrics

@@ -87,11 +87,11 @@ def format_cost_table(cost) -> str:
     """The prepare-time cost advisories as a table."""
     rows = [
         {"body": label, "est_rows": est, "peak_rows": peak,
-         "blowup": blowup, "hint": hint}
-        for label, est, peak, blowup, hint in cost.rows()
+         "blowup": blowup}
+        for label, est, peak, blowup in cost.rows()
     ]
     return format_table(rows, columns=["body", "est_rows", "peak_rows",
-                                       "blowup", "hint"])
+                                       "blowup"])
 
 
 def format_profile(report) -> str:
@@ -125,7 +125,7 @@ def format_profile(report) -> str:
         sections.append("-- inferred bounds --\n"
                         + "\n".join(bounds))
     advisories = [d for d in getattr(report, "diagnostics", ())
-                  if d.code in ("VDB042", "VDB043")]
+                  if d.code == "VDB042"]
     if advisories:
         sections.append("-- advisories --\n"
                         + "\n".join(d.render() for d in advisories))

@@ -408,21 +408,9 @@ class QueryEngine:
                                                            state)
                     if cost_diags:
                         diagnostics = tuple(diagnostics) + cost_diags
-            answer_vars = query.answer_variables
-            if answer_vars:
-                head = Literal(ANSWER_PREDICATE, list(answer_vars))
-            else:
-                # Boolean query: project an arbitrary constant.
-                head = Literal(ANSWER_PREDICATE, [0])
-            anonymous = Rule(head, query.body, name="query")
-            demand: Optional[Demand] = None
-            labels: Optional[Dict[int, str]] = None
             with stage("prune"):
-                if prune:
-                    demand, labels = self._demand(anonymous, inline)
-                    program = demand.program
-                else:
-                    program = self.program.extend([anonymous])
+                program, labels, demand = self.compile(query, inline=inline,
+                                                       prune=prune)
             base: Optional[EvaluationContext] = None
             built = False
             with stage("evaluate"):
@@ -449,8 +437,9 @@ class QueryEngine:
                     result.stats.absorb(overlay.stats)
             with stage("collect"):
                 rows = result.relation(ANSWER_PREDICATE)
-                answers = AnswerSet([v.name for v in answer_vars], rows,
-                                    result.stats)
+                answers = AnswerSet(
+                    [v.name for v in query.answer_variables], rows,
+                    result.stats)
                 if demand is not None and options.provenance is not None:
                     demand.translate_provenance(options.provenance)
         stats = result.stats
@@ -505,10 +494,27 @@ class QueryEngine:
         state.overlay = overlay
         return overlay, True
 
-    def _demand(self, query_rule: Rule, inline: bool
-                ) -> Tuple[Demand, Dict[int, str]]:
-        """The demand-rewritten program for one query, plus the label of
-        every rule in it: that of the rule as written it came from."""
+    def compile(self, query: Query, *, inline: bool, prune: bool = True,
+                name: str = "query"
+                ) -> Tuple[Program, Dict[int, str], Optional[Demand]]:
+        """The program one query evaluates, the label of each of its
+        rules, and its demand rewrite.
+
+        The query becomes an anonymous rule *name* deriving
+        :data:`ANSWER_PREDICATE`; *prune* demand-rewrites the engine's
+        program for it (see :func:`~vidb.query.demand.rewrite`, which
+        also says what *inline* does), otherwise it is appended to the
+        whole program and the demand is None.  A rewritten rule is
+        labelled as the rule as written it came from.  Ad-hoc and
+        standing queries both compile here.
+        """
+        answer_vars = query.answer_variables
+        # A boolean query projects an arbitrary constant.
+        head = Literal(ANSWER_PREDICATE, list(answer_vars) or [0])
+        query_rule = Rule(head, query.body, name=name)
+        if not prune:
+            program = self.program.extend([query_rule])
+            return program, rule_labels(program), None
         order = None
         if self.reorder_joins:
             computed = self.computed
@@ -527,8 +533,9 @@ class QueryEngine:
         written = [demand.source.get(id(rule), rule)
                    for rule in demand.program]
         by_source = rule_labels({id(rule): rule for rule in written}.values())
-        return demand, {id(rule): by_source[id(source)]
-                        for rule, source in zip(demand.program, written)}
+        labels = {id(rule): by_source[id(source)]
+                  for rule, source in zip(demand.program, written)}
+        return demand.program, labels, demand
 
     def _prepare_analysis(self, query: Query,
                           prune: bool) -> Optional[AnalysisResult]:

@@ -667,7 +667,7 @@ def _split_subset(atom: BodyItem) -> List[BodyItem]:
 
 
 def _reorder_literals(literals: Sequence[Literal],
-                      size_of: Callable[[str], int],
+                      size_of: Callable[[str], float],
                       constraints: Sequence[BodyItem] = (),
                       bound: Iterable[Variable] = (),
                       pinned: int = 0

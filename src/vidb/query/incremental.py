@@ -45,7 +45,7 @@ Usage::
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from vidb.constraints.kernel import KernelSpec
 from vidb.errors import EvaluationError
@@ -54,8 +54,9 @@ from vidb.model.objects import (
     GeneralizedIntervalObject,
     VideoObject,
 )
+from vidb.model.oid import Oid
 from vidb.model.relations import FactArg
-from vidb.query.ast import Program
+from vidb.query.ast import Program, Symbol
 from vidb.query.fixpoint import (
     EvaluationContext,
     FixpointResult,
@@ -64,6 +65,7 @@ from vidb.query.fixpoint import (
     RulePlan,
     delta_round,
     evaluate,
+    rule_labels,
 )
 from vidb.storage.database import VideoDatabase, classes_of
 
@@ -73,7 +75,9 @@ class MaterializedView:
 
     def __init__(self, db: VideoDatabase, program: Program,
                  computed=None, max_objects: int = 50_000,
-                 kernel: KernelSpec = None):
+                 kernel: KernelSpec = None,
+                 labels: Optional[Dict[int, str]] = None,
+                 guarded: Iterable[int] = ()):
         for rule in program:
             if rule.negated_literals():
                 raise EvaluationError(
@@ -85,7 +89,19 @@ class MaterializedView:
         self._computed = computed
         self._max_objects = max_objects
         self._kernel = kernel
+        #: Statistics labels and demand-guarded rules, as ``evaluate``
+        #: takes them; the maintenance plans are labelled the same way.
+        self._labels = labels if labels is not None else rule_labels(program)
+        self._guarded = frozenset(guarded)
         self._plans: List[RulePlan] = [RulePlan.compile(r) for r in program]
+        for plan in self._plans:
+            plan.label = self._labels[id(plan.rule)]
+        #: The oids a symbol in a rule head resolves to once the object
+        #: exists.  A fact derived before then holds the bare name, so a
+        #: fed delta adding one rebuilds the view (``apply_delta``).
+        self.symbol_oids = frozenset(
+            oid(arg.name) for rule in program for arg in rule.head.args
+            if isinstance(arg, Symbol) for oid in (Oid.entity, Oid.interval))
         self.inserted_facts = 0
         self.propagated_facts = 0
         self.rebuilds = 0
@@ -105,7 +121,7 @@ class MaterializedView:
         self._result: FixpointResult = evaluate(
             self._db, self.program, mode="seminaive",
             computed=self._computed, max_objects=self._max_objects,
-            kernel=self._kernel,
+            kernel=self._kernel, labels=self._labels, guarded=self._guarded,
         )
         self._ctx: EvaluationContext = self._result.context
         #: The database epoch the view content corresponds to, advanced

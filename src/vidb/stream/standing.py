@@ -4,9 +4,11 @@ MavVStream-style situation monitoring over the paper's video model: a
 client registers a query once and from then on receives the *new*
 answers each committed transaction produces, instead of polling with
 repeated evaluation.  Mechanically, a :class:`Subscription` compiles
-its query exactly the way :meth:`vidb.query.engine.QueryEngine.execute`
-does — an anonymous rule deriving ``q__answer`` over the pruned
-program — but materializes it as an observer-fed
+its query with :meth:`vidb.query.engine.QueryEngine.compile`, as
+``execute`` does — an anonymous rule deriving ``q__answer`` and the
+demand rewrite of the program for it, so a bound goal maintains only
+the facts its constants demand — but inline (a view reads no ⊕ overlay
+and factors nothing), and materializes the result as an observer-fed
 :class:`~vidb.query.incremental.MaterializedView`; the answer tuples
 each committed delta derives are the incremental notification.
 
@@ -35,8 +37,7 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from vidb.errors import ServiceOverloadedError, SessionError
-from vidb.query.ast import Literal, Query, Rule
-from vidb.query.demand import goal_predicates, relevant_rules
+from vidb.query.ast import Query
 from vidb.query.engine import ANSWER_PREDICATE, QueryEngine
 from vidb.query.fixpoint import GroundTuple
 from vidb.query.incremental import MaterializedView
@@ -77,16 +78,13 @@ class Subscription:
         self.diagnostics = analysis.diagnostics
         self.classification: Dict[str, Any] = dict(
             analysis.streaming[0]) if analysis.streaming else {}
-        answer_vars = query.answer_variables
-        if answer_vars:
-            head = Literal(ANSWER_PREDICATE, list(answer_vars))
-        else:
-            head = Literal(ANSWER_PREDICATE, [0])  # boolean query
-        anonymous = Rule(head, query.body, name=f"standing-{self.id}")
-        base = relevant_rules(engine.program, goal_predicates(query.body))
-        program = base.extend([anonymous])
+        # Compiled like an ad-hoc query, inline: a view reads no ⊕
+        # overlay and factors nothing.
+        program, labels, demand = engine.compile(
+            query, inline=True, name=f"standing-{self.id}")
         #: Answer column names (empty for a boolean query).
-        self.variables: Tuple[str, ...] = tuple(v.name for v in answer_vars)
+        self.variables: Tuple[str, ...] = tuple(
+            v.name for v in query.answer_variables)
         self.filter = dict(filter or {})
         for name in self.filter:
             if name not in self.variables:
@@ -104,7 +102,8 @@ class Subscription:
         # the subscribe op surfaces that to the client.
         self.view = MaterializedView(
             engine.db, program, computed=engine.computed,
-            max_objects=engine.max_objects, kernel=engine.kernel)
+            max_objects=engine.max_objects, kernel=engine.kernel,
+            labels=labels, guarded=demand.guarded if demand else ())
         self.view.seal(f"Subscription[{self.id}]")
         #: Answer rows already notified (new-answers-only dedup across
         #: rebuilds).

@@ -8,7 +8,8 @@ automatically, at commit granularity:
 
 * a **monotone** delta (pure inserts) is applied incrementally through
   the view's semi-naive insert API — the cheap path;
-* a delta containing a deletion/replacement triggers a from-scratch
+* a delta containing a deletion/replacement, or adding the object a
+  symbol in a rule head names, triggers a from-scratch
   :meth:`MaterializedView.refresh` — sound, not incremental;
 * aborted transactions never reach the registry at all (the hub drops
   them), so a view never observes uncommitted state.
@@ -39,11 +40,14 @@ def apply_delta(view: MaterializedView, delta: CommittedDelta,
     """Feed one committed delta into *view*.
 
     Returns the union of derived facts (per predicate) the delta
-    produced in the view, or ``None`` when the delta was non-monotone
-    and the view was rebuilt instead (the caller cannot attribute
-    derived facts to this delta in that case).
+    produced in the view, or ``None`` when the delta was non-monotone,
+    or added an object a rule head's symbol names (what the symbol
+    resolves to changed), and the view was rebuilt instead (the caller
+    cannot attribute derived facts to this delta in that case).
     """
-    if not delta.monotone:
+    if not delta.monotone or (view.symbol_oids and any(
+            event[0] == "add" and event[1].oid in view.symbol_oids
+            for event in delta.events)):
         with view.feeding():
             view.refresh()
         view.source_epoch = delta.epoch

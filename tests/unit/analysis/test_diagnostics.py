@@ -41,7 +41,7 @@ class TestRegistry:
         expected = {"VDB001", "VDB002", "VDB005", "VDB006", "VDB007",
                     "VDB020", "VDB021", "VDB022", "VDB023", "VDB024",
                     "VDB030", "VDB031", "VDB032",
-                    "VDB040", "VDB041", "VDB042", "VDB043", "VDB044",
+                    "VDB040", "VDB041", "VDB042", "VDB044",
                     "VDB060", "VDB061", "VDB062"}
         assert expected <= set(CODES)
 

@@ -3,6 +3,7 @@
 import pytest
 
 from vidb.errors import ServiceOverloadedError, SessionError
+from vidb.model.oid import Oid
 from vidb.query.engine import QueryEngine
 from vidb.stream.hub import StreamHub
 from vidb.stream.standing import SubscriptionManager
@@ -272,3 +273,58 @@ class TestLatencyAndTracing:
         manager.subscribe(QUERY, engine)
         db.relate("appears", "o1", "gi1")
         assert log.events == []
+
+
+class TestDemandCompiledView:
+    """A standing query compiles through the demand rewrite, like an
+    ad-hoc one."""
+
+    REACH = """
+        reach(X, Y) :- next(X, Y).
+        reach(X, Z) :- reach(X, Y), next(Y, Z).
+    """
+
+    @pytest.fixture
+    def chain(self):
+        database = VideoDatabase("chain")
+        database.declare_relation("next")
+        for i in range(60):
+            database.new_interval(f"n{i}", duration=[(i * 10, i * 10 + 5)])
+        return database
+
+    def subscribe(self, chain, text):
+        engine = QueryEngine(chain, rules=self.REACH)
+        manager = SubscriptionManager(StreamHub(chain))
+        sub = manager.subscribe(text, engine)
+        with chain.transaction():
+            for i in range(59):
+                chain.relate("next", Oid.interval(f"n{i}"),
+                             Oid.interval(f"n{i + 1}"))
+        expected = engine.execute(text, kernel="reference",
+                                  mode="naive").answers
+        return sub, {tuple(map(str, row)) for row in expected.rows()}
+
+    def test_bound_goal_maintains_only_demanded_facts(self, chain):
+        sub, expected = self.subscribe(chain, "?- reach(n30, Y).")
+        held = sum(map(len, sub.view.context.relations.values()))
+        assert held < 100  # the whole reach closure is 1 770 tuples
+        [batch] = sub.poll()
+        assert {tuple(row) for row in batch["rows"]} == expected
+        assert len(expected) == 29
+
+    def test_rewritten_rules_keep_their_source_labels(self, chain):
+        sub, _ = self.subscribe(chain, "?- reach(n30, Y).")
+        assert set(sub.view.context.stats.rules) <= {
+            "reach", "reach#2", sub.view.program.rules[-1].name}
+
+    def test_seed_named_before_its_object_exists(self, db, manager):
+        # The demand seed o9 is a bare name until entity o9 arrives; the
+        # commit that adds it rebuilds the view with the oid.
+        engine = QueryEngine(db, rules="seen(O, G) :- appears(O, G).")
+        sub = manager.subscribe("?- seen(o9, G).", engine)
+        with db.transaction():
+            db.new_entity("o9")
+            db.relate("appears", Oid.entity("o9"), Oid.interval("gi1"))
+        [batch] = sub.poll()
+        assert batch["rows"] == [["gi1"]]
+        assert sub.view.rebuilds == 1

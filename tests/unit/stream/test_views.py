@@ -2,7 +2,7 @@
 
 import pytest
 
-from vidb.errors import EvaluationError
+from vidb.errors import EvaluationError, ObjectBudgetError
 from vidb.query.fixpoint import evaluate
 from vidb.query.parser import parse_program
 from vidb.stream.hub import StreamHub
@@ -156,6 +156,28 @@ class TestApplyDelta:
         db.remove_fact(fact)
         assert captured == [None]
         assert view.rebuilds == 1
+
+
+class TestMaintenanceLabels:
+    """Deltas are metered, and budget errors named, under the rule's
+    label, as in the build."""
+
+    def test_fed_deltas_are_metered_under_rule_labels(self, db, registry):
+        view = registry.register("reach", REACH)
+        db.relate("next", "g0", "g1")
+        db.relate("next", "g1", "g2")
+        assert set(view.context.stats.rules) == {"reach", "reach#2"}
+
+    def test_budget_error_names_the_constructive_rule(self, db, registry):
+        # Four intervals close under ⊕ into 15 objects, five into 31.
+        view = registry.register("both", parse_program(
+            "both(G1 ++ G2) :- interval(G1), interval(G2), G1 != G2."),
+            max_objects=20)
+        with pytest.raises(ObjectBudgetError) as raised:
+            db.new_interval("g4", duration=[(40, 45)])
+        assert raised.value.rule == "both"
+        assert "rule 'both'" in str(raised.value)
+        assert "" not in view.context.stats.rules
 
 
 class TestStatus:

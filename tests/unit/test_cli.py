@@ -1,8 +1,12 @@
 """Unit tests for the command-line interface."""
 
+import argparse
+import re
+
 import pytest
 
-from vidb.cli import main
+import vidb.cli
+from vidb.cli import _build_parser, main
 from vidb.storage.persistence import load, save
 from vidb.workloads.paper import rope_database
 
@@ -245,3 +249,13 @@ class TestServeAndClient:
         __, port = server.address
         assert main(["client", "--port", str(port), "frobnicate"]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestDocstring:
+    def test_commands_block_lists_every_subcommand(self):
+        documented = set(re.findall(r"^    vidb (\w+)", vidb.cli.__doc__,
+                                    re.MULTILINE))
+        parser = _build_parser()
+        [subparsers] = [action for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction)]
+        assert documented == set(subparsers.choices)
