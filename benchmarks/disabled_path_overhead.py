@@ -24,9 +24,9 @@ real functions the hot path runs:
     runs per committed delta — against a result-cache hit through a
     real ``ServiceExecutor``.
 ``analysis``
-    the same query with prepare-time analysis on (warm, cached) against
-    ``ExecutionOptions(analyze=False)``, and that the cache served the
-    repeats.
+    the same query with prepare-time analysis on (warm: its query
+    shape compiled) against ``ExecutionOptions(analyze=False)``, and
+    that the engine's shape cache served the repeats.
 
 Exits non-zero (with a report) on any violation.  Run all probes, or
 name the ones to run::
@@ -208,13 +208,13 @@ def probe_analysis(engine, rows, failures):
     engine.execute(QUERY, on)   # warm: fixpoint caches + analysis cache
     engine.execute(QUERY, off)
     disabled_s = best_of(lambda: engine.execute(QUERY, off))
-    analyzer = engine._analyzer
-    hits, misses = analyzer.hits, analyzer.misses
+    shapes = engine.shapes
+    hits, misses = shapes.hits, shapes.misses
     analyzed_s = best_of(lambda: engine.execute(QUERY, on))
-    rows.append(("analysis cache hits/misses",
-                 f"{analyzer.hits}/{analyzer.misses}"))
-    if analyzer.misses != misses or analyzer.hits <= hits:
-        failures.append("analysis cache did not serve the warm repeats")
+    rows.append(("query shape hits/misses",
+                 f"{shapes.hits}/{shapes.misses}"))
+    if shapes.misses != misses or shapes.hits <= hits:
+        failures.append("the query shape did not serve the warm repeats")
     budget(rows, failures, "warm analysis",
            analyzed_s - disabled_s, disabled_s)
 

@@ -10,7 +10,8 @@ all reported as structured :class:`Diagnostic` values with stable
 Entry points:
 
 * :func:`analyze` — pure program/query analysis.
-* :class:`ProgramAnalyzer` — the cached form the query engine embeds.
+* :class:`ProgramAnalyzer` — program-level findings cached per
+  fingerprint (the query engine embeds one).
 * :func:`lint_text` / :func:`lint_file` — document-level linting used
   by ``vidb lint`` and the service ``lint`` op.
 """

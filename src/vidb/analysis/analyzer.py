@@ -2,17 +2,27 @@
 
 ``analyze`` is the pure entry point: program (+ optional queries) in,
 :class:`AnalysisResult` out.  :class:`ProgramAnalyzer` wraps it with a
-two-level thread-safe LRU cache — program-level findings keyed by the
-program fingerprint and its surroundings, query-level findings keyed
-additionally by the normalized query text — so the engine's warm path
-costs a dictionary lookup, not a solver call.
+thread-safe LRU cache of the program-level findings, keyed by the
+program fingerprint and its surroundings.  Query-level findings are not
+cached here: the query engine caches the passes that read no constant
+value per query *shape* (:func:`query_shape_diagnostics`) and runs the
+rest on each text (:func:`query_body_diagnostics`).
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from vidb.analysis.checks import (
     AnalysisContext,
@@ -37,7 +47,7 @@ from vidb.analysis.diagnostics import (
     sort_diagnostics,
 )
 from vidb.query.ast import Program, Query
-from vidb.query.render import normalize_query, program_fingerprint
+from vidb.query.render import program_fingerprint
 
 
 def _context(program: Program, edb: Iterable[str],
@@ -63,32 +73,56 @@ def _program_diagnostics(ctx: AnalysisContext, annotate_bounds: bool
     return sort_diagnostics(diagnostics), flow
 
 
-def _query_diagnostics(ctx: AnalysisContext, queries: Sequence[Query],
-                       flow: DataflowResult, streaming: bool
-                       ) -> Tuple[Tuple[Diagnostic, ...], FrozenSet[str],
-                                  Tuple[Dict[str, object], ...]]:
-    conflicted = conflicted_arities(ctx.program)
-    diagnostics = []
+def query_shape_diagnostics(ctx: AnalysisContext, queries: Sequence[Query]
+                            ) -> Tuple[List[Diagnostic], FrozenSet[str]]:
+    """The query-level findings that read no constant value (safety,
+    predicate uses, joins, reachability), and the predicates the queries
+    reach.  The engine runs them once per query shape."""
+    diagnostics: List[Diagnostic] = []
     for query in queries:
         diagnostics += check_query_safety(query)
-    diagnostics += check_predicate_uses(ctx, conflicted, queries,
-                                        include_rules=False)
+    diagnostics += check_predicate_uses(ctx, conflicted_arities(ctx.program),
+                                        queries, include_rules=False)
     # Rule-level findings were already reported at the program level;
     # re-run the body passes on the query bodies only.
-    query_ctx = AnalysisContext(
+    diagnostics += check_joins(body_context(ctx), queries)
+    reachable = reachable_predicates(ctx.program, query_goals(queries))
+    diagnostics += check_reachability(ctx, queries, reachable)
+    return diagnostics, reachable
+
+
+def query_body_diagnostics(body_ctx: AnalysisContext,
+                           queries: Sequence[Query],
+                           flow: Optional[DataflowResult]) -> List[Diagnostic]:
+    """The query-level findings whose verdict reads constant values: the
+    solver-backed constraint passes and the dataflow contradictions
+    (under the program's dataflow *flow*, when it ran).  *body_ctx* is
+    :func:`body_context` of the analysis context."""
+    diagnostics = check_constraints(body_ctx, queries)
+    if flow is not None:
+        diagnostics += check_query_dataflow(flow, queries)
+    return diagnostics
+
+
+def body_context(ctx: AnalysisContext) -> AnalysisContext:
+    """*ctx* without its rules, for passes over query bodies alone."""
+    return AnalysisContext(
         program=Program(), edb=ctx.edb, computed=ctx.computed,
         extra=ctx.extra, closed_world=ctx.closed_world)
-    diagnostics += check_constraints(query_ctx, queries)
-    diagnostics += check_joins(query_ctx, queries)
-    diagnostics += check_query_dataflow(flow, queries)
+
+
+def _query_diagnostics(ctx: AnalysisContext, queries: Sequence[Query],
+                       flow: Optional[DataflowResult], streaming: bool
+                       ) -> Tuple[Tuple[Diagnostic, ...], FrozenSet[str],
+                                  Tuple[Dict[str, object], ...]]:
+    diagnostics, reachable = query_shape_diagnostics(ctx, queries)
+    diagnostics += query_body_diagnostics(body_context(ctx), queries, flow)
     classifications = []
     if streaming:
         for query in queries:
             stream_diags, classification = check_streaming_safety(ctx, query)
             diagnostics += stream_diags
             classifications.append(classification)
-    reachable = reachable_predicates(ctx.program, query_goals(queries))
-    diagnostics += check_reachability(ctx, queries, reachable)
     return sort_diagnostics(diagnostics), reachable, tuple(classifications)
 
 
@@ -129,20 +163,25 @@ def analyze(program: Program,
 
 
 class _LruCache:
-    """A small thread-safe LRU map (computation happens outside the lock)."""
+    """A small thread-safe LRU map (computation happens outside the lock)
+    that counts its lookups: ``hits`` and ``misses`` survive ``clear``."""
 
     def __init__(self, max_entries: int):
         self.max_entries = max_entries
         self._lock = threading.Lock()
         self._entries: "OrderedDict" = OrderedDict()
+        self.hits = 0
+        self.misses = 0
 
     def get(self, key):
         with self._lock:
             try:
                 self._entries.move_to_end(key)
-                return self._entries[key]
             except KeyError:
+                self.misses += 1
                 return None
+            self.hits += 1
+            return self._entries[key]
 
     def put(self, key, value) -> None:
         with self._lock:
@@ -161,27 +200,30 @@ class _LruCache:
 
 
 class ProgramAnalyzer:
-    """Cached analysis for a long-lived engine.
+    """Cached program-level analysis for a long-lived engine.
 
     The program-level result depends only on (program fingerprint, EDB
-    relation names, computed/extra predicates, world assumption); the
-    query-level result additionally on the normalized query.  Both keys
-    are value-based, so engines that swap programs or databases never
-    see stale findings, and repeated queries hit the cache.  A query
-    text seen for the first time pays only for the passes over its own
-    body: the program-level findings and dataflow come from the program
-    cache.
+    relation names, computed/extra predicates, world assumption).  The
+    key is value-based, so engines that swap programs or databases never
+    see stale findings.  A query's own passes run on every call; the
+    program-level findings and dataflow come from the cache, and
+    ``hits`` / ``misses`` count its lookups.
     """
 
     def __init__(self, max_entries: int = 256):
         self._program_cache = _LruCache(max_entries)
-        self._query_cache = _LruCache(max_entries)
         #: ``(program, fingerprint)`` of the program last analyzed: an
         #: engine asks about the same (immutable) object query after
         #: query, and rendering it is most of a cache probe.
         self._fingerprint: Tuple[Optional[Program], str] = (None, "")
-        self.hits = 0
-        self.misses = 0
+
+    @property
+    def hits(self) -> int:
+        return self._program_cache.hits
+
+    @property
+    def misses(self) -> int:
+        return self._program_cache.misses
 
     def _base_key(self, program: Program, edb: FrozenSet[str],
                   computed: Optional[Dict[str, int]],
@@ -201,16 +243,6 @@ class ProgramAnalyzer:
             annotate_bounds,
         )
 
-    def _program_level(self, base_key, program: Program, **context
-                       ) -> Tuple[AnalysisResult, bool]:
-        """``(the program-level result, whether it was cached)``."""
-        cached = self._program_cache.get(base_key)
-        if cached is not None:
-            return cached, True
-        result = analyze(program, **context)
-        self._program_cache.put(base_key, result)
-        return result, False
-
     def analyze(self, program: Program, query: Optional[Query] = None,
                 *, edb: Iterable[str] = (),
                 computed: Optional[Dict[str, int]] = None,
@@ -221,36 +253,24 @@ class ProgramAnalyzer:
         edb = frozenset(edb)
         base_key = self._base_key(program, edb, computed, extra,
                                   closed_world, annotate_bounds)
-        context = dict(edb=edb, computed=computed, extra=extra,
-                       closed_world=closed_world,
-                       annotate_bounds=annotate_bounds)
+        program_level = self._program_cache.get(base_key)
+        if program_level is None:
+            program_level = analyze(program, edb=edb, computed=computed,
+                                    extra=extra, closed_world=closed_world,
+                                    annotate_bounds=annotate_bounds)
+            self._program_cache.put(base_key, program_level)
         if query is None:
-            result, cached = self._program_level(base_key, program,
-                                                 **context)
-            self.hits += cached
-            self.misses += not cached
-            return result
-
-        key = base_key + (streaming, normalize_query(query))
-        cached = self._query_cache.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        program_level, _ = self._program_level(base_key, program, **context)
+            return program_level
         query_diags, reachable, classifications = _query_diagnostics(
             _context(program, edb, computed, extra, closed_world),
             (query,), program_level.dataflow, streaming)
         # The same merge ``analyze(program, query)`` performs.
         merged = tuple(dict.fromkeys(program_level.diagnostics + query_diags))
-        result = AnalysisResult(sort_diagnostics(merged),
-                                reachable=reachable,
-                                dataflow=program_level.dataflow,
-                                streaming=classifications)
-        self._query_cache.put(key, result)
-        return result
+        return AnalysisResult(sort_diagnostics(merged),
+                              reachable=reachable,
+                              dataflow=program_level.dataflow,
+                              streaming=classifications)
 
     def clear(self) -> None:
         self._program_cache.clear()
-        self._query_cache.clear()
         self._fingerprint = (None, "")

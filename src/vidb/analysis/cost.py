@@ -123,6 +123,17 @@ class CostReport:
                     rule_name=cost.rule_name, predicate=cost.predicate))
         return tuple(out)
 
+    def located(self, span: Optional[SourceSpan]) -> "CostReport":
+        """This report with its last row — the query body's — at
+        *span*."""
+        if not self.costs:
+            return self
+        *rules, query = self.costs
+        return CostReport((*rules, RuleCost(
+            query.label, query.rule_index, span, query.estimate, query.peak,
+            query.largest_input, query.rule_name, query.predicate)),
+            self.sizes)
+
     def rows(self) -> List[Tuple[str, str, str, str]]:
         """``(label, est, peak, blowup)`` rows for the profile."""
         return [(cost.label, _fmt(cost.estimate), _fmt(cost.peak),

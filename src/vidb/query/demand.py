@@ -226,6 +226,16 @@ class Demand:
     #: empty when it needs no overlay.
     served: FrozenSet[str] = frozenset()
 
+    def bound(self, program: Program, source: Dict[int, Rule],
+              guarded: Set[int]) -> "Demand":
+        """This rewrite evaluating *program* instead, with the id-keyed
+        tables that follow its rules (the engine binds a query's
+        constants into a rewrite of the query's shape)."""
+        return Demand(program, source=source, guarded=guarded,
+                      adorned=self.adorned, demands=self.demands,
+                      factored=self.factored, fallbacks=self.fallbacks,
+                      served=self.served)
+
     def display(self, text: str) -> str:
         """*text* with generated predicate names spelled ``p^bf`` /
         ``demand p^bf`` / ``factor p^bf``; longer names are replaced

@@ -20,6 +20,12 @@ The constructive closure (:func:`~vidb.query.demand.constructive_closure`)
 does not depend on the query, so the engine evaluates it once per
 database epoch — the ⊕ *overlay* — and every query that needs it reads
 it as stored relations.
+
+Nor does anything before the fixpoint depend on a query's constants:
+the engine compiles each query *shape* (:mod:`vidb.query.shape`) once
+per program version — the demand rewrite and the analysis passes that
+read no constant value — and a new text only lifts its constants, looks
+the shape up and binds them in.
 """
 
 from __future__ import annotations
@@ -32,21 +38,33 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
     Union,
 )
 
-from vidb.analysis.analyzer import ProgramAnalyzer, _LruCache
+from vidb.analysis.analyzer import (
+    ProgramAnalyzer,
+    _LruCache,
+    body_context,
+    query_body_diagnostics,
+    query_shape_diagnostics,
+)
+from vidb.analysis.checks import AnalysisContext, check_streaming_safety
 from vidb.analysis.cost import (
     CostReport,
     Stats,
     estimate_program,
     size_program,
 )
-from vidb.analysis.dataflow import query_bounds
-from vidb.analysis.diagnostics import AnalysisResult, Diagnostic
+from vidb.analysis.dataflow import DataflowResult, query_bounds
+from vidb.analysis.diagnostics import (
+    AnalysisResult,
+    Diagnostic,
+    sort_diagnostics,
+)
 from vidb.constraints.kernel import KernelSpec, resolve_kernel
 from vidb.errors import (
     QueryError,
@@ -89,11 +107,15 @@ from vidb.query.fixpoint import (
     rule_labels,
 )
 from vidb.query.parser import parse_program, parse_query
-from vidb.query.render import normalize_query
 from vidb.query.safety import check_program, check_query
+from vidb.query.shape import Lifted, bind_rule, lift, reanchor
 from vidb.storage.database import VideoDatabase
 
 ANSWER_PREDICATE = "q__answer"
+
+#: Entries of the engine's query-shape cache (and of each epoch's
+#: per-shape cost reports).
+SHAPE_CAPACITY = 256
 
 
 class Answer:
@@ -213,19 +235,94 @@ def _row_sort_key(row: GroundTuple):
     )
 
 
+def _answer_head(query: Query) -> Literal:
+    # A boolean query projects an arbitrary constant.
+    return Literal(ANSWER_PREDICATE, list(query.answer_variables) or [0])
+
+
+def _labels(program: Program, demand: Optional[Demand]) -> Dict[int, str]:
+    """The label of each rule of *program*: a rewritten rule is labelled
+    as the rule as written it came from."""
+    if demand is None:
+        return rule_labels(program)
+    written = [demand.source.get(id(rule), rule) for rule in program]
+    by_source = rule_labels({id(rule): rule for rule in written}.values())
+    return {id(rule): by_source[id(source)]
+            for rule, source in zip(program, written)}
+
+
 class _EpochState:
     """What an engine derives from one ``(program version, database
     epoch)``: the statistics and derived-predicate sizes the cost
-    advisories use, and the ⊕ overlay.  Each is filled on first use; two
-    threads racing to fill one compute equal values and publish with one
-    assignment each."""
+    advisories use, the cost report of each query shape, and the ⊕
+    overlay.  Each is filled on first use; two threads racing to fill
+    one compute equal values and publish with one assignment each."""
 
-    __slots__ = ("key", "sizing", "overlay")
+    __slots__ = ("key", "sizing", "costs", "overlay")
 
     def __init__(self, key: Optional[Tuple[int, int]]):
         self.key = key
         self.sizing: Optional[Tuple[Stats, Dict[str, float]]] = None
+        #: shape entry -> ``(cost report, its advisories)`` on the lifted
+        #: query; never filled inside a transaction (``key`` is None).
+        self.costs = _LruCache(SHAPE_CAPACITY)
         self.overlay: Optional[FixpointResult] = None
+
+
+class _Compiled(NamedTuple):
+    """A lifted query compiled: the program it evaluates, the label of
+    each rule, the demand rewrite, the query rule, and the positions of
+    the rules that carry its parameters — the query rule and the demand
+    rules it emits; program rules never do."""
+
+    program: Program
+    labels: Dict[int, str]
+    demand: Optional[Demand]
+    query_rule: Rule
+    carriers: Tuple[int, ...]
+
+
+class _Findings(NamedTuple):
+    """The analysis of a lifted query that reads no constant value: the
+    program-level and shape-level findings — in source order those that
+    every text of the shape shares, apart those that point at the lifted
+    query's positional anchors."""
+
+    fixed: Tuple[Diagnostic, ...]
+    anchored: Tuple[Diagnostic, ...]
+    reachable: FrozenSet[str]
+    context: AnalysisContext
+    body_context: AnalysisContext
+    dataflow: Optional[DataflowResult]
+
+
+class _ShapeKey(NamedTuple):
+    """Everything a compiled shape reads: the program (and computed
+    predicates) by version, the relation names, the compile switches
+    and the shape itself."""
+
+    version: int
+    relations: FrozenSet[str]
+    inline: bool
+    prune: bool
+    reorder_joins: bool
+    shape: tuple
+
+
+class _Shape:
+    """What an engine derives from one ``(program version, query
+    shape)``: the compiled lifted query and its findings.  Each is
+    filled on first use and published with one assignment; a finding
+    set with a blocking error is never stored, so each text raises it
+    from its own analysis."""
+
+    __slots__ = ("key", "query", "compiled", "findings")
+
+    def __init__(self, key: _ShapeKey, query: Query):
+        self.key = key
+        self.query = query
+        self.compiled: Optional[_Compiled] = None
+        self.findings: Optional[_Findings] = None
 
 
 class QueryEngine:
@@ -255,14 +352,14 @@ class QueryEngine:
         self.reorder_joins = reorder_joins
         self.prune_rules = prune_rules
         #: Prepare-time static analysis (warnings on the report, errors
-        #: raised before the fixpoint); results are cached per program
-        #: fingerprint + normalized query, so the warm path is a lookup.
+        #: raised before the fixpoint).  Program-level findings are cached
+        #: per program fingerprint, query-level ones per query shape.
         self.analyze = analyze
         self._analyzer = ProgramAnalyzer()
-        #: Cost/cardinality advisories, cached per (program version,
-        #: normalized query, database epoch) — the epoch key means the
-        #: warm path re-estimates only after an actual mutation.
-        self._cost_cache = _LruCache(256)
+        #: Compiled query shapes (see :mod:`vidb.query.shape`), keyed by
+        #: program version, relation names, the compile switches and the
+        #: shape; ``hits`` / ``misses`` count the lookups.
+        self.shapes = _LruCache(SHAPE_CAPACITY)
         #: The current epoch's state (see :meth:`_epoch_state`).
         self._state: Optional[_EpochState] = None
         self._program_version = 0
@@ -314,18 +411,18 @@ class QueryEngine:
         return self
 
     def invalidate_analysis(self) -> None:
-        """Drop every cached analysis and cost result.
+        """Drop every cached analysis, compiled shape and cost result.
 
-        Cache keys are value-based (program fingerprint, EDB relation
-        names, database epoch), so stale hits are impossible even
-        without this call — but schema-affecting mutations such as
+        Cache keys are value-based (program version and fingerprint, EDB
+        relation names, database epoch), so stale hits are impossible
+        even without this call — but schema-affecting mutations such as
         ``declare_relation`` should still invalidate explicitly so dead
         entries are reclaimed and the closed-world undefined-predicate
         contract is visibly re-evaluated.  The service executor calls
         this whenever a transaction changes the set of relation names.
         """
         self._analyzer.clear()
-        self._cost_cache.clear()
+        self.shapes.clear()
         self._program_version += 1
 
     # -- evaluation -----------------------------------------------------------
@@ -399,18 +496,21 @@ class QueryEngine:
             analyze = (self.analyze if options.analyze is None
                        else options.analyze)
             with stage("analyze"):
+                lifted = lift(query)
+                shape = self._shape(lifted, inline, prune)
                 if analyze:
-                    analysis = self._prepare_analysis(query, prune)
+                    analysis = self._prepare_analysis(query, lifted, shape,
+                                                      prune)
                     if analysis is not None:
                         diagnostics = analysis.diagnostics
                         bounds = self._bounds_lines(query, analysis)
-                    cost, cost_diags = self._cost_estimate(query, prune,
-                                                           state)
+                    cost, cost_diags = self._cost_estimate(lifted, shape,
+                                                           prune, state)
                     if cost_diags:
                         diagnostics = tuple(diagnostics) + cost_diags
             with stage("prune"):
-                program, labels, demand = self.compile(query, inline=inline,
-                                                       prune=prune)
+                program, labels, demand = self._bind(shape, lifted, query,
+                                                     "query")
             base: Optional[EvaluationContext] = None
             built = False
             with stage("evaluate"):
@@ -506,15 +606,30 @@ class QueryEngine:
         also says what *inline* does), otherwise it is appended to the
         whole program and the demand is None.  A rewritten rule is
         labelled as the rule as written it came from.  Ad-hoc and
-        standing queries both compile here.
+        standing queries both compile here, through the query's shape.
         """
-        answer_vars = query.answer_variables
-        # A boolean query projects an arbitrary constant.
-        head = Literal(ANSWER_PREDICATE, list(answer_vars) or [0])
-        query_rule = Rule(head, query.body, name=name)
-        if not prune:
+        lifted = lift(query)
+        return self._bind(self._shape(lifted, inline, prune), lifted,
+                          query, name)
+
+    def _shape(self, lifted: Lifted, inline: bool, prune: bool) -> _Shape:
+        """The cache entry of *lifted*'s shape under the current program,
+        relation names and compile switches (new and empty on a miss)."""
+        key = _ShapeKey(self._program_version, self.db.relation_names(),
+                        inline, prune, self.reorder_joins, lifted.key)
+        shape = self.shapes.get(key)
+        if shape is None:
+            shape = _Shape(key, lifted.query)
+            self.shapes.put(key, shape)
+        return shape
+
+    def _compile_shape(self, shape: _Shape) -> _Compiled:
+        query_rule = Rule(_answer_head(shape.query), shape.query.body,
+                          name="query")
+        if not shape.key.prune:
             program = self.program.extend([query_rule])
-            return program, rule_labels(program), None
+            return _Compiled(program, rule_labels(program), None,
+                             query_rule, (len(program) - 1,))
         order = None
         if self.reorder_joins:
             computed = self.computed
@@ -527,17 +642,54 @@ class QueryEngine:
                     constraints, bound)[0]
 
         demand = rewrite(self.program, query_rule, order=order,
-                         taken=self.db.relation_names() | set(self.computed),
+                         taken=shape.key.relations | set(self.computed),
                          stored=self._overlay_predicates,
-                         linear=self._linear, inline=inline)
-        written = [demand.source.get(id(rule), rule)
-                   for rule in demand.program]
-        by_source = rule_labels({id(rule): rule for rule in written}.values())
-        labels = {id(rule): by_source[id(source)]
-                  for rule, source in zip(demand.program, written)}
-        return demand.program, labels, demand
+                         linear=self._linear, inline=shape.key.inline)
+        carriers = tuple(
+            index for index, rule in enumerate(demand.program)
+            if demand.source.get(id(rule), rule) is query_rule)
+        return _Compiled(demand.program, _labels(demand.program, demand),
+                         demand, query_rule, carriers)
 
-    def _prepare_analysis(self, query: Query,
+    def _bind(self, shape: _Shape, lifted: Lifted, query: Query, name: str
+              ) -> Tuple[Program, Dict[int, str], Optional[Demand]]:
+        """:meth:`compile`'s result for *query*: its shape's compiled
+        program (compiled here on first use) with *lifted*'s constants
+        bound into the rules that carry them.  Rules are keyed by
+        ``id`` in the labels and the demand tables, so each bound rule
+        takes over the entries of the rule it replaces; the query rule
+        as written is *query* itself, which provenance reports."""
+        compiled = shape.compiled
+        if compiled is None:
+            compiled = shape.compiled = self._compile_shape(shape)
+        written = Rule(_answer_head(query), query.body, name=name)
+        rules = list(compiled.program.rules)
+        replaced = []
+        for index in compiled.carriers:
+            rule = rules[index]
+            rules[index] = (written if rule is compiled.query_rule
+                            else bind_rule(rule, lifted.values, name))
+            replaced.append((rule, rules[index]))
+        program = Program(rules)
+        demand = compiled.demand
+        if demand is not None:
+            source = dict(demand.source)
+            guarded = demand.guarded
+            for rule, bound in replaced:
+                if bound is not written:
+                    source[id(bound)] = written
+                if id(rule) in guarded:
+                    guarded = guarded | {id(bound)}
+            demand = demand.bound(program, source, guarded)
+        if name == compiled.query_rule.name:
+            labels = dict(compiled.labels)
+            for rule, bound in replaced:
+                labels[id(bound)] = labels[id(rule)]
+        else:
+            labels = _labels(program, demand)
+        return program, labels, demand
+
+    def _prepare_analysis(self, query: Query, lifted: Lifted, shape: _Shape,
                           prune: bool) -> Optional[AnalysisResult]:
         """Prepare-time static analysis for one query.
 
@@ -549,12 +701,7 @@ class QueryEngine:
         diagnostic.
         """
         try:
-            analysis = self._analyzer.analyze(
-                self.program, query,
-                edb=self.db.relation_names(),
-                computed={name: arity
-                          for name, (arity, _) in self.computed.items()},
-            )
+            analysis = self._analysis(query, lifted, shape, prune)
         except Exception:
             # The analyzer is advisory infrastructure: a defect in it must
             # never take down query execution.
@@ -562,50 +709,109 @@ class QueryEngine:
         self._raise_blocking(analysis, prune)
         return analysis
 
-    def _raise_blocking(self, analysis: AnalysisResult, prune: bool) -> None:
+    def _analysis(self, query: Query, lifted: Lifted, shape: _Shape,
+                  prune: bool, streaming: bool = False) -> AnalysisResult:
+        """*query*'s analysis: its shape's findings, re-anchored onto
+        *query*'s nodes, plus the passes whose verdict reads constant
+        values (and, *streaming*, the standing-query pass), run on
+        *query* itself."""
+        findings = shape.findings
+        if findings is None:
+            findings = self._shape_findings(shape)
+            if self._blocking(findings.fixed + findings.anchored,
+                              findings.reachable, prune) is None:
+                shape.findings = findings
+        extra = [reanchor(diag, lifted.anchors) for diag in findings.anchored]
+        extra += query_body_diagnostics(
+            findings.body_context, (query,), findings.dataflow)
+        classifications: Tuple[Dict[str, Any], ...] = ()
+        if streaming:
+            stream_diags, classification = check_streaming_safety(
+                findings.context, query)
+            extra += stream_diags
+            classifications = (classification,)
+        diagnostics = findings.fixed
+        if extra:
+            diagnostics = sort_diagnostics(
+                dict.fromkeys(diagnostics + tuple(extra)))
+        return AnalysisResult(
+            diagnostics, reachable=findings.reachable,
+            dataflow=findings.dataflow, streaming=classifications)
+
+    def _shape_findings(self, shape: _Shape) -> _Findings:
+        edb = shape.key.relations
+        computed = {name: arity for name, (arity, _) in self.computed.items()}
+        program_level = self._analyzer.analyze(self.program, edb=edb,
+                                               computed=computed)
+        context = AnalysisContext(program=self.program, edb=edb,
+                                  computed=computed)
+        shape_diags, reachable = query_shape_diagnostics(context,
+                                                         (shape.query,))
+        diagnostics = program_level.diagnostics + tuple(shape_diags)
+        anchored = tuple(diag for diag in diagnostics
+                         if diag.span is not None and diag.span.line == 0)
+        fixed = sort_diagnostics(dict.fromkeys(
+            diag for diag in diagnostics if diag not in anchored))
+        return _Findings(fixed, anchored, reachable, context,
+                         body_context(context), program_level.dataflow)
+
+    def _blocking(self, diagnostics: Iterable[Diagnostic],
+                  reachable: Optional[FrozenSet[str]],
+                  prune: bool) -> Optional[Diagnostic]:
+        """The first error that blocks execution, if any."""
         rules = self.program.rules
-        reachable = analysis.reachable
-        for diag in analysis.errors:
+        for diag in diagnostics:
+            if not diag.is_error:
+                continue
             if diag.rule_index is not None and prune and reachable is not None:
                 if (diag.rule_index < len(rules) and
                         rules[diag.rule_index].head.predicate not in reachable):
                     continue
-            if diag.code == "VDB006":
-                raise UnknownPredicateError(diag.message)
-            if diag.code.startswith("VDB06"):
-                raise StandingQueryError(diag.message,
-                                         diagnostics=analysis.diagnostics)
-            raise SafetyError(diag.message)
+            return diag
+        return None
 
-    def _cost_estimate(self, query: Query, prune: bool, state: _EpochState
+    def _raise_blocking(self, analysis: AnalysisResult, prune: bool) -> None:
+        diag = self._blocking(analysis.diagnostics, analysis.reachable, prune)
+        if diag is None:
+            return
+        if diag.code == "VDB006":
+            raise UnknownPredicateError(diag.message)
+        if diag.code.startswith("VDB06"):
+            raise StandingQueryError(diag.message,
+                                     diagnostics=analysis.diagnostics)
+        raise SafetyError(diag.message)
+
+    def _cost_estimate(self, lifted: Lifted, shape: _Shape, prune: bool,
+                       state: _EpochState
                        ) -> Tuple[Optional[CostReport],
                                   Tuple[Diagnostic, ...]]:
-        """Cost advisories for one query, cached per database epoch
-        (never inside a transaction, like :meth:`_epoch_state`)."""
-        try:
-            key = (state.key, normalize_query(query), prune)
-        except Exception:
+        """Cost advisories for one query: those of its shape, estimated
+        once per database epoch (never inside a transaction, like
+        :meth:`_epoch_state`) and re-anchored onto the query."""
+        value = state.costs.get(shape) if state.key else None
+        if value is None:
+            try:
+                stats, sizes = self._sizing(state)
+                relevant = None
+                if prune:
+                    relevant = reachable_predicates(
+                        self.program, goal_predicates(shape.query.body))
+                report = estimate_program(
+                    self.program, stats, computed=tuple(self.computed),
+                    queries=(shape.query,), relevant=relevant, sizes=sizes)
+                value = (report, report.diagnostics())
+            except Exception:
+                # Advisory infrastructure: estimation defects must never
+                # take down query execution.
+                value = (None, ())
+            if state.key:
+                state.costs.put(shape, value)
+        report, diagnostics = value
+        if report is None:
             return None, ()
-        cached = self._cost_cache.get(key) if state.key else None
-        if cached is not None:
-            return cached
-        try:
-            stats, sizes = self._sizing(state)
-            relevant = None
-            if prune:
-                relevant = reachable_predicates(
-                    self.program, goal_predicates(query.body))
-            report = estimate_program(
-                self.program, stats, computed=tuple(self.computed),
-                queries=(query,), relevant=relevant, sizes=sizes)
-            value = (report, report.diagnostics())
-        except Exception:
-            # Advisory infrastructure: estimation defects must never
-            # take down query execution.
-            value = (None, ())
-        if state.key:
-            self._cost_cache.put(key, value)
-        return value
+        anchors = lifted.anchors
+        return (report.located(anchors[0]),
+                tuple(reanchor(diag, anchors) for diag in diagnostics))
 
     def _sizing(self, state: Optional[_EpochState] = None
                 ) -> Tuple[Stats, Dict[str, float]]:
@@ -647,13 +853,10 @@ class QueryEngine:
         if isinstance(query, str):
             query = parse_query(query)
         check_query(query)
-        analysis = self._analyzer.analyze(
-            self.program, query,
-            edb=self.db.relation_names(),
-            computed={name: arity
-                      for name, (arity, _) in self.computed.items()},
-            streaming=True,
-        )
+        lifted = lift(query)
+        shape = self._shape(lifted, True, self.prune_rules)
+        analysis = self._analysis(query, lifted, shape, self.prune_rules,
+                                  streaming=True)
         self._raise_blocking(analysis, self.prune_rules)
         return analysis
 

@@ -291,6 +291,12 @@ class ServiceExecutor:
         reg.callback_gauge("in_flight", lambda: self._in_flight)
         reg.callback_gauge("max_in_flight", lambda: self.max_in_flight)
         reg.callback_gauge("sessions.open", self.session_count)
+        # The engine's compiled query shapes (see vidb.query.shape); a
+        # replica resync rebuilds the engine, so read the current one.
+        reg.callback_gauge("shapes.hits", lambda: self._engine.shapes.hits)
+        reg.callback_gauge("shapes.misses",
+                           lambda: self._engine.shapes.misses)
+        reg.callback_gauge("shapes.size", lambda: len(self._engine.shapes))
         # Active constraint kernel: name as an info-style labeled gauge
         # plus the backend's own cache counters (hit/miss/sizing).
         kernel_info = reg.gauge_family("kernel_info", ("kernel",))

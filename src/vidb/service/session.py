@@ -8,7 +8,9 @@ A :class:`Session` belongs to one client of a
 * *prepared* queries (:meth:`Session.prepare` / :meth:`Session.execute`):
   the text is parsed and safety-checked **once**; each execution only
   substitutes parameter values into the compiled AST, skipping the
-  parser entirely.
+  parser entirely.  The executions differ only in constants, so they
+  share one query shape (:mod:`vidb.query.shape`): the engine compiles
+  it once and binds each execution's values into it.
 
 Parameters are ordinary query variables named at prepare time::
 
@@ -30,28 +32,12 @@ import re
 import threading
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from vidb.constraints.dense import And, Comparison, Constraint, Or
-from vidb.constraints.terms import Var
-from vidb.errors import SessionError, ServiceClosedError
+from vidb.errors import QueryError, SessionError, ServiceClosedError
 from vidb.model.oid import Oid
-from vidb.query.ast import (
-    AttrPath,
-    BodyItem,
-    ComparisonAtom,
-    ConcatTerm,
-    EntailmentAtom,
-    Literal,
-    MembershipAtom,
-    NegatedLiteral,
-    Query,
-    SubsetAtom,
-    Symbol,
-    Term,
-    Variable,
-    spanned,
-)
+from vidb.query.ast import Query, Symbol, Term, Variable, spanned
 from vidb.query.parser import parse_query
 from vidb.query.safety import check_query
+from vidb.query.shape import substitute
 
 _IDENT_RE = re.compile(r"^[a-z][A-Za-z0-9_]*$")
 _session_ids = itertools.count(1)
@@ -72,91 +58,6 @@ def coerce_param(value: Any) -> Term:
             return Symbol(value)
         return value
     raise SessionError(f"cannot bind parameter value {value!r}")
-
-
-def _subst_term(term: Term, binding: Dict[str, Term]) -> Term:
-    if isinstance(term, Variable) and term.name in binding:
-        return binding[term.name]
-    if isinstance(term, ConcatTerm):
-        return spanned(ConcatTerm(_subst_term(term.left, binding),
-                                  _subst_term(term.right, binding)),
-                       term.span)
-    return term
-
-
-def _subst_path(path: AttrPath, binding: Dict[str, Term]) -> AttrPath:
-    subject = _subst_term(path.subject, binding)
-    if not isinstance(subject, (Variable, Symbol, Oid)):
-        raise SessionError(
-            f"parameter {path.subject!r} is used as an attribute-path "
-            f"subject and must bind to a symbol or oid, not {subject!r}")
-    return spanned(AttrPath(subject, path.attr), path.span)
-
-
-def _subst_constraint(constraint: Constraint,
-                      binding: Dict[str, Term]) -> Constraint:
-    if isinstance(constraint, Comparison):
-        def side(value):
-            if isinstance(value, Var) and value.name in binding:
-                bound = binding[value.name]
-                if isinstance(bound, (Symbol, Oid)):
-                    raise SessionError(
-                        f"constraint variable {value.name} must bind to a "
-                        f"number, not {bound!r}")
-                return bound
-            return value
-        return Comparison(side(constraint.left), constraint.op,
-                          side(constraint.right))
-    if isinstance(constraint, And):
-        return And([_subst_constraint(p, binding) for p in constraint.parts])
-    if isinstance(constraint, Or):
-        return Or([_subst_constraint(p, binding) for p in constraint.parts])
-    return constraint
-
-
-def _subst_side(side, binding: Dict[str, Term]):
-    if isinstance(side, AttrPath):
-        return _subst_path(side, binding)
-    if isinstance(side, Constraint):
-        return _subst_constraint(side, binding)
-    return _subst_term(side, binding)
-
-
-def _subst_item(item: BodyItem, binding: Dict[str, Term]) -> BodyItem:
-    # ``spanned`` keeps the original source position on the rebuilt node,
-    # so analyzer diagnostics against a bound query still point into the
-    # prepared text.
-    if isinstance(item, Literal):
-        return spanned(
-            Literal(item.predicate,
-                    [_subst_term(a, binding) for a in item.args]),
-            item.span)
-    if isinstance(item, NegatedLiteral):
-        return spanned(NegatedLiteral(_subst_item(item.literal, binding)),
-                       item.span)
-    if isinstance(item, MembershipAtom):
-        return spanned(
-            MembershipAtom(_subst_term(item.element, binding),
-                           _subst_path(item.collection, binding)),
-            item.span)
-    if isinstance(item, SubsetAtom):
-        if isinstance(item.subset, AttrPath):
-            subset = _subst_path(item.subset, binding)
-        else:
-            subset = tuple(_subst_term(t, binding) for t in item.subset)
-        return spanned(SubsetAtom(subset, _subst_path(item.superset, binding)),
-                       item.span)
-    if isinstance(item, ComparisonAtom):
-        return spanned(
-            ComparisonAtom(_subst_side(item.left, binding), item.op,
-                           _subst_side(item.right, binding)),
-            item.span)
-    if isinstance(item, EntailmentAtom):
-        return spanned(
-            EntailmentAtom(_subst_side(item.left, binding),
-                           _subst_side(item.right, binding)),
-            item.span)
-    raise SessionError(f"cannot substitute into body item {item!r}")
 
 
 class PreparedQuery:
@@ -197,7 +98,10 @@ class PreparedQuery:
             return self.query
         binding = {name: coerce_param(value)
                    for name, value in values.items()}
-        body = [_subst_item(item, binding) for item in self.query.body]
+        try:
+            body = [substitute(item, binding) for item in self.query.body]
+        except QueryError as exc:
+            raise SessionError(str(exc)) from None
         projection = [v for v in self.query.answer_variables
                       if v.name not in binding]
         return spanned(Query(body, projection), self.query.span)

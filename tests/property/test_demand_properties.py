@@ -17,14 +17,20 @@ property suites already use: the interval graph of
 ``test_semantics_theorems`` and the interval objects of
 ``test_concat_properties``.  One engine is also reused
 across a schedule of writes, removals and rolled-back transactions, so
-its per-epoch ⊕ overlay is held to the oracle after every step.
+its per-epoch ⊕ overlay is held to the oracle after every step.  And
+each drawn goal is asked twice on one engine, with other constants the
+second time, so the second ask binds its constants into the query shape
+the first compiled.
 """
+
+import re
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vidb.model.oid import Oid
 from vidb.query.engine import QueryEngine
+from vidb.query.execution import ExecutionOptions
 from vidb.storage.database import VideoDatabase
 
 from tests.property.test_concat_properties import interval_objects
@@ -274,3 +280,25 @@ class TestDemandIsAnswerPreserving:
             assert engine.query(query).rows() == expected
             assert engine.query(query).rows() == engine.execute(
                 query, mode="naive").answers.rows()
+
+
+class TestShapesBindConstants:
+    """The second ask of a shape runs the first ask's compiled rewrite
+    with its own constants bound in; both answer as the whole program
+    with the query appended, which never goes through the rewrite."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(databases(), programs_and_queries(), st.permutations(NODES),
+           st.permutations(ENTITIES))
+    def test_a_shape_hit_answers_like_the_unrewritten_program(
+            self, db, pq, nodes, entities):
+        rules, query = pq
+        swap = dict(zip(NODES + ENTITIES, nodes + entities))
+        other = re.sub(r"\b[go]\d\b", lambda m: swap[m.group()], query)
+        engine = QueryEngine(db, rules=rules)
+        unrewritten = ExecutionOptions(prune_rules=False)
+        for text in (query, other):
+            assert (engine.query(text).rows()
+                    == engine.execute(text, unrewritten).answers.rows())
+        # one shape per switch setting, each served again for `other`
+        assert (engine.shapes.misses, engine.shapes.hits) == (2, 2)

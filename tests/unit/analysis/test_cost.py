@@ -155,19 +155,27 @@ class TestEngineIntegration:
         assert any(d.code == "VDB042" for d in report.diagnostics)
 
     def test_cost_cache_hits_on_warm_path(self):
+        # The epoch's cost reports are kept per query shape: a repeat,
+        # or a text that differs only in a constant, re-estimates nothing.
         engine = self.build_engine()
+        first = engine.execute("?- pair(X, Y).")
+        costs = engine._epoch_state().costs
+        assert (len(costs), costs.misses) == (1, 1)
         engine.execute("?- pair(X, Y).")
-        cached = len(engine._cost_cache)
-        engine.execute("?- pair(X, Y).")
-        assert len(engine._cost_cache) == cached  # same key, no growth
+        engine.execute("?- pair(o1, Y).")
+        engine.execute("?- pair(o2, Y).")
+        assert (len(costs), costs.misses, costs.hits) == (2, 2, 2)
+        assert engine.execute("?- pair(X, Y).").cost == first.cost
 
     def test_cost_cache_invalidated_by_epoch(self):
         engine = self.build_engine()
         engine.execute("?- pair(X, Y).")
-        before = len(engine._cost_cache)
+        before = engine._epoch_state()
         engine.db.new_entity("fresh")
         engine.execute("?- pair(X, Y).")
-        assert len(engine._cost_cache) == before + 1
+        after = engine._epoch_state()
+        assert after is not before
+        assert (len(after.costs), after.costs.misses) == (1, 1)
 
     def test_profile_renders_cost_section(self):
         engine = self.build_engine()

@@ -136,11 +136,15 @@ class TestOptingOut:
 
 class TestWarmPath:
     def test_repeat_execution_hits_analysis_cache(self, db):
+        # The analysis is cached per query shape: a repeat and a text
+        # that differs only in its constant both find it.
         engine = QueryEngine(db)
         engine.execute("?- object(O).")
         engine.execute("?- object(O).")
-        assert engine._analyzer.hits >= 1
-        assert engine._analyzer.misses == 1
+        engine.execute("?- object(o1).")
+        engine.execute("?- object(o2).")
+        assert engine.shapes.hits == 2
+        assert engine.shapes.misses == 2
 
     def test_database_mutation_invalidates_by_key(self, db):
         engine = QueryEngine(db)
@@ -149,4 +153,4 @@ class TestWarmPath:
         engine.execute("?- object(O).")
         # relation_names() changed, so the second run is a fresh key —
         # never a stale hit.
-        assert engine._analyzer.misses == 2
+        assert engine.shapes.misses == 2
