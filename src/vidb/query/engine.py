@@ -106,7 +106,7 @@ from vidb.query.fixpoint import (
     evaluate,
     rule_labels,
 )
-from vidb.query.parser import parse_program, parse_query
+from vidb.query.parser import parse_program
 from vidb.query.safety import check_program, check_query
 from vidb.query.shape import Lifted, bind_rule, lift, reanchor
 from vidb.storage.database import VideoDatabase
@@ -352,8 +352,8 @@ class QueryEngine:
         self.reorder_joins = reorder_joins
         self.prune_rules = prune_rules
         #: Prepare-time static analysis (warnings on the report, errors
-        #: raised before the fixpoint).  Program-level findings are cached
-        #: per program fingerprint, query-level ones per query shape.
+        #: raised before the fixpoint).  Findings that read no constant
+        #: value are cached per query shape under the program version.
         self.analyze = analyze
         self._analyzer = ProgramAnalyzer()
         #: Compiled query shapes (see :mod:`vidb.query.shape`), keyed by
@@ -410,6 +410,13 @@ class QueryEngine:
         self._program_version += 1
         return self
 
+    @property
+    def program_version(self) -> int:
+        """Bumped whenever the answers of a query may change for a
+        reason other than the database epoch: a program assignment, a
+        registered computed predicate, an analysis invalidation."""
+        return self._program_version
+
     def invalidate_analysis(self) -> None:
         """Drop every cached analysis, compiled shape and cost result.
 
@@ -435,12 +442,14 @@ class QueryEngine:
             kernel=self.kernel,
         )
 
-    def execute(self, query: Union[str, Query],
+    def execute(self, query: Union[str, Query, Lifted],
                 options: Optional[ExecutionOptions] = None,
                 **overrides) -> ExecutionReport:
         """Run one query end to end under one set of options.
 
-        This is the single execution path: parsing, the safety check,
+        This is the single execution path: parsing and lifting (see
+        :mod:`vidb.query.shape`; a caller that lifted the query already
+        passes the :class:`~vidb.query.shape.Lifted`), the safety check,
         rule pruning, fixpoint evaluation and answer collection all run
         (and are timed) here; ``query()``, ``ask()``, the service layer
         and the CLI are thin wrappers over it.  Options may be passed as
@@ -484,8 +493,8 @@ class QueryEngine:
         started = time.perf_counter()
         with activate(tracer), tracer.span("query.execute") as span:
             with stage("parse"):
-                if isinstance(query, str):
-                    query = parse_query(query)
+                lifted = query if isinstance(query, Lifted) else lift(query)
+                query = lifted.source
             with stage("safety"):
                 check_query(query)
             prune = (self.prune_rules if options.prune_rules is None
@@ -496,11 +505,9 @@ class QueryEngine:
             analyze = (self.analyze if options.analyze is None
                        else options.analyze)
             with stage("analyze"):
-                lifted = lift(query)
                 shape = self._shape(lifted, inline, prune)
                 if analyze:
-                    analysis = self._prepare_analysis(query, lifted, shape,
-                                                      prune)
+                    analysis = self._prepare_analysis(lifted, shape, prune)
                     if analysis is not None:
                         diagnostics = analysis.diagnostics
                         bounds = self._bounds_lines(query, analysis)
@@ -509,8 +516,7 @@ class QueryEngine:
                     if cost_diags:
                         diagnostics = tuple(diagnostics) + cost_diags
             with stage("prune"):
-                program, labels, demand = self._bind(shape, lifted, query,
-                                                     "query")
+                program, labels, demand = self._bind(shape, lifted, "query")
             base: Optional[EvaluationContext] = None
             built = False
             with stage("evaluate"):
@@ -594,8 +600,8 @@ class QueryEngine:
         state.overlay = overlay
         return overlay, True
 
-    def compile(self, query: Query, *, inline: bool, prune: bool = True,
-                name: str = "query"
+    def compile(self, query: Union[Query, Lifted], *, inline: bool,
+                prune: bool = True, name: str = "query"
                 ) -> Tuple[Program, Dict[int, str], Optional[Demand]]:
         """The program one query evaluates, the label of each of its
         rules, and its demand rewrite.
@@ -608,9 +614,8 @@ class QueryEngine:
         labelled as the rule as written it came from.  Ad-hoc and
         standing queries both compile here, through the query's shape.
         """
-        lifted = lift(query)
-        return self._bind(self._shape(lifted, inline, prune), lifted,
-                          query, name)
+        lifted = query if isinstance(query, Lifted) else lift(query)
+        return self._bind(self._shape(lifted, inline, prune), lifted, name)
 
     def _shape(self, lifted: Lifted, inline: bool, prune: bool) -> _Shape:
         """The cache entry of *lifted*'s shape under the current program,
@@ -651,17 +656,18 @@ class QueryEngine:
         return _Compiled(demand.program, _labels(demand.program, demand),
                          demand, query_rule, carriers)
 
-    def _bind(self, shape: _Shape, lifted: Lifted, query: Query, name: str
+    def _bind(self, shape: _Shape, lifted: Lifted, name: str
               ) -> Tuple[Program, Dict[int, str], Optional[Demand]]:
-        """:meth:`compile`'s result for *query*: its shape's compiled
+        """:meth:`compile`'s result for *lifted*: its shape's compiled
         program (compiled here on first use) with *lifted*'s constants
         bound into the rules that carry them.  Rules are keyed by
         ``id`` in the labels and the demand tables, so each bound rule
         takes over the entries of the rule it replaces; the query rule
-        as written is *query* itself, which provenance reports."""
+        as written is the query as written, which provenance reports."""
         compiled = shape.compiled
         if compiled is None:
             compiled = shape.compiled = self._compile_shape(shape)
+        query = lifted.source
         written = Rule(_answer_head(query), query.body, name=name)
         rules = list(compiled.program.rules)
         replaced = []
@@ -689,7 +695,7 @@ class QueryEngine:
             labels = _labels(program, demand)
         return program, labels, demand
 
-    def _prepare_analysis(self, query: Query, lifted: Lifted, shape: _Shape,
+    def _prepare_analysis(self, lifted: Lifted, shape: _Shape,
                           prune: bool) -> Optional[AnalysisResult]:
         """Prepare-time static analysis for one query.
 
@@ -701,7 +707,7 @@ class QueryEngine:
         diagnostic.
         """
         try:
-            analysis = self._analysis(query, lifted, shape, prune)
+            analysis = self._analysis(lifted, shape, prune)
         except Exception:
             # The analyzer is advisory infrastructure: a defect in it must
             # never take down query execution.
@@ -709,12 +715,13 @@ class QueryEngine:
         self._raise_blocking(analysis, prune)
         return analysis
 
-    def _analysis(self, query: Query, lifted: Lifted, shape: _Shape,
-                  prune: bool, streaming: bool = False) -> AnalysisResult:
-        """*query*'s analysis: its shape's findings, re-anchored onto
-        *query*'s nodes, plus the passes whose verdict reads constant
-        values (and, *streaming*, the standing-query pass), run on
-        *query* itself."""
+    def _analysis(self, lifted: Lifted, shape: _Shape, prune: bool,
+                  streaming: bool = False) -> AnalysisResult:
+        """The analysis of the query as written: its shape's findings,
+        re-anchored onto its nodes, plus the passes whose verdict reads
+        constant values (and, *streaming*, the standing-query pass), run
+        on the query itself."""
+        query = lifted.source
         findings = shape.findings
         if findings is None:
             findings = self._shape_findings(shape)
@@ -842,20 +849,20 @@ class QueryEngine:
             pass
         return tuple(lines)
 
-    def analyze_standing(self, query: Union[str, Query]) -> AnalysisResult:
+    def analyze_standing(self, query: Union[str, Query, Lifted]
+                         ) -> AnalysisResult:
         """Full prepare-time analysis for a *standing* query.
 
-        Runs every regular pass plus the streaming-safety pass (VDB06x)
-        and raises :class:`~vidb.errors.StandingQueryError` on any
-        error-severity finding, carrying the located diagnostics — the
-        subscribe-time contract mirroring ``execute``'s prepare path.
+        Runs the safety check, every regular pass and the
+        streaming-safety pass (VDB06x) and raises
+        :class:`~vidb.errors.StandingQueryError` on any error-severity
+        finding, carrying the located diagnostics — the subscribe-time
+        contract mirroring ``execute``'s prepare path.
         """
-        if isinstance(query, str):
-            query = parse_query(query)
-        check_query(query)
-        lifted = lift(query)
+        lifted = query if isinstance(query, Lifted) else lift(query)
+        check_query(lifted.source)
         shape = self._shape(lifted, True, self.prune_rules)
-        analysis = self._analysis(query, lifted, shape, self.prune_rules,
+        analysis = self._analysis(lifted, shape, self.prune_rules,
                                   streaming=True)
         self._raise_blocking(analysis, self.prune_rules)
         return analysis

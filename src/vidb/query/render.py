@@ -8,7 +8,6 @@ database snapshot, and tools can show users the rules they loaded.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from fractions import Fraction
 from hashlib import sha256
 from typing import Union
@@ -143,156 +142,12 @@ def render_query(query: Query) -> str:
     return f"?- {body}."
 
 
-# -- normalization and fingerprints -------------------------------------------
-#
-# The service layer caches query results keyed by *what the query means*,
-# not how it was typed.  ``normalize_query`` alpha-renames the query
-# variables to canonical names (V0, V1, ... in order of first occurrence)
-# and re-renders with canonical spacing, so ``?-  object( X ).`` and
-# ``?- object(O).`` collapse to the same cache key.  ``query_fingerprint``
-# and ``program_fingerprint`` hash the canonical forms.
-
-def _canonical_order(query: Query) -> "OrderedDict[str, str]":
-    """Map each rule-variable name to its canonical V<i> name."""
-    mapping: "OrderedDict[str, str]" = OrderedDict()
-
-    def visit_var(name: str) -> None:
-        if name not in mapping:
-            mapping[name] = f"V{len(mapping)}"
-
-    def visit_term(term) -> None:
-        if isinstance(term, Variable):
-            visit_var(term.name)
-        elif isinstance(term, ConcatTerm):
-            visit_term(term.left)
-            visit_term(term.right)
-
-    def visit_side(side) -> None:
-        if isinstance(side, AttrPath):
-            visit_term(side.subject)
-        elif isinstance(side, Constraint):
-            for var in sorted(side.variables(), key=lambda v: v.name):
-                if var.name[:1].isupper():
-                    visit_var(var.name)
-        else:
-            visit_term(side)
-
-    for item in query.body:
-        if isinstance(item, Literal):
-            for arg in item.args:
-                visit_term(arg)
-        elif isinstance(item, NegatedLiteral):
-            for arg in item.literal.args:
-                visit_term(arg)
-        elif isinstance(item, MembershipAtom):
-            visit_term(item.element)
-            visit_term(item.collection.subject)
-        elif isinstance(item, SubsetAtom):
-            if isinstance(item.subset, AttrPath):
-                visit_term(item.subset.subject)
-            else:
-                for term in item.subset:
-                    visit_term(term)
-            visit_term(item.superset.subject)
-        elif isinstance(item, (ComparisonAtom, EntailmentAtom)):
-            visit_side(item.left)
-            visit_side(item.right)
-    for var in query.answer_variables:
-        visit_var(var.name)
-    return mapping
-
-
-def _rename_term(term: Term, mapping) -> Term:
-    if isinstance(term, Variable):
-        return Variable(mapping[term.name])
-    if isinstance(term, ConcatTerm):
-        return ConcatTerm(_rename_term(term.left, mapping),
-                          _rename_term(term.right, mapping))
-    return term
-
-
-def _rename_path(path: AttrPath, mapping) -> AttrPath:
-    return AttrPath(_rename_term(path.subject, mapping), path.attr)
-
-
-def _rename_constraint(constraint: Constraint, mapping) -> Constraint:
-    if isinstance(constraint, Comparison):
-        def side(value):
-            if isinstance(value, Var) and value.name in mapping:
-                return Var(mapping[value.name])
-            return value
-        return Comparison(side(constraint.left), constraint.op,
-                          side(constraint.right))
-    if isinstance(constraint, And):
-        return And([_rename_constraint(p, mapping) for p in constraint.parts])
-    if isinstance(constraint, Or):
-        return Or([_rename_constraint(p, mapping) for p in constraint.parts])
-    return constraint
-
-
-def _rename_side(side, mapping):
-    if isinstance(side, AttrPath):
-        return _rename_path(side, mapping)
-    if isinstance(side, Constraint):
-        return _rename_constraint(side, mapping)
-    return _rename_term(side, mapping)
-
-
-def _rename_item(item: BodyItem, mapping) -> BodyItem:
-    if isinstance(item, Literal):
-        return Literal(item.predicate,
-                       [_rename_term(a, mapping) for a in item.args])
-    if isinstance(item, NegatedLiteral):
-        return NegatedLiteral(_rename_item(item.literal, mapping))
-    if isinstance(item, MembershipAtom):
-        return MembershipAtom(_rename_term(item.element, mapping),
-                              _rename_path(item.collection, mapping))
-    if isinstance(item, SubsetAtom):
-        if isinstance(item.subset, AttrPath):
-            subset = _rename_path(item.subset, mapping)
-        else:
-            subset = tuple(_rename_term(t, mapping) for t in item.subset)
-        return SubsetAtom(subset, _rename_path(item.superset, mapping))
-    if isinstance(item, ComparisonAtom):
-        return ComparisonAtom(_rename_side(item.left, mapping), item.op,
-                              _rename_side(item.right, mapping))
-    if isinstance(item, EntailmentAtom):
-        return EntailmentAtom(_rename_side(item.left, mapping),
-                              _rename_side(item.right, mapping))
-    raise QueryError(f"cannot normalize body item {item!r}")
-
-
-def normalize_query(query: Union[str, Query]) -> str:
-    """The canonical text of a query: alpha-renamed, canonically spaced.
-
-    Two queries that differ only in variable names, whitespace or
-    lexical sugar normalize to the same string, so they share one
-    result-cache entry.  The explicit projection prefix keeps queries
-    with the same body but different answer variables distinct.
-    """
-    if isinstance(query, str):
-        from vidb.query.parser import parse_query
-
-        query = parse_query(query)
-    mapping = _canonical_order(query)
-    body = [_rename_item(item, mapping) for item in query.body]
-    projection = ",".join(mapping[v.name] for v in query.answer_variables)
-    renamed = Query(body, [Variable(mapping[v.name])
-                           for v in query.answer_variables])
-    return f"[{projection}] {render_query(renamed)}"
-
-
-def query_fingerprint(query: Union[str, Query]) -> str:
-    """A stable hex digest of the normalized query."""
-    return sha256(normalize_query(query).encode("utf-8")).hexdigest()
-
-
 def program_fingerprint(program: Program) -> str:
     """A stable hex digest of a program's canonical rendering.
 
     Rule order matters semantically for provenance but not for the
     computed relations; we hash the sorted rendering so two engines
-    with the same rules in different order share cache entries.
+    with the same rules in different order share analysis cache entries.
     """
     rendered = sorted(render_rule(rule) for rule in program)
     return sha256("\n".join(rendered).encode("utf-8")).hexdigest()

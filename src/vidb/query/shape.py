@@ -20,6 +20,13 @@ are *anchors*: the lifted node carries the positional span ``0:k`` and
 the served text's own span is ``anchors[k]``, which is how a finding
 computed once is re-anchored onto each text (:func:`reanchor`).
 
+The same walk numbers each variable at its first occurrence — a rule
+variable inside a formula too — so a lifted query also carries an
+*identity* that does not depend on variable names.  An answer is fixed
+by the program, the database state and the query up to a renaming of
+its variables, so the result cache keys on that identity and the
+constants, and ``slow_query`` events group texts by it.
+
 :func:`substitute` replaces parameters — lifted constants, or the
 variables a prepared query names — with values; prepared queries and
 shape binding share it.
@@ -28,7 +35,7 @@ shape binding share it.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple, Union
 
 from vidb.constraints.dense import And, Comparison, Constraint, Or
 from vidb.constraints.terms import Var
@@ -52,6 +59,7 @@ from vidb.query.ast import (
     Variable,
     spanned,
 )
+from vidb.query.parser import parse_query
 
 
 class Param(Symbol):
@@ -97,13 +105,17 @@ class ParamFormula(Constraint):
 
 
 class Lifted:
-    """One query text's shape: the lifted query, the constants it binds
-    (parameter name -> value) and the spans of its anchors."""
+    """One query text's shape: the query as written (``source``), the
+    lifted query, the constants it binds (parameter name -> value) and
+    the spans of its anchors."""
 
-    __slots__ = ("query", "values", "anchors", "key")
+    __slots__ = ("source", "query", "values", "anchors", "key", "identity",
+                 "constants")
 
-    def __init__(self, query: Query, values: Dict[str, Any],
-                 anchors: Tuple[Optional[SourceSpan], ...]):
+    def __init__(self, source: Query, query: Query, values: Dict[str, Any],
+                 anchors: Tuple[Optional[SourceSpan], ...],
+                 identity: tuple, constants: tuple):
+        self.source = source
         self.query = query
         self.values = values
         self.anchors = anchors
@@ -113,27 +125,68 @@ class Lifted:
         self.key = (query.body, query.answer_variables,
                     tuple(k for k, span in enumerate(anchors)
                           if span is None))
+        #: The shape up to a renaming of variables: per body item its
+        #: kind, predicate or attributes, and each variable's number
+        #: (``None`` for a lifted constant); then the projection.
+        self.identity = identity
+        #: The lifted constants in order, each formula with its rule
+        #: variables renamed by their numbers.  With :attr:`identity`,
+        #: equal for two texts exactly when one is the other with its
+        #: variables renamed.
+        self.constants = constants
 
 
-def lift(query: Query) -> Lifted:
-    """The shape of *query*, in one walk over it."""
+def _rule_variables(formula: Constraint) -> List[str]:
+    """The names of *formula*'s rule (uppercase) variables, in written
+    order."""
+    if isinstance(formula, Comparison):
+        return [side.name for side in (formula.left, formula.right)
+                if isinstance(side, Var) and side.name[:1].isupper()]
+    if isinstance(formula, (And, Or)):
+        return [name for part in formula.parts
+                for name in _rule_variables(part)]
+    return []
+
+
+def lift(query: Union[str, Query]) -> Lifted:
+    """The shape of *query* (parsed first when given as text), in one
+    walk over it."""
+    if isinstance(query, str):
+        query = parse_query(query)
     values: Dict[str, Any] = {}
+    constants: List[Any] = []
     anchors: List[Optional[SourceSpan]] = [query.span]
+    numbers: Dict[str, int] = {}
+    # The identity of the body item being walked.
+    token: List[Any] = []
+
+    def number(name: str) -> int:
+        return numbers.setdefault(name, len(numbers))
 
     def constant(term: Term) -> Term:
         if isinstance(term, Variable):
+            token.append(number(term.name))
             return term
+        token.append(None)
         param = Param(len(values))
         values[param.name] = term
+        constants.append(term)
         return param
 
     def path(node: AttrPath) -> AttrPath:
-        return AttrPath(constant(node.subject), node.attr)
+        subject = constant(node.subject)
+        token.append("." + node.attr)
+        return AttrPath(subject, node.attr)
 
     def side(node):
         if isinstance(node, AttrPath):
             return path(node)
         if isinstance(node, Constraint):
+            names = dict.fromkeys(_rule_variables(node))
+            token.append(tuple(number(name) for name in names))
+            constants.append(node.substitute(
+                {Var(name): Var(f"V{numbers[name]}") for name in names})
+                if names else node)
             param = ParamFormula(len(values), node.variables())
             values[param.name] = node
             return param
@@ -146,11 +199,14 @@ def lift(query: Query) -> Lifted:
         return lifted
 
     def literal(node: Literal) -> Literal:
+        token.append(node.predicate)
         return anchor(node, Literal(node.predicate,
                                     [constant(arg) for arg in node.args]))
 
     body: List[BodyItem] = []
+    items: List[tuple] = []
     for item in query.body:
+        token.append(type(item).__name__)
         if isinstance(item, Literal):
             body.append(literal(item))
         elif isinstance(item, NegatedLiteral):
@@ -159,20 +215,29 @@ def lift(query: Query) -> Lifted:
             body.append(MembershipAtom(constant(item.element),
                                        path(item.collection)))
         elif isinstance(item, SubsetAtom):
-            subset = (path(item.subset) if isinstance(item.subset, AttrPath)
-                      else tuple(constant(term) for term in item.subset))
+            if isinstance(item.subset, AttrPath):
+                subset = path(item.subset)
+            else:
+                token.append("{}")
+                subset = tuple(constant(term) for term in item.subset)
             body.append(SubsetAtom(subset, path(item.superset)))
         elif isinstance(item, ComparisonAtom):
-            body.append(ComparisonAtom(side(item.left), item.op,
-                                       side(item.right)))
+            left = side(item.left)
+            token.append(item.op)
+            body.append(ComparisonAtom(left, item.op, side(item.right)))
         elif isinstance(item, EntailmentAtom):
             body.append(EntailmentAtom(side(item.left), side(item.right)))
         else:
             raise QueryError(f"cannot lift body item {item!r}")
+        items.append(tuple(token))
+        token.clear()
     lifted = Query(body, query.answer_variables)
     if query.span is not None:
         lifted.span = SourceSpan(0, 0)
-    return Lifted(lifted, values, tuple(anchors))
+    identity = (tuple(items),
+                tuple(number(var.name) for var in query.answer_variables))
+    return Lifted(query, lifted, values, tuple(anchors), identity,
+                  tuple(constants))
 
 
 def reanchor(diagnostic, anchors: Tuple[Optional[SourceSpan], ...]):

@@ -5,7 +5,7 @@ Turns the single-caller library into a servable database:
 * :mod:`vidb.service.executor` — thread-pool execution behind a
   readers–writer lock, with per-query deadlines and admission control;
 * :mod:`vidb.service.cache` — an LRU result cache keyed by
-  ``(program fingerprint, normalized query, database epoch)``;
+  ``(program version, query identity, constants, database epoch)``;
 * :mod:`vidb.service.session` — client sessions with prepared,
   parameterized queries compiled once;
 * :mod:`vidb.service.wire` — the one JSON-lines wire plane (codec, op

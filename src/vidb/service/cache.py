@@ -1,17 +1,22 @@
 """The LRU query-result cache.
 
-Keys are ``(program fingerprint, normalized query, database epoch)``:
+An answer is fixed by the program, the database state and the query up
+to a renaming of its variables, so keys are ``(program version,
+identity, constants, database epoch)``:
 
-* the *program fingerprint* (:func:`vidb.query.render.program_fingerprint`)
-  changes when rules are added, so an engine with different rules never
-  reads another program's answers;
-* the *normalized query* (:func:`vidb.query.render.normalize_query`)
-  alpha-renames variables, so ``?- object(O).`` and ``?- object(X).``
-  share one entry;
+* the *program version*
+  (:attr:`vidb.query.engine.QueryEngine.program_version`) moves whenever
+  rules are added or a computed predicate is registered, however that
+  happens, so no entry of an older program is read again;
+* the *identity* and *constants* (:attr:`vidb.query.shape.Lifted.identity`
+  and :attr:`~vidb.query.shape.Lifted.constants`) are the query with its
+  variables numbered at first occurrence and its constants lifted out,
+  so ``?- object(O).`` and ``?- object(X).`` share one entry while
+  ``?- object(o1).`` and ``?- object(o2).`` do not;
 * the *database epoch* (:attr:`vidb.storage.database.VideoDatabase.epoch`)
   bumps on every mutation, so a cached answer can never be served against
   newer data — stale entries simply stop being requested and age out of
-  the LRU order (or are dropped eagerly by :meth:`ResultCache.purge_stale`).
+  the LRU order.
 
 The cache itself is value-agnostic: it stores whatever the executor puts
 in (an :class:`~vidb.query.engine.AnswerSet`).  All operations are O(1)
@@ -26,8 +31,8 @@ from typing import Any, Dict, Optional, Tuple
 
 from vidb.obs.metrics import MetricsRegistry
 
-#: (program fingerprint, normalized query text, database epoch)
-CacheKey = Tuple[str, str, int]
+#: (program version, query identity, its constants, database epoch)
+CacheKey = Tuple[int, tuple, tuple, int]
 
 
 class ResultCache:
@@ -45,9 +50,9 @@ class ResultCache:
             self._metrics.counter(name)  # stable snapshot shape from birth
 
     @staticmethod
-    def make_key(program_fingerprint: str, normalized_query: str,
+    def make_key(program_version: int, identity: tuple, constants: tuple,
                  epoch: int) -> CacheKey:
-        return (program_fingerprint, normalized_query, epoch)
+        return (program_version, identity, constants, epoch)
 
     def get(self, key: CacheKey) -> Optional[Any]:
         """The cached value, refreshed to most-recently-used; None on miss."""
@@ -68,16 +73,6 @@ class ResultCache:
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self._metrics.inc("cache.evictions")
-
-    def purge_stale(self, current_epoch: int) -> int:
-        """Drop entries keyed at any other epoch; returns how many."""
-        with self._lock:
-            stale = [k for k in self._entries if k[2] != current_epoch]
-            for key in stale:
-                del self._entries[key]
-            if stale:
-                self._metrics.inc("cache.purged", len(stale))
-            return len(stale)
 
     def clear(self) -> None:
         with self._lock:

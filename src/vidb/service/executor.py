@@ -8,10 +8,14 @@ wraps one :class:`~vidb.storage.database.VideoDatabase` and one shared
   lets any number of queries read the database simultaneously while
   mutations get exclusive access.  Writer preference keeps a steady
   query stream from starving updates.
-* **Result caching** — answers are cached under
-  ``(program fingerprint, normalized query, epoch)``; any mutation bumps
-  the epoch, so hits are always consistent with the data they were
-  computed from (see :mod:`vidb.service.cache`).
+* **Result caching** — each query is parsed and lifted once
+  (:func:`vidb.query.shape.lift`) and its answers are cached under
+  ``(engine program version, identity, constants, epoch)``: any change
+  to the engine's program or computed predicates bumps the version, any
+  mutation bumps the epoch, so hits are always consistent with the
+  rules and data they were computed from (see
+  :mod:`vidb.service.cache`).  A miss hands the lifted query to the
+  engine, which does not parse or lift it again.
 * **Admission control** — at most ``max_in_flight`` queries may be
   queued or running; beyond that, submission fails *immediately* with
   :class:`~vidb.errors.ServiceOverloadedError` so clients shed load
@@ -48,6 +52,7 @@ import contextlib
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
+from hashlib import sha256
 from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
 from vidb.analysis.diagnostics import AnalysisResult
@@ -66,18 +71,12 @@ from vidb.obs.trace import FlightRecorder, activate, current_tracer
 from vidb.query.ast import Query
 from vidb.query.engine import AnswerSet, QueryEngine
 from vidb.query.execution import ExecutionOptions, ExecutionReport
-from vidb.query.parser import parse_query
-from vidb.query.render import (
-    normalize_query,
-    program_fingerprint,
-    query_fingerprint,
-)
+from vidb.query.shape import Lifted, lift
 from vidb.service.cache import ResultCache
 from vidb.service.session import Session
 from vidb.storage.database import VideoDatabase
 from vidb.stream.hub import StreamHub
 from vidb.stream.standing import Subscription, SubscriptionManager
-from vidb.stream.views import ViewRegistry
 
 
 class RWLock:
@@ -141,9 +140,10 @@ class RWLock:
 def _relabel(cached: AnswerSet, query: Query) -> AnswerSet:
     """A cached answer set under the caller's own variable names.
 
-    Alpha-equivalent queries share one cache entry; the entry carries the
-    variable names of whichever query populated it, so a hit from a
-    renamed variant rebinds the columns (the rows are shared).
+    Queries that differ only in variable names share one cache entry;
+    the entry carries the variable names of whichever query populated
+    it, so a hit from a renamed variant rebinds the columns (the rows
+    are shared).
     """
     names = tuple(v.name for v in query.answer_variables)
     if tuple(cached.variables) == names:
@@ -232,7 +232,6 @@ class ServiceExecutor:
         self._engine = QueryEngine(db, rules=rules,
                                    use_stdlib_rules=use_stdlib_rules,
                                    **self._engine_options)
-        self._program_fp = program_fingerprint(self._engine.program)
         self._cache = ResultCache(cache_capacity, metrics=self.metrics)
         self._lock = RWLock()
         self._pool = ThreadPoolExecutor(
@@ -243,16 +242,14 @@ class ServiceExecutor:
         self._sessions_lock = threading.Lock()
         self._closed = False
         #: The streaming layer (see :mod:`vidb.stream`): a hub turning
-        #: mutation-observer events into committed deltas, a registry of
-        #: observer-fed views, and the standing-query subscriptions.
-        #: ``streaming=False`` turns the whole layer off (no observer is
-        #: attached; ``subscribe`` raises).
+        #: mutation-observer events into committed deltas, and the
+        #: standing-query subscriptions it feeds.  ``streaming=False``
+        #: turns the whole layer off (no observer is attached;
+        #: ``subscribe`` raises).
         self.stream_hub: Optional[StreamHub] = None
-        self.views: Optional[ViewRegistry] = None
         self.subscriptions: Optional[SubscriptionManager] = None
         if streaming:
             self.stream_hub = StreamHub(self.db)
-            self.views = ViewRegistry(self.stream_hub)
             notifications = self.metrics.counter_family(
                 "stream_notifications_total", ("subscription",))
             notified_rows = self.metrics.counter_family(
@@ -335,23 +332,21 @@ class ServiceExecutor:
     # -- program management --------------------------------------------------
     @property
     def engine(self) -> QueryEngine:
-        """The shared engine.  Mutate it only via :meth:`add_rules` /
-        :meth:`register_computed` (they take the write lock)."""
+        """The shared engine.  Mutate it via :meth:`add_rules` /
+        :meth:`register_computed` (they take the write lock); either way
+        the engine's program version moves, so no cached answer of the
+        old program is served."""
         return self._engine
 
     def add_rules(self, rules) -> "ServiceExecutor":
         with self._lock.write_locked():
             self._engine.add_rules(rules)
-            self._program_fp = program_fingerprint(self._engine.program)
         return self
 
     def register_computed(self, name: str, arity: int,
                           fn) -> "ServiceExecutor":
         with self._lock.write_locked():
             self._engine.register_computed(name, arity, fn)
-            # Computed predicates are opaque callables the fingerprint
-            # cannot see; drop everything rather than risk stale answers.
-            self._cache.clear()
         return self
 
     # -- query path ----------------------------------------------------------
@@ -459,14 +454,14 @@ class ServiceExecutor:
             raise QueryTimeoutError("deadline expired while queued")
         started = time.perf_counter()
         try:
-            if isinstance(query, str):
-                query = parse_query(query)
-            normalized = normalize_query(query)
+            lifted = lift(query)
+            parsed = time.perf_counter() - started
             with tracer.span("service.lock_wait"):
                 self._lock.acquire_read()
             try:
                 key = self._cache.make_key(
-                    self._program_fp, normalized, self.db.epoch)
+                    self._engine.program_version, lifted.identity,
+                    lifted.constants, self.db.epoch)
                 cached = None
                 # A profiled run skips the cache read (a hit has nothing
                 # to profile) but still populates it for later queries.
@@ -479,10 +474,13 @@ class ServiceExecutor:
                     remaining = (max(0.0, deadline - time.monotonic())
                                  if deadline is not None else None)
                     report = self._engine.execute(
-                        query, options.merged(timeout_s=remaining))
+                        lifted, options.merged(timeout_s=remaining))
+                    # The report covers the parse and lift done above.
+                    report.stats.stages["parse"] += parsed
+                    report.stats.elapsed_s += parsed
                     self._cache.put(key, report.answers)
                 else:
-                    answers = _relabel(cached, query)
+                    answers = _relabel(cached, lifted.source)
                     report = ExecutionReport(
                         answers=answers, stats=cached.stats,
                         options=options, cached=True)
@@ -508,16 +506,17 @@ class ServiceExecutor:
         self._outcomes.labels(outcome="served").inc()
         self.metrics.observe("queries.latency_seconds", elapsed)
         if self.slow_query_s is not None and elapsed >= self.slow_query_s:
-            self._note_slow(query, normalized, report, elapsed)
+            self._note_slow(query, lifted, report, elapsed)
         return report
 
-    def _note_slow(self, query: Query, normalized: str,
+    def _note_slow(self, query: Union[str, Query], lifted: Lifted,
                    report: ExecutionReport, elapsed: float) -> None:
         stats = report.stats
         self.events.emit(
             "slow_query",
-            fingerprint=query_fingerprint(query),
-            query=normalized,
+            fingerprint=sha256(
+                repr(lifted.identity).encode("utf-8")).hexdigest(),
+            query=query if isinstance(query, str) else repr(query),
             elapsed_ms=round(elapsed * 1000.0, 3),
             rows=len(report.answers),
             cached=report.cached,
@@ -624,15 +623,12 @@ class ServiceExecutor:
         engine.add_rules(self._engine.program)
         self.db = db
         self._engine = engine
-        self._program_fp = program_fingerprint(engine.program)
         self._cache.clear()
         if self.stream_hub is not None:
             # A resync replaced the whole database object: follow it and
             # rebuild every fed state against the new object (standing
             # query views snapshot a database that no longer exists).
             self.stream_hub.rebind(db)
-            if self.views is not None:
-                self.views.refresh_all()
             if self.subscriptions is not None:
                 self.subscriptions.rebind(self._engine)
 

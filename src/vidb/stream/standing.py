@@ -41,8 +41,7 @@ from vidb.query.ast import Query
 from vidb.query.engine import ANSWER_PREDICATE, QueryEngine
 from vidb.query.fixpoint import GroundTuple
 from vidb.query.incremental import MaterializedView
-from vidb.query.parser import parse_query
-from vidb.query.safety import check_query
+from vidb.query.shape import lift
 from vidb.stream.hub import CommittedDelta, StreamHub
 from vidb.stream.views import apply_delta
 
@@ -62,29 +61,26 @@ class Subscription:
                  detached: bool = False,
                  event_log: Optional[Any] = None):
         self.id = f"sub{next(_subscription_ids)}"
-        if isinstance(query, str):
-            self.text: str = query
-            query = parse_query(query)
-        else:
-            self.text = repr(query)
-        check_query(query)
-        # Subscribe-time streaming-safety analysis: error-severity
-        # findings (VDB06x non-monotone operators, VDB006 unknown
-        # predicates, safety errors) raise here, *before* any view is
-        # built, and the subscribe op ships the located diagnostics to
-        # the client.  The classification (incremental maintenance,
-        # deletion sensitivity, growth) is surfaced via describe().
-        analysis = engine.analyze_standing(query)
+        self.text: str = query if isinstance(query, str) else repr(query)
+        lifted = lift(query)
+        # Subscribe-time safety check and streaming-safety analysis:
+        # error-severity findings (VDB06x non-monotone operators, VDB006
+        # unknown predicates, safety errors) raise here, *before* any
+        # view is built, and the subscribe op ships the located
+        # diagnostics to the client.  The classification (incremental
+        # maintenance, deletion sensitivity, growth) is surfaced via
+        # describe().
+        analysis = engine.analyze_standing(lifted)
         self.diagnostics = analysis.diagnostics
         self.classification: Dict[str, Any] = dict(
             analysis.streaming[0]) if analysis.streaming else {}
         # Compiled like an ad-hoc query, inline: a view reads no ⊕
         # overlay and factors nothing.
         program, labels, demand = engine.compile(
-            query, inline=True, name=f"standing-{self.id}")
+            lifted, inline=True, name=f"standing-{self.id}")
         #: Answer column names (empty for a boolean query).
         self.variables: Tuple[str, ...] = tuple(
-            v.name for v in query.answer_variables)
+            v.name for v in lifted.source.answer_variables)
         self.filter = dict(filter or {})
         for name in self.filter:
             if name not in self.variables:

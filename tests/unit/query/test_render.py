@@ -17,6 +17,7 @@ from vidb.query.ast import (
 )
 from vidb.query.parser import parse_program, parse_query, parse_rule
 from vidb.query.render import (
+    program_fingerprint,
     render_body_item,
     render_constraint,
     render_program,
@@ -106,3 +107,18 @@ class TestStatements:
                             (t > 0) & (t < 9))],
         )
         assert parse_rule(render_rule(rule)) == rule
+
+
+class TestProgramFingerprint:
+    def test_order_insensitive(self):
+        a = parse_program("p(X) :- object(X).\nq(X) :- interval(X).")
+        b = parse_program("q(X) :- interval(X).\np(X) :- object(X).")
+        assert program_fingerprint(a) == program_fingerprint(b)
+
+    def test_sees_rule_changes(self):
+        a = parse_program("p(X) :- object(X).")
+        b = parse_program("p(X) :- interval(X).")
+        assert program_fingerprint(a) != program_fingerprint(b)
+
+    def test_empty_program(self):
+        assert isinstance(program_fingerprint(parse_program("")), str)

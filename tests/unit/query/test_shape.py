@@ -128,6 +128,78 @@ class TestLift:
         assert lift(built).key != lift(parse_query("?- object(O).")).key
 
 
+def identity(text):
+    """What the result cache keys a text on, besides program and epoch."""
+    lifted = lift(text)
+    return lifted.identity, lifted.constants
+
+
+class TestIdentity:
+    """Two texts share a result-cache entry exactly when one is the other
+    with its variables renamed."""
+
+    def test_variables_are_renamed(self):
+        assert (identity("?- interval(G), object(O), O in G.entities.")
+                == identity("?- interval(S), object(X), X in S.entities."))
+
+    def test_whitespace_is_not_the_query(self):
+        assert identity("?-   object( O ).") == identity("?- object(O).")
+
+    def test_different_bodies_differ(self):
+        assert identity("?- object(O).") != identity("?- interval(O).")
+
+    def test_constants_are_kept_apart_from_the_shape(self):
+        text = '?- object(O), O.name = "David".'
+        shape, constants = identity(text)
+        assert constants == ("David",)
+        assert shape == identity('?- object(X), X.name = "Eve".')[0]
+        assert identity(text) != identity('?- object(O), O.name = "Eve".')
+
+    def test_a_symbol_is_not_a_string(self):
+        symbol, string = (identity("?- object(O), O.name = o1."),
+                          identity('?- object(O), O.name = "o1".'))
+        assert symbol[0] == string[0] and symbol != string
+
+    def test_parsed_and_text_queries_agree(self):
+        text = "?- object(O)."
+        assert identity(parse_query(text)) == identity(text)
+        assert lift(text).source.body == parse_query(text).body
+
+    def test_formula_rule_variables_are_renamed(self):
+        assert (identity("?- interval(G), (T >= 10) => G.duration.")
+                == identity("?- interval(S), (U >= 10) => S.duration."))
+
+    def test_a_formula_joins_on_its_rule_variables(self):
+        joined = identity("?- interval(G), object(X), "
+                          "G.duration => (t > X).")
+        assert joined == identity("?- interval(H), object(Y), "
+                                  "H.duration => (t > Y).")
+        assert joined != identity("?- interval(G), object(X), "
+                                  "G.duration => (t > Z).")
+
+    def test_formula_variables_are_numbered_in_written_order(self):
+        assert (identity("?- interval(G), G.duration => (t > A and t < B).")
+                == identity("?- interval(G), "
+                            "G.duration => (t > B and t < A)."))
+
+    def test_subset_members(self):
+        assert (identity("?- interval(G), {o1, o4} subset G.entities.")
+                == identity("?- interval(H), {o1, o4} subset H.entities."))
+        assert (identity("?- interval(G), {o1, o4} subset G.entities.")
+                != identity("?- interval(G), {o1, o5} subset G.entities."))
+
+    def test_projection(self):
+        # The answer variables are those of the literals in first
+        # occurrence order, so these two are one query renamed ...
+        assert identity("?- in(X, Y, G).") == identity("?- in(Y, X, G).")
+        # ... while a different literal order is a different body.
+        assert (identity("?- object(O), interval(G), O in G.entities.")
+                != identity("?- interval(G), object(O), O in G.entities."))
+
+    def test_a_shared_variable_is_not_two_variables(self):
+        assert identity("?- in(X, X, G).") != identity("?- in(X, Y, G).")
+
+
 class TestWarmEqualsCold:
     """Each pair: a first text warms the engine, the second is served
     from its shape and must read exactly as on a cold engine."""

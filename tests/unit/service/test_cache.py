@@ -6,8 +6,9 @@ from vidb.service.cache import ResultCache
 from vidb.obs.metrics import MetricsRegistry
 
 
-def key(query="?- object(V0).", epoch=0, program="fp"):
-    return ResultCache.make_key(program, query, epoch)
+def key(query="object", epoch=0, program=1, constants=()):
+    identity = ((("Literal", query, 0),), (0,))
+    return ResultCache.make_key(program, identity, constants, epoch)
 
 
 class TestLRU:
@@ -49,19 +50,16 @@ class TestEpochKeying:
         assert cache.get(key(epoch=1)) == "old"
         assert cache.get(key(epoch=2)) == "new"
 
-    def test_program_fingerprint_partitions(self):
+    def test_program_version_partitions(self):
         cache = ResultCache(capacity=8)
-        cache.put(key(program="a"), "A")
-        assert cache.get(key(program="b")) is None
+        cache.put(key(program=1), "A")
+        assert cache.get(key(program=2)) is None
 
-    def test_purge_stale_drops_other_epochs(self):
+    def test_constants_partition(self):
         cache = ResultCache(capacity=8)
-        cache.put(key("q1", epoch=1), 1)
-        cache.put(key("q2", epoch=1), 2)
-        cache.put(key("q3", epoch=2), 3)
-        assert cache.purge_stale(current_epoch=2) == 2
-        assert len(cache) == 1
-        assert cache.get(key("q3", epoch=2)) == 3
+        cache.put(key(constants=("o1",)), "A")
+        assert cache.get(key(constants=("o2",))) is None
+        assert cache.get(key(constants=("o1",))) == "A"
 
 
 class TestStats:

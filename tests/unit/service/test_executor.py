@@ -3,6 +3,7 @@ deadlines."""
 
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -11,8 +12,14 @@ from vidb.errors import (
     ServiceClosedError,
     ServiceOverloadedError,
 )
+from vidb.model.oid import Oid
+from vidb.obs.events import EventLog
+from vidb.query import engine as engine_module
+from vidb.query import shape as shape_module
 from vidb.query.engine import QueryEngine
+from vidb.service import executor as executor_module
 from vidb.service.executor import RWLock, ServiceExecutor
+from vidb.stream import standing as standing_module
 from vidb.workloads.paper import rope_database
 
 Q_APPEARS = "?- interval(G), object(o1), o1 in G.entities."
@@ -128,6 +135,109 @@ class TestCaching:
         service.execute("?- object(O).")
         # same query, new program -> second evaluation cannot reuse entry
         assert service.snapshot()["cache.misses"] == 2
+
+    def test_different_constants_are_different_entries(self, service):
+        victim = service.execute('?- object(O), O.role = "Victim".')
+        murderers = service.execute('?- object(O), O.role = "Murderer".')
+        assert service.snapshot()["cache.misses"] == 2
+        assert (len(victim), len(murderers)) == (1, 2)
+
+    def test_a_symbol_constant_is_not_a_string_constant(self, service):
+        service.new_entity("o50", name="o1")
+        assert len(service.execute('?- object(O), O.name = "o1".')) == 1
+        # o1 names the entity o1, whose name is "David".
+        assert len(service.execute("?- object(O), O.name = o1.")) == 0
+        assert service.snapshot()["cache.misses"] == 2
+
+    def test_a_renamed_variant_reads_its_own_columns(self, service):
+        service.execute("?- in(X, Y, G).")
+        renamed = service.execute("?- in(Y, X, G).")
+        assert service.snapshot()["cache.hits"] == 1
+        assert renamed.variables == ("Y", "X", "G")
+        expected = QueryEngine(rope_database()).query("?- in(Y, X, G).")
+        assert [a.as_dict() for a in renamed] == [
+            a.as_dict() for a in expected]
+
+    def test_rules_added_through_the_engine_are_served(self):
+        rules = 'famous(O) :- object(O), O.role = "Victim".'
+        with ServiceExecutor(rope_database(), rules=rules,
+                             max_workers=1) as service:
+            assert len(service.execute("?- famous(O).")) == 1
+            service.engine.add_rules("famous(O) :- object(O).")
+            assert len(service.execute("?- famous(O).")) == 9
+
+    def test_computed_predicates_registered_on_the_engine_are_served(
+            self, service):
+        service.register_computed("picked", 1, lambda ctx, args: True)
+        assert len(service.execute("?- object(O), picked(O).")) == 9
+        service.engine.register_computed(
+            "picked", 1, lambda ctx, args: args[0] == Oid.entity("o1"))
+        assert len(service.execute("?- object(O), picked(O).")) == 1
+
+    def test_a_served_miss_reports_its_parse(self, service, monkeypatch):
+        parse = shape_module.parse_query
+
+        def slow_parse(text):
+            time.sleep(0.02)
+            return parse(text)
+
+        monkeypatch.setattr(shape_module, "parse_query", slow_parse)
+        stats = service.execute_report(Q_APPEARS).stats
+        assert stats.stages["parse"] >= 0.02
+        assert stats.elapsed_s >= sum(stats.stages.values())
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """How often the query path parses, safety-checks and lifts."""
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (shape_module, engine_module, executor_module,
+                   standing_module):
+        for name in ("parse_query", "check_query", "lift"):
+            fn = getattr(module, name, None)
+            if fn is not None:
+                monkeypatch.setattr(module, name, counted(name, fn))
+    return counts
+
+
+class TestOneWalkPerQuery:
+    def test_a_miss_parses_checks_and_lifts_once(self, service, calls):
+        service.execute(Q_APPEARS)
+        assert calls == {"parse_query": 1, "check_query": 1, "lift": 1}
+
+    def test_a_hit_parses_and_lifts_once(self, service, calls):
+        service.execute(Q_APPEARS)
+        calls.clear()
+        service.execute(Q_APPEARS)
+        assert calls == {"parse_query": 1, "lift": 1}
+
+    def test_a_subscribe_checks_and_lifts_once(self, service, calls):
+        service.subscribe("?- interval(G), object(O), O in G.entities.")
+        assert calls == {"parse_query": 1, "check_query": 1, "lift": 1}
+
+
+class TestSlowQueryEvents:
+    def test_the_fingerprint_is_the_shape(self):
+        log = EventLog()
+        with ServiceExecutor(rope_database(), max_workers=1,
+                             slow_query_ms=0, event_log=log) as service:
+            texts = ("?- interval(G), o1 in G.entities.",
+                     "?- interval(H), o2 in H.entities.",
+                     "?- object(O).")
+            for text in texts:
+                service.execute(text)
+            events = service.recent_events(type="slow_query")[::-1]
+        assert [event["query"] for event in events] == list(texts)
+        fingerprints = [event["fingerprint"] for event in events]
+        assert fingerprints[0] == fingerprints[1] != fingerprints[2]
+        assert all(len(fp) == 64 for fp in fingerprints)
 
 
 class TestAdmissionAndDeadlines:
