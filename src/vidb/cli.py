@@ -166,7 +166,9 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--fsync-interval", type=float, default=0.1,
                        help="seconds between fsyncs under --fsync interval")
     serve.add_argument("--checkpoint-every", type=int, default=1000,
-                       help="WAL records between snapshots (default 1000)")
+                       help="journaled mutations between snapshots; a "
+                            "snapshot waits for the commit that reaches the "
+                            "count (default 1000)")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=7421,
                        help="TCP port (0 picks an ephemeral port)")
@@ -696,7 +698,7 @@ def _cmd_serve(args) -> int:
             elif not recovery.empty:
                 print(f"recovered {args.data_dir}: snapshot lsn "
                       f"{recovery.snapshot_lsn}, replayed "
-                      f"{recovery.replayed} record(s)"
+                      f"{recovery.replayed} mutation(s)"
                       + (" (torn tail dropped)" if recovery.torn else ""),
                       flush=True)
             db: VideoDatabase = durable.db
@@ -931,7 +933,7 @@ def _replica_loop(replica, args) -> int:
         while True:
             applied = replica.poll()
             stats = replica.db.stats()
-            print(f"applied {applied} record(s), lsn "
+            print(f"applied {applied} mutation(s), lsn "
                   f"{replica.applied_lsn}, lag {replica.lag()}; "
                   f"{stats['entities']} entities, {stats['intervals']} "
                   f"intervals, {stats['facts']} facts", flush=True)

@@ -12,7 +12,7 @@ The robustness layer under the serving system (see
 * :mod:`vidb.durability.recovery` — latest-valid-snapshot + committed
   WAL tail reconstruction, tolerant of a torn final record;
 * :mod:`vidb.durability.durable` — :class:`DurableDatabase`, the live
-  database journaling every mutation;
+  database journaling every commit as one WAL frame;
 * :mod:`vidb.durability.replica` — log-shipping read replicas over the
   filesystem or the wire protocol.
 """

@@ -1,10 +1,11 @@
 """The durable database: a live :class:`VideoDatabase` bound to a WAL.
 
 ``DurableDatabase(data_dir)`` recovers whatever the directory holds
-(latest valid snapshot + committed WAL tail), then journals every
-subsequent mutation — including :class:`Transaction` commit/rollback as
-atomic begin/commit/abort frames — through a
-:class:`~vidb.durability.wal.WalWriter`.  Periodic checkpoints install
+(latest valid snapshot + WAL tail), then journals every subsequent
+commit — a transaction, or one mutation outside any — as one
+self-committing ``commit`` frame through a
+:class:`~vidb.durability.wal.WalWriter`.  A rolled-back transaction
+journals nothing.  Periodic checkpoints install
 a fresh snapshot atomically and truncate the WAL, bounding both
 recovery time and disk growth.
 
@@ -25,20 +26,15 @@ from __future__ import annotations
 import json
 import threading
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Union
 
 from vidb.errors import DurabilityError
 from vidb.obs import current_tracer
 from vidb.obs.events import EventLog, get_event_log
 from vidb.storage.database import VideoDatabase
+from vidb.storage.transactions import CommittedDelta
 
-from vidb.durability.records import (
-    CHECKPOINT,
-    TXN_ABORT,
-    TXN_BEGIN,
-    TXN_COMMIT,
-    encode_event,
-)
+from vidb.durability.records import CHECKPOINT, COMMIT, encode_commit
 from vidb.durability.recovery import RecoveryResult, recover
 from vidb.durability.snapshot import (
     list_snapshots,
@@ -77,7 +73,6 @@ class DurableDatabase:
                          data_dir=str(self.data_dir),
                          snapshot_lsn=self.recovery.snapshot_lsn,
                          replayed=self.recovery.replayed,
-                         discarded=self.recovery.discarded,
                          torn_tail=self.recovery.torn)
         self.seeded = False
         if seed is not None and self.recovery.empty:
@@ -104,8 +99,9 @@ class DurableDatabase:
             # fragment would turn a tolerated torn *end* into mid-log
             # corruption the next recovery refuses to replay past.
             truncate_to=self.recovery.wal_offset)
-        self._in_txn = False
-        self._records_since_checkpoint = self.recovery.replayed
+        #: Mutations journaled since the last checkpoint (what
+        #: ``checkpoint_every`` counts).
+        self._mutations_since_checkpoint = self.recovery.replayed
         self._snapshot_lsn = self.recovery.snapshot_lsn
         self._snapshots_taken = 0
         self._ships = 0
@@ -115,7 +111,7 @@ class DurableDatabase:
             # Every data directory keeps at least one snapshot so
             # replicas (and recovery) always have a base to load.
             self.checkpoint()
-        self._db.add_mutation_observer(self._on_mutation)
+        self._db.add_mutation_observer(self._on_commit)
 
     # -- identity ----------------------------------------------------------
     @property
@@ -153,21 +149,15 @@ class DurableDatabase:
         return getattr(db, name)
 
     # -- journaling --------------------------------------------------------
-    def _on_mutation(self, event: Tuple) -> None:
+    def _on_commit(self, delta: CommittedDelta) -> None:
         with self._lock:
             if self._closed:
                 raise DurabilityError(
                     f"durable database {self.data_dir} is closed; "
                     f"refusing to lose a mutation")
-            type_, data = encode_event(event)
-            self._writer.append(type_, data)
-            self._records_since_checkpoint += 1
-            if type_ == TXN_BEGIN:
-                self._in_txn = True
-            elif type_ in (TXN_COMMIT, TXN_ABORT):
-                self._in_txn = False
-            if (not self._in_txn
-                    and self._records_since_checkpoint >= self.checkpoint_every):
+            self._writer.append(COMMIT, encode_commit(delta.events))
+            self._mutations_since_checkpoint += len(delta)
+            if self._mutations_since_checkpoint >= self.checkpoint_every:
                 self.checkpoint()
 
     def sync(self) -> None:
@@ -179,7 +169,7 @@ class DurableDatabase:
     def checkpoint(self) -> Path:
         """Install a snapshot of the current state and truncate the WAL."""
         with self._lock:
-            if self._in_txn:
+            if self._db.in_transaction:
                 raise DurabilityError(
                     "cannot checkpoint inside an open transaction")
             if self._closed:
@@ -201,7 +191,7 @@ class DurableDatabase:
                 prune_snapshots(self.data_dir, keep=self.keep_snapshots)
                 self._snapshot_lsn = lsn
                 self._snapshots_taken += 1
-                self._records_since_checkpoint = 0
+                self._mutations_since_checkpoint = 0
                 span.annotate(lsn=lsn, epoch=self._db.epoch)
             self.events.emit("checkpoint", lsn=lsn, epoch=self._db.epoch,
                              snapshot=path.name)
@@ -282,12 +272,11 @@ class DurableDatabase:
                 "wal.bytes": self._writer.bytes_written,
                 "wal.size_bytes": self.wal_size_bytes(),
                 "wal.syncs": self._writer.sync_count,
-                "wal.since_checkpoint": self._records_since_checkpoint,
+                "wal.since_checkpoint": self._mutations_since_checkpoint,
                 "wal.ships": self._ships,
                 "snapshots.taken": self._snapshots_taken,
                 "snapshots.lsn": self._snapshot_lsn,
                 "recovery.replayed": self.recovery.replayed,
-                "recovery.discarded": self.recovery.discarded,
                 "recovery.torn_tail": int(self.recovery.torn),
                 "replica.lag": self._follower_lag,
             }
@@ -297,9 +286,9 @@ class DurableDatabase:
         with self._lock:
             if self._closed:
                 return
-            if checkpoint and not self._in_txn:
+            if checkpoint and not self._db.in_transaction:
                 self.checkpoint()
-            self._db.remove_mutation_observer(self._on_mutation)
+            self._db.remove_mutation_observer(self._on_commit)
             self._writer.close()
             self._closed = True
 

@@ -10,12 +10,10 @@ The contract the fault-injection tests pin down:
 * A **missing or unreadable snapshot** falls back to the next older
   snapshot, and finally to an empty database replayed from LSN 0; an
   unreadable snapshot is never half-loaded.
-* **Transaction atomicity**: records between ``txn_begin`` and
-  ``txn_commit`` apply together at the commit frame; a ``txn_abort`` or
-  a begin with no commit (crash mid-transaction) discards the whole
-  segment.  Since rollback logs its own inverse operations before the
-  abort frame, discarding the segment reproduces the rolled-back state
-  exactly.
+* **Transaction atomicity**: each ``commit`` frame holds one whole
+  committed change set and applies as one transaction.  A rolled-back
+  transaction never reaches the log, and a crash mid-transaction
+  leaves nothing of it there, so the log holds only committed history.
 
 Recovery is observable: it opens ``recover`` / ``recover.snapshot`` /
 ``recover.replay`` spans on the ambient :mod:`vidb.obs` tracer.
@@ -30,13 +28,7 @@ from vidb.errors import SnapshotError
 from vidb.obs import current_tracer
 from vidb.storage.database import VideoDatabase
 
-from vidb.durability.records import (
-    CHECKPOINT,
-    TXN_ABORT,
-    TXN_BEGIN,
-    TXN_COMMIT,
-    apply_record,
-)
+from vidb.durability.records import apply_record
 from vidb.durability.snapshot import list_snapshots, load_snapshot, wal_path
 from vidb.durability.wal import WalRecord, read_wal
 
@@ -45,23 +37,21 @@ class RecoveryResult:
     """What recovery reconstructed, and how."""
 
     __slots__ = ("db", "snapshot_path", "snapshot_lsn", "last_lsn",
-                 "replayed", "discarded", "torn", "skipped_snapshots",
-                 "wal_offset")
+                 "replayed", "torn", "skipped_snapshots", "wal_offset")
 
     def __init__(self, db: VideoDatabase, snapshot_path: Optional[Path],
                  snapshot_lsn: int, last_lsn: int, replayed: int,
-                 discarded: int, torn: bool,
+                 torn: bool,
                  skipped_snapshots: List[Tuple[Path, str]],
                  wal_offset: int):
         self.db = db
         self.snapshot_path = snapshot_path
         self.snapshot_lsn = snapshot_lsn
-        #: Highest LSN seen in the WAL (committed or not); the writer
-        #: must continue from ``last_lsn + 1``.
+        #: Highest LSN seen in the WAL; the writer must continue from
+        #: ``last_lsn + 1``.
         self.last_lsn = last_lsn
+        #: Mutations replayed from the WAL tail.
         self.replayed = replayed
-        #: Records seen but not applied (aborted / uncommitted segments).
-        self.discarded = discarded
         self.torn = torn
         self.skipped_snapshots = skipped_snapshots
         self.wal_offset = wal_offset
@@ -78,7 +68,6 @@ class RecoveryResult:
             "snapshot_lsn": self.snapshot_lsn,
             "last_lsn": self.last_lsn,
             "replayed": self.replayed,
-            "discarded": self.discarded,
             "torn_tail": self.torn,
             "skipped_snapshots": len(self.skipped_snapshots),
         }
@@ -86,43 +75,15 @@ class RecoveryResult:
     def __repr__(self) -> str:
         return (f"RecoveryResult(snapshot_lsn={self.snapshot_lsn}, "
                 f"last_lsn={self.last_lsn}, replayed={self.replayed}, "
-                f"discarded={self.discarded}, torn={self.torn})")
+                f"torn={self.torn})")
 
 
 def replay_records(db: VideoDatabase, records: List[WalRecord],
-                   after_lsn: int = 0) -> Tuple[int, int]:
-    """Apply committed records with LSN > *after_lsn*; returns
-    ``(applied, discarded)``.
-
-    Transaction segments are buffered and applied only at their commit
-    frame; aborted or unterminated segments count as discarded.
-    """
-    applied = 0
-    discarded = 0
-    pending: Optional[List[WalRecord]] = None
-    for record in records:
-        if record.lsn <= after_lsn or record.type == CHECKPOINT:
-            continue
-        if record.type == TXN_BEGIN:
-            if pending is not None:  # crash between begin frames
-                discarded += len(pending)
-            pending = []
-        elif record.type == TXN_COMMIT:
-            for buffered in pending or ():
-                apply_record(db, buffered)
-                applied += 1
-            pending = None
-        elif record.type == TXN_ABORT:
-            discarded += len(pending or ())
-            pending = None
-        elif pending is not None:
-            pending.append(record)
-        else:
-            apply_record(db, record)
-            applied += 1
-    if pending is not None:  # crash mid-transaction: never committed
-        discarded += len(pending)
-    return applied, discarded
+                   after_lsn: int = 0) -> int:
+    """Apply the records with LSN > *after_lsn*, one commit at a time;
+    returns the number of mutations applied."""
+    return sum(apply_record(db, record) for record in records
+               if record.lsn > after_lsn)
 
 
 def _load_latest_snapshot(data_dir: Union[str, Path], default_name: str
@@ -157,12 +118,12 @@ def recover(data_dir: Union[str, Path], *,
                                skipped=len(skipped))
         with tracer.span("recover.replay") as replay_span:
             scan = read_wal(wal_path(data_dir))
-            applied, discarded = replay_records(db, scan.records,
-                                                after_lsn=snapshot_lsn)
+            applied = replay_records(db, scan.records,
+                                     after_lsn=snapshot_lsn)
             replay_span.annotate(records=len(scan.records), applied=applied,
-                                 discarded=discarded, torn=scan.torn)
+                                 torn=scan.torn)
         last_lsn = max(snapshot_lsn, scan.last_lsn)
         span.annotate(last_lsn=last_lsn, epoch=db.epoch)
     return RecoveryResult(db, snapshot_file, snapshot_lsn, last_lsn,
-                          applied, discarded, scan.torn, skipped,
+                          applied, scan.torn, skipped,
                           scan.offset)

@@ -13,13 +13,14 @@ ship the log:
     ``vidb serve --data-dir`` primary, receiving a full snapshot when
     it has fallen behind the latest checkpoint (resync).
 
-Transaction frames get the same treatment as crash recovery: a segment
-applies only at its commit frame, so a replica never exposes a
-half-applied transaction — its state is always some committed prefix of
-the primary's history.  :meth:`Replica.lag` reports how many log
-records the replica still trails by; it reaches zero once a
-:meth:`Replica.poll` has consumed everything the primary has made
-visible.
+Each ``commit`` frame holds one whole primary commit and applies inside
+one transaction, exactly as in crash recovery, so a replica never
+exposes a half-applied transaction — its state is always some committed
+prefix of the primary's history — and observers of the replica's
+database (its stream hub) see each primary commit as one change set.
+:meth:`Replica.lag` reports how many log records (commits) the replica
+still trails by; it reaches zero once a :meth:`Replica.poll` has
+consumed everything the primary has made visible.
 """
 
 from __future__ import annotations
@@ -34,13 +35,7 @@ from vidb.obs.events import EventLog, get_event_log
 from vidb.storage.database import VideoDatabase
 from vidb.storage.persistence import PersistenceError, database_from_dict
 
-from vidb.durability.records import (
-    CHECKPOINT,
-    TXN_ABORT,
-    TXN_BEGIN,
-    TXN_COMMIT,
-    apply_record,
-)
+from vidb.durability.records import apply_record
 from vidb.durability.snapshot import list_snapshots, load_snapshot, wal_path
 from vidb.durability.wal import WalRecord, head_lsn, read_wal
 
@@ -166,15 +161,14 @@ class Replica:
         self._db = VideoDatabase(name)
         self._position = 0       # last LSN consumed from the stream
         self._visible = 0        # last LSN the source has shown us
-        self._pending: Optional[List[WalRecord]] = None
         #: Guards the LSN counters so the serving tier (router probes,
         #: session-consistency waits) can read ``applied_lsn``/``lag_lsn``
         #: from any thread while the poll loop advances them.  The
         #: database itself is protected separately (the replica server's
         #: writer lock), this lock only covers the position bookkeeping.
         self._state_lock = threading.Lock()
+        #: Mutations applied from the primary's log.
         self.records_applied = 0
-        self.records_discarded = 0
         self.polls = 0
         self.resyncs = 0
         batch = source.bootstrap()
@@ -195,7 +189,7 @@ class Replica:
     # -- the follower loop -------------------------------------------------
     def poll(self) -> int:
         """Fetch and apply whatever the primary has shipped; returns the
-        number of records applied."""
+        number of mutations applied."""
         with current_tracer().span("replica.poll") as span:
             self.polls += 1
             before = self.records_applied
@@ -216,7 +210,7 @@ class Replica:
         return self._source.fetch(self.applied_lsn)
 
     def ingest(self, batch: ShipBatch) -> int:
-        """Apply a batch from :meth:`fetch`; returns records applied."""
+        """Apply a batch from :meth:`fetch`; returns mutations applied."""
         before = self.records_applied
         self._ingest(batch)
         return self.records_applied - before
@@ -226,7 +220,6 @@ class Replica:
             self._db = batch.resync_db
             with self._state_lock:
                 self._position = batch.resync_lsn
-            self._pending = None
             self.resyncs += 1
             self.events.emit("replica.resync", lsn=batch.resync_lsn,
                              records=len(batch.records))
@@ -248,33 +241,12 @@ class Replica:
         for record in batch.records:
             if record.lsn <= self._position:
                 continue
-            self._apply(record)
+            self.records_applied += apply_record(self._db, record)
             with self._state_lock:
                 self._position = record.lsn
         with self._state_lock:
             self._visible = max(self._visible, batch.last_lsn,
                                 self._position)
-
-    def _apply(self, record: WalRecord) -> None:
-        if record.type == CHECKPOINT:
-            return
-        if record.type == TXN_BEGIN:
-            if self._pending:
-                self.records_discarded += len(self._pending)
-            self._pending = []
-        elif record.type == TXN_COMMIT:
-            for buffered in self._pending or ():
-                apply_record(self._db, buffered)
-                self.records_applied += 1
-            self._pending = None
-        elif record.type == TXN_ABORT:
-            self.records_discarded += len(self._pending or ())
-            self._pending = None
-        elif self._pending is not None:
-            self._pending.append(record)
-        else:
-            apply_record(self._db, record)
-            self.records_applied += 1
 
     # -- introspection -----------------------------------------------------
     @property
@@ -316,7 +288,6 @@ class Replica:
             "replica.lag": max(0, visible - position),
             "replica.lag_lsn": max(0, visible - position),
             "replica.records_applied": self.records_applied,
-            "replica.records_discarded": self.records_discarded,
             "replica.polls": self.polls,
             "replica.resyncs": self.resyncs,
         }

@@ -313,8 +313,7 @@ class ServiceExecutor:
             reg.callback_gauge("stream.lag_events", subs.total_lag_events)
             reg.callback_gauge("stream.deltas",
                                lambda: hub.deltas_delivered)
-            reg.callback_gauge("stream.aborted_segments",
-                               lambda: hub.aborted_segments)
+            reg.counter("stream.aborted_segments")
         if self.durability is not None:
             durability = self.durability
             for key in durability.stats():
@@ -590,8 +589,8 @@ class ServiceExecutor:
         """Run the replication apply path with exclusive writer access.
 
         Unlike :meth:`mutate` this bypasses the read-only guard and the
-        transaction wrapper (shipped WAL records carry their own
-        transaction framing) and, when the replica resynced to a whole
+        transaction wrapper (the replica applies each shipped commit in
+        a transaction of its own) and, when the replica resynced to a whole
         new database object, rebinds the engine to it before readers
         return.
         """
@@ -653,7 +652,8 @@ class ServiceExecutor:
 
         ``fn`` runs inside an undo-log transaction: if it raises, every
         mutation it made is rolled back (and the epoch restored) before
-        the exception propagates.
+        the exception propagates, and ``stream.aborted_segments``
+        counts the rollback.
         """
         if self.read_only:
             raise ReadOnlyError(
@@ -662,7 +662,12 @@ class ServiceExecutor:
         with self._lock.write_locked():
             before = frozenset(self.db.relation_names())
             with self.db.transaction():
-                result = fn(self.db)
+                try:
+                    result = fn(self.db)
+                except BaseException:
+                    if self.stream_hub is not None:
+                        self.metrics.inc("stream.aborted_segments")
+                    raise
             if frozenset(self.db.relation_names()) != before:
                 # The EDB schema changed (declare_relation, first fact of
                 # a new relation, ...): drop the cached analysis so the

@@ -13,9 +13,10 @@ from vidb.storage.persistence import (
     save,
 )
 from vidb.storage.relation import Relation
-from vidb.storage.transactions import Transaction
+from vidb.storage.transactions import CommittedDelta, Transaction
 
 __all__ = [
+    "CommittedDelta",
     "Relation",
     "TemporalIndex",
     "Transaction",

@@ -29,6 +29,7 @@ from vidb.model.relations import FactArg, RelationFact
 from vidb.model.sequence import VideoSequence
 from vidb.storage.index import TemporalIndex
 from vidb.storage.relation import ANYOBJECT_PRED, INTERVAL_PRED, OBJECT_PRED, Relation
+from vidb.storage.transactions import CommittedDelta, MutationEvent, Transaction
 
 OidLike = Union[Oid, str]
 
@@ -59,10 +60,11 @@ class VideoDatabase:
         self._objects: Dict[Oid, VideoObject] = {}
         self._declared_relations: set = set()
         self._journal: Optional[List] = None  # undo log when inside a transaction
+        #: The open transaction's mutation events, announced at commit.
+        self._changes: Optional[List[MutationEvent]] = None
         #: Mutation observers (see :meth:`add_mutation_observer`): each
-        #: successful mutation — and transaction begin/commit/abort —
-        #: is announced as a plain tuple.  The durability layer's WAL
-        #: hangs off this.
+        #: commit is announced as one :class:`CommittedDelta`.  The
+        #: WAL, the replicas' apply path and the stream hub hang off it.
         self._observers: List = []
         #: Monotonic mutation counter.  Every successful mutating operation
         #: bumps it, so two reads of the database at the same epoch are
@@ -336,10 +338,8 @@ class VideoDatabase:
         return self._temporal_index.footprint(self.interval_oid(interval))
 
     # -- transactions ------------------------------------------------------------
-    def transaction(self) -> "Transaction":
+    def transaction(self) -> Transaction:
         """Open an undo-log transaction (a context manager)."""
-        from vidb.storage.transactions import Transaction
-
         return Transaction(self)
 
     def _log(self, entry) -> None:
@@ -348,13 +348,18 @@ class VideoDatabase:
 
     # -- mutation observers ----------------------------------------------------
     def add_mutation_observer(self, observer) -> None:
-        """Subscribe ``observer(event_tuple)`` to every mutation.
+        """Subscribe ``observer(delta)`` to every commit.
 
-        Events mirror the epoch: an event fires exactly when the epoch
-        bumps (plus ``("txn_begin",)`` / ``("txn_commit",)`` /
-        ``("txn_abort",)`` frames from :class:`Transaction`), which is
-        what lets a WAL replay reproduce the epoch exactly.  Observers
-        must not mutate the database.
+        Each committed transaction is announced once, as one
+        :class:`CommittedDelta` holding its mutation events in order;
+        a mutation outside any transaction is a change set of one.  A
+        rolled-back or empty transaction announces nothing, and neither
+        do a rollback's undo operations.  Events mirror the epoch: each
+        one bumped it by exactly one, so ``delta.epoch -
+        delta.pre_epoch == len(delta)``, which is what lets a WAL replay
+        reproduce the epoch exactly.  Observers run in registration
+        order, after the commit, and must not mutate the database; an
+        observer's exception reaches the committing caller.
         """
         self._observers.append(observer)
 
@@ -364,10 +369,20 @@ class VideoDatabase:
         except ValueError:
             pass
 
-    def _emit(self, event: Tuple) -> None:
+    def _emit(self, event: MutationEvent) -> None:
+        if self._changes is not None:
+            self._changes.append(event)
+        else:
+            self._announce([event])
+
+    def _announce(self, events: List[MutationEvent]) -> None:
+        """Hand one committed change set to every observer."""
         if self._observers:
+            # Each event bumped the epoch by exactly one.
+            delta = CommittedDelta(events, self._epoch,
+                                   self._epoch - len(events))
             for observer in tuple(self._observers):
-                observer(event)
+                observer(delta)
 
     # -- stats ----------------------------------------------------------------
     def __len__(self) -> int:

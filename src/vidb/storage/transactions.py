@@ -1,4 +1,4 @@
-"""Undo-log transactions for :class:`vidb.storage.database.VideoDatabase`.
+"""Undo-log transactions and the committed change sets they announce.
 
 The paper motivates a database substrate for video partly by the classical
 database services — "persistence, transactions, concurrency control,
@@ -13,16 +13,74 @@ Usage::
         db.new_entity("o1", name="Reporter")
         db.relate("in", o1, gi1)
         ...                       # raising here rolls everything back
+
+The transaction is also the database's one commit boundary: a commit
+announces its mutations to the mutation observers as one
+:class:`CommittedDelta`; a rollback, or a transaction that changed
+nothing, announces nothing.  A mutation outside any transaction is a
+change set of one.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+import time
+from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
 from vidb.errors import TransactionError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from vidb.storage.database import VideoDatabase
+
+#: One mutation event: ``("add", obj)``, ``("relate", fact)``, ... (see
+#: :meth:`vidb.storage.database.VideoDatabase.add_mutation_observer`).
+MutationEvent = Tuple[Any, ...]
+
+#: Event kinds that only ever *grow* the database — the ones semi-naive
+#: delta maintenance can apply incrementally.
+MONOTONE_EVENTS = frozenset({"add", "relate", "declare_relation"})
+
+#: Event kinds that shrink or rewrite state; an incremental view must
+#: rebuild from scratch after a committed delta containing one.
+NON_MONOTONE_EVENTS = frozenset({"replace", "remove_object", "remove_fact"})
+
+
+class CommittedDelta:
+    """One committed change set: its mutation events, in application
+    order, and the database epochs around it."""
+
+    __slots__ = ("events", "epoch", "pre_epoch", "origin_pc", "trace")
+
+    def __init__(self, events: List[MutationEvent], epoch: int,
+                 pre_epoch: int):
+        #: The committed events, in the order they were applied.
+        self.events = events
+        #: The database epoch *after* this delta committed.
+        self.epoch = epoch
+        #: The database epoch *before* the first event of this delta.
+        self.pre_epoch = pre_epoch
+        #: Commit monotonic time (``perf_counter``) — the origin point
+        #: the commit→notify latency histograms measure against.  Only
+        #: meaningful inside the committing process.
+        self.origin_pc = time.perf_counter()
+        #: Traceparent header of the mutating request, when the commit
+        #: happened under a traced request (the stream hub stamps it,
+        #: see :mod:`vidb.obs.trace`); notification batches carry it so
+        #: a write can be joined to the notifications it caused.
+        self.trace: Optional[str] = None
+
+    @property
+    def monotone(self) -> bool:
+        """True when every event only grows the database (pure inserts),
+        so incremental (semi-naive) maintenance is sound."""
+        return all(event[0] in MONOTONE_EVENTS for event in self.events)
+
+    def __len__(self) -> int:
+        return len(self.events)
+
+    def __repr__(self) -> str:
+        kinds = [event[0] for event in self.events]
+        return (f"CommittedDelta({len(self.events)} events {kinds!r}, "
+                f"epoch {self.pre_epoch}->{self.epoch})")
 
 
 class Transaction:
@@ -47,8 +105,8 @@ class Transaction:
             return self
         self._journal = []
         self._db._journal = self._journal
+        self._db._changes = []
         self._epoch_snapshot = self._db._epoch
-        self._db._emit(("txn_begin",))
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
@@ -69,32 +127,36 @@ class Transaction:
             return
         if self._closed:
             raise TransactionError("transaction already closed")
-        self._db._journal = None
+        db = self._db
+        changes = db._changes
+        db._journal = db._changes = None
         self._journal = None
         self._closed = True
-        self._db._emit(("txn_commit",))
+        if changes:
+            db._announce(changes)
 
     def rollback(self) -> None:
         if self._nested:
             raise TransactionError("cannot roll back a nested transaction")
         if self._closed:
             raise TransactionError("transaction already closed")
+        db = self._db
         journal = self._journal or []
-        # Detach first so undo operations are not themselves journaled.
-        self._db._journal = None
         self._journal = None
         self._closed = True
-        for entry in reversed(journal):
-            self._undo(entry)
+        # The undo operations journal into throwaway lists: they are
+        # neither re-journaled nor announced to observers.
+        db._journal, db._changes = [], []
+        try:
+            for entry in reversed(journal):
+                self._undo(entry)
+        finally:
+            db._journal = db._changes = None
         # The undo replay bumped the epoch once per inverse operation;
         # the state now equals the snapshot state, so restore the
         # snapshot epoch too (same state <=> same epoch).
         if self._epoch_snapshot is not None:
-            self._db._epoch = self._epoch_snapshot
-        # The inverse operations above were announced to mutation
-        # observers too; the abort frame voids the whole segment, so a
-        # WAL replay skips both the forward and the inverse records.
-        self._db._emit(("txn_abort",))
+            db._epoch = self._epoch_snapshot
 
     # -- undo interpreter -----------------------------------------------------
     def _undo(self, entry: Tuple) -> None:

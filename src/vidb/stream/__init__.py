@@ -6,9 +6,9 @@ stream (:meth:`vidb.storage.database.VideoDatabase.add_mutation_observer`)
 and the incremental query machinery
 (:class:`vidb.query.incremental.MaterializedView`):
 
-* :class:`StreamHub` turns raw observer events into committed,
-  transaction-granular :class:`CommittedDelta` batches (aborted
-  segments are discarded, never delivered);
+* :class:`StreamHub` fans the database's committed change sets
+  (:class:`CommittedDelta`, one per commit; a rollback announces
+  nothing) out to its consumers;
 * :class:`ViewRegistry` keeps registered materialized views fed from
   those deltas automatically (ROADMAP item 2's observer wiring);
 * :class:`Subscription` / :class:`SubscriptionManager` implement
@@ -23,12 +23,12 @@ See docs/STREAMING.md for the architecture and the backpressure
 contract.
 """
 
-from vidb.stream.hub import (
+from vidb.storage.transactions import (
     CommittedDelta,
     MONOTONE_EVENTS,
     NON_MONOTONE_EVENTS,
-    StreamHub,
 )
+from vidb.stream.hub import StreamHub
 from vidb.stream.ingest import (
     IngestReport,
     generate_dump,

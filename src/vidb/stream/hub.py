@@ -1,17 +1,12 @@
-"""The mutation-stream hub: observer events -> committed deltas.
+"""The mutation-stream hub: committed change sets -> stream consumers.
 
 A :class:`StreamHub` subscribes to a database's mutation-observer
 stream — the same hook :class:`vidb.durability.DurableDatabase` journals
-through — and turns the raw per-mutation event tuples into
-:class:`CommittedDelta` batches with *transaction* granularity:
-
-* events arriving inside a ``txn_begin`` / ``txn_commit`` window are
-  buffered and delivered as **one** delta when the commit frame lands;
-* events of an aborted transaction (``txn_abort``) are discarded
-  wholesale — the rollback's inverse operations included — so a
-  consumer never observes state that was not committed;
-* events arriving outside any transaction are autocommit: each one is
-  delivered immediately as a single-event delta.
+through.  The database announces each commit once, as one
+:class:`CommittedDelta` (a transaction's mutations together, an
+autocommit mutation alone; a rollback announces nothing), so the hub
+has no transaction handling of its own: it fans each delta out as it
+arrives.
 
 Consumers (:class:`~vidb.stream.views.ViewRegistry`,
 :class:`~vidb.stream.standing.SubscriptionManager`) register a callback
@@ -33,72 +28,12 @@ diverge.
 from __future__ import annotations
 
 import threading
-import time
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Callable, List
 
 from vidb.errors import EvaluationError
 from vidb.obs.trace import current_tracer
 from vidb.storage.database import VideoDatabase
-
-#: One raw mutation-observer event (see
-#: :meth:`vidb.storage.database.VideoDatabase.add_mutation_observer`).
-MutationEvent = Tuple[Any, ...]
-
-#: Event kinds that only ever *grow* the database — the ones semi-naive
-#: delta maintenance can apply incrementally.
-MONOTONE_EVENTS = frozenset({"add", "relate", "declare_relation"})
-
-#: Event kinds that shrink or rewrite state; an incremental view must
-#: rebuild from scratch after a committed delta containing one.
-NON_MONOTONE_EVENTS = frozenset({"replace", "remove_object", "remove_fact"})
-
-#: Transaction framing (no state change of their own).
-TXN_EVENTS = frozenset({"txn_begin", "txn_commit", "txn_abort"})
-
-
-class CommittedDelta:
-    """One committed batch of mutation events, in application order."""
-
-    __slots__ = ("events", "epoch", "pre_epoch", "origin_ts", "origin_pc",
-                 "trace")
-
-    def __init__(self, events: List[MutationEvent], epoch: int,
-                 pre_epoch: int, origin_ts: Optional[float] = None,
-                 origin_pc: Optional[float] = None,
-                 trace: Optional[str] = None):
-        #: The committed events, in the order they were applied.
-        self.events = events
-        #: The database epoch *after* this delta committed.
-        self.epoch = epoch
-        #: The database epoch *before* the first event of this delta.
-        self.pre_epoch = pre_epoch
-        #: Commit wall-clock time (``time.time()``) — for operators.
-        self.origin_ts = time.time() if origin_ts is None else origin_ts
-        #: Commit monotonic time (``perf_counter``) — the origin point
-        #: the commit→notify latency histograms measure against.  Only
-        #: meaningful inside the committing process.
-        self.origin_pc = (time.perf_counter() if origin_pc is None
-                          else origin_pc)
-        #: Traceparent header of the mutating request, when the commit
-        #: happened under a traced request (the ambient tracer's
-        #: context, see :mod:`vidb.obs.trace`); notification batches
-        #: carry it so a
-        #: write can be joined to the notifications it caused.
-        self.trace = trace
-
-    @property
-    def monotone(self) -> bool:
-        """True when every event only grows the database (pure inserts),
-        so incremental (semi-naive) maintenance is sound."""
-        return all(event[0] in MONOTONE_EVENTS for event in self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __repr__(self) -> str:
-        kinds = [event[0] for event in self.events]
-        return (f"CommittedDelta({len(self.events)} events {kinds!r}, "
-                f"epoch {self.pre_epoch}->{self.epoch})")
+from vidb.storage.transactions import CommittedDelta
 
 
 def out_of_band_error(code: str, message: str) -> EvaluationError:
@@ -122,16 +57,13 @@ class StreamHub:
         self.db = db
         self._lock = threading.Lock()
         self._consumers: List[Callable[[CommittedDelta], None]] = []
-        self._buffer: Optional[List[MutationEvent]] = None
-        self._txn_pre_epoch = 0
         #: The epoch the hub believes the database is at.  Every
-        #: observed mutation event bumps it by one (abort resyncs it),
-        #: so a divergence from ``db.epoch`` means mutations happened
-        #: that this hub never saw.
+        #: observed mutation event bumps it by one, so a divergence
+        #: from ``db.epoch`` means mutations happened that this hub
+        #: never saw.
         self.mirror_epoch = db.epoch
         self.deltas_delivered = 0
         self.events_seen = 0
-        self.aborted_segments = 0
         self._attached = False
         self.attach()
 
@@ -140,18 +72,17 @@ class StreamHub:
         """(Re)subscribe to the database's mutation-observer stream."""
         if not self._attached:
             self.mirror_epoch = self.db.epoch
-            self.db.add_mutation_observer(self._on_event)
+            self.db.add_mutation_observer(self._deliver)
             self._attached = True
 
     def detach(self) -> None:
         if self._attached:
-            self.db.remove_mutation_observer(self._on_event)
+            self.db.remove_mutation_observer(self._deliver)
             self._attached = False
-            self._buffer = None
 
     def rebind(self, db: VideoDatabase) -> None:
         """Follow a whole-database swap (a replica resync): detach from
-        the old object, attach to the new one, drop any open buffer."""
+        the old object, attach to the new one."""
         self.detach()
         self.db = db
         self.attach()
@@ -174,39 +105,9 @@ class StreamHub:
             return len(self._consumers)
 
     # -- the observer --------------------------------------------------------
-    def _on_event(self, event: MutationEvent) -> None:
-        kind = event[0]
-        if kind == "txn_begin":
-            # Epoch before the first event of the segment: the mirror,
-            # which equals db.epoch unless out-of-band writes happened
-            # (check_epoch will catch those at delivery time).
-            self._txn_pre_epoch = self.mirror_epoch
-            self._buffer = []
-            return
-        if kind == "txn_commit":
-            buffered, self._buffer = self._buffer, None
-            if buffered:
-                self._deliver(CommittedDelta(buffered, self.mirror_epoch,
-                                             self._txn_pre_epoch))
-            return
-        if kind == "txn_abort":
-            # Drop the whole segment — forward mutations and the
-            # rollback's inverse operations alike — and resync the
-            # mirror to the restored epoch.
-            self._buffer = None
-            self.aborted_segments += 1
-            self.mirror_epoch = self.db.epoch
-            return
-        self.events_seen += 1
-        pre = self.mirror_epoch
-        self.mirror_epoch += 1
-        if self._buffer is not None:
-            self._buffer.append(event)
-            return
-        # Autocommit: one mutation outside any transaction.
-        self._deliver(CommittedDelta([event], self.mirror_epoch, pre))
-
     def _deliver(self, delta: CommittedDelta) -> None:
+        self.events_seen += len(delta)
+        self.mirror_epoch += len(delta)
         if delta.trace is None:
             context = current_tracer().context
             if context is not None:
@@ -233,7 +134,7 @@ class StreamHub:
                 f"at epoch {self.db.epoch} but the stream hub observed "
                 f"epoch {self.mirror_epoch}; mutations were applied while "
                 f"the observer was detached — rebuild the registered views "
-                f"(ViewRegistry.refresh) before trusting them")
+                f"(ViewRegistry.refresh_all) before trusting them")
 
     def __repr__(self) -> str:
         return (f"StreamHub({self.db.name!r}, "

@@ -21,8 +21,8 @@ Delivery contract (the backpressure story, see docs/STREAMING.md):
   loses the *oldest* batches first, and the oldest surviving batch is
   marked ``lagged`` with the cumulative drop count — loss is always
   explicit, never silent;
-* **aborted transactions notify nothing** — the hub only delivers
-  committed deltas;
+* **aborted transactions notify nothing** — the database announces,
+  and the hub delivers, only committed deltas;
 * notifications are **new answers only**: when a deletion forces a
   view rebuild, answers that disappeared are not retracted over the
   wire (retraction notices are future work; the ``rebuilds`` counter

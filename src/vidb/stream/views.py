@@ -11,8 +11,8 @@ automatically, at commit granularity:
 * a delta containing a deletion/replacement, or adding the object a
   symbol in a rule head names, triggers a from-scratch
   :meth:`MaterializedView.refresh` — sound, not incremental;
-* aborted transactions never reach the registry at all (the hub drops
-  them), so a view never observes uncommitted state.
+* aborted transactions never reach the registry at all (the database
+  announces only commits), so a view never observes uncommitted state.
 
 Registered views are **sealed**: direct ``insert_*`` calls raise
 ``VDB050`` (the registry is the only writer), and the registry verifies

@@ -79,6 +79,17 @@ class TestServing:
         with client_for(replica_server) as client:
             assert client.query("?- object(O).")["count"] == 2
 
+    def test_standing_query_gets_one_batch_per_primary_commit(
+            self, primary, replica_server):
+        sub = replica_server.service.subscribe("?- object(O).")
+        with primary.db.transaction():
+            for oid in ("b", "c", "d"):
+                primary.db.new_entity(oid)
+        replica_server.poll_once()
+        [batch] = sub.poll()
+        assert batch["rows"] == [["b"], ["c"], ["d"]]
+        assert batch["epoch"] == primary.db.epoch
+
     def test_readiness_includes_source(self, replica_server):
         checks = replica_server.readiness()
         assert checks["executor"] is True

@@ -55,10 +55,37 @@ class TestJournaling:
                     raise RuntimeError("boom")
             primary = d.db
         result = recover(tmp_path)
-        assert result.discarded > 0
+        assert result.replayed == 0  # the rollback journaled nothing
         assert_same_state(primary, result.db)
         assert result.db.get(Oid.entity("ghost")) is None
         assert result.db.entity("a")["name"] == "Ana"
+
+    def test_failed_commit_append_keeps_later_writes(self, tmp_path):
+        # The WAL append fails while a transaction commits.  The error
+        # reaches the committing caller, and every later acknowledged
+        # autocommit write still recovers: the failed commit must not
+        # leave a half-open transaction in the log that swallows them.
+        with DurableDatabase(tmp_path, seed=seed_db(), fsync="never") as d:
+            append = d._writer.append
+            armed = []
+
+            def failing_append(type_, data):
+                if armed:
+                    armed.clear()
+                    raise OSError("disk full")
+                return append(type_, data)
+
+            d._writer.append = failing_append
+            with pytest.raises(OSError, match="disk full"):
+                with d.db.transaction():
+                    d.db.new_entity("o1")
+                    armed.append(True)  # the next append is the commit's
+            d.db.new_entity("o2")
+            d.db.set_attribute("a", "name", "Ana2")
+        recovered = recover(tmp_path).db
+        assert recovered.get(Oid.entity("o2")) is not None
+        assert recovered.entity("a")["name"] == "Ana2"
+        assert recovered.get(Oid.entity("o1")) is None  # never journaled
 
     def test_append_after_torn_tail_stays_recoverable(self, tmp_path):
         # recover → append → recover: the torn fragment must be cut off
@@ -87,6 +114,57 @@ class TestJournaling:
         d2._closed = True  # simulate a race: observer fires after close
         with pytest.raises(DurabilityError):
             d2.db.new_entity("lost")
+
+
+class TestOneFramePerCommit:
+    def test_autocommit_write_is_one_frame(self, tmp_path):
+        with DurableDatabase(tmp_path, fsync="never") as d:
+            before = d.stats()["wal.records"]
+            d.db.new_entity("o1")
+            assert d.stats()["wal.records"] == before + 1
+
+    def test_transaction_is_one_frame(self, tmp_path):
+        with DurableDatabase(tmp_path, fsync="never") as d:
+            before = d.stats()["wal.records"]
+            with d.db.transaction():
+                for i in range(3):
+                    d.db.new_entity(f"o{i}")
+            stats = d.stats()
+            assert stats["wal.records"] == before + 1
+            assert stats["wal.since_checkpoint"] == 3  # mutations
+
+    def test_rolled_back_and_empty_transactions_append_nothing(
+            self, tmp_path):
+        with DurableDatabase(tmp_path, seed=seed_db(), fsync="never") as d:
+            before = d.stats()["wal.records"]
+            with pytest.raises(RuntimeError):
+                with d.db.transaction():
+                    d.db.new_entity("ghost")
+                    raise RuntimeError("boom")
+            with d.db.transaction():
+                pass
+            assert d.stats()["wal.records"] == before
+
+    def test_service_write_and_batch_are_one_frame_each(self, tmp_path):
+        from vidb.service.executor import ServiceExecutor
+        from vidb.service.server import ServiceClient, VideoServer
+
+        durable = DurableDatabase(tmp_path, fsync="never")
+        service = ServiceExecutor(durable, max_workers=1)
+        server = VideoServer(service).start_background()
+        try:
+            with ServiceClient(*server.address) as client:
+                before = client.metrics()["wal.records"]
+                client.insert_entity("o0")
+                assert client.metrics()["wal.records"] == before + 1
+                client.batch([{"op": "insert_entity", "oid": f"o{i}",
+                               "attributes": {}} for i in range(1, 51)])
+                assert client.metrics()["wal.records"] == before + 2
+        finally:
+            server.shutdown()
+            service.close()
+            durable.close()
+        assert recover(tmp_path).db.stats()["entities"] == 51
 
 
 class TestSeeding:
@@ -124,11 +202,16 @@ class TestCheckpoints:
     def test_no_checkpoint_inside_transaction(self, tmp_path):
         with DurableDatabase(tmp_path, fsync="never",
                              checkpoint_every=2) as d:
+            taken = d.stats()["snapshots.taken"]
             with d.db.transaction():
                 for i in range(10):  # would trip checkpoint_every mid-txn
                     d.db.new_entity(f"o{i}")
+                assert d.stats()["snapshots.taken"] == taken
                 with pytest.raises(DurabilityError):
                     d.checkpoint()
+            # the commit that passed the count checkpointed after itself
+            assert d.stats()["snapshots.taken"] == taken + 1
+            assert d.snapshot_lsn == d.last_lsn - 1  # + the checkpoint frame
             d.checkpoint()  # fine once committed
         assert recover(tmp_path).db.stats()["entities"] == 10
 
@@ -186,7 +269,7 @@ class TestWrapper:
         for key in ("wal.last_lsn", "wal.records", "wal.bytes", "wal.syncs",
                     "wal.since_checkpoint", "wal.ships", "snapshots.taken",
                     "snapshots.lsn", "recovery.replayed",
-                    "recovery.discarded", "recovery.torn_tail"):
+                    "recovery.torn_tail"):
             assert key in stats
 
     def test_close_with_checkpoint(self, tmp_path):

@@ -4,13 +4,11 @@ import json
 
 import pytest
 
+from vidb.durability.durable import DurableDatabase
 from vidb.durability.records import (
     CHECKPOINT,
-    TXN_ABORT,
-    TXN_BEGIN,
-    TXN_COMMIT,
-    encode_event,
-    encode_object,
+    COMMIT,
+    encode_commit,
 )
 from vidb.durability.recovery import recover, replay_records
 from vidb.durability.snapshot import snapshot_path, wal_path, write_snapshot
@@ -21,72 +19,91 @@ from vidb.model.oid import Oid
 from vidb.storage.database import VideoDatabase
 
 
+def add_entity(oid, **attrs):
+    return ("add", EntityObject(Oid.entity(oid), attrs))
+
+
+def commit_record(lsn, *events):
+    return WalRecord(lsn, COMMIT, encode_commit(events))
+
+
 def entity_record(lsn, oid, **attrs):
-    return WalRecord(lsn, "add",
-                     encode_object(EntityObject(Oid.entity(oid), attrs)))
+    return commit_record(lsn, add_entity(oid, **attrs))
 
 
 def append_entity(writer, oid, **attrs):
-    type_, data = encode_event(("add", EntityObject(Oid.entity(oid), attrs)))
-    return writer.append(type_, data)
+    return writer.append(COMMIT, encode_commit([add_entity(oid, **attrs)]))
 
 
 class TestReplay:
     def test_bare_records_apply(self):
         db = VideoDatabase("r")
-        applied, discarded = replay_records(
+        applied = replay_records(
             db, [entity_record(1, "a"), entity_record(2, "b")])
-        assert (applied, discarded) == (2, 0)
+        assert applied == 2
         assert db.stats()["entities"] == 2
 
     def test_after_lsn_skips_covered_records(self):
         db = VideoDatabase("r")
-        applied, _ = replay_records(
+        applied = replay_records(
             db, [entity_record(1, "a"), entity_record(2, "b")], after_lsn=1)
         assert applied == 1
         assert db.get(Oid.entity("a")) is None
 
     def test_committed_transaction_applies_atomically(self):
         db = VideoDatabase("r")
-        records = [WalRecord(1, TXN_BEGIN), entity_record(2, "a"),
-                   entity_record(3, "b"), WalRecord(4, TXN_COMMIT)]
-        applied, discarded = replay_records(db, records)
-        assert (applied, discarded) == (2, 0)
+        deltas = []
+        db.add_mutation_observer(deltas.append)
+        records = [commit_record(1, add_entity("a"), add_entity("b"))]
+        assert replay_records(db, records) == 2
         assert db.stats()["entities"] == 2
+        # the frame replays as one transaction: one change set
+        assert [len(delta) for delta in deltas] == [2]
 
-    def test_aborted_transaction_is_void(self):
+    def test_failing_commit_applies_nothing(self):
         db = VideoDatabase("r")
-        records = [WalRecord(1, TXN_BEGIN), entity_record(2, "a"),
-                   WalRecord(3, TXN_ABORT), entity_record(4, "b")]
-        applied, discarded = replay_records(db, records)
-        assert (applied, discarded) == (1, 1)
+        # the second mutation duplicates the first oid
+        records = [commit_record(1, add_entity("a"), add_entity("a"))]
+        with pytest.raises(RecoveryError, match=r"lsn=1 \(add\)"):
+            replay_records(db, records)
         assert db.get(Oid.entity("a")) is None
-        assert db.get(Oid.entity("b")) is not None
+        assert db.epoch == 0
 
-    def test_unterminated_transaction_is_void(self):
-        db = VideoDatabase("r")
-        records = [entity_record(1, "a"), WalRecord(2, TXN_BEGIN),
-                   entity_record(3, "b")]
-        applied, discarded = replay_records(db, records)
-        assert (applied, discarded) == (1, 1)
-        assert db.get(Oid.entity("b")) is None
+    def test_unterminated_transaction_is_void(self, tmp_path):
+        # a crash mid-transaction: none of its mutations reached the log
+        with DurableDatabase(tmp_path, fsync="never") as durable:
+            durable.db.new_entity("a")
+            with durable.db.transaction():
+                durable.db.new_entity("b")
+                crashed = recover(tmp_path)
+        assert crashed.replayed == 1
+        assert crashed.db.get(Oid.entity("a")) is not None
+        assert crashed.db.get(Oid.entity("b")) is None
 
     def test_checkpoint_records_are_skipped(self):
         db = VideoDatabase("r")
         records = [WalRecord(1, CHECKPOINT, {"snapshot_lsn": 0}),
                    entity_record(2, "a")]
-        applied, _ = replay_records(db, records)
+        applied = replay_records(db, records)
         assert applied == 1
 
     def test_unknown_record_type_raises(self):
-        with pytest.raises(RecoveryError):
-            replay_records(VideoDatabase("r"), [WalRecord(1, "explode")])
+        # txn_begin: the older begin/commit/abort log layout has no reader
+        for kind in ("explode", "txn_begin"):
+            with pytest.raises(RecoveryError,
+                               match=f"lsn=1 has unknown type '{kind}'"):
+                replay_records(VideoDatabase("r"), [WalRecord(1, kind)])
+
+    def test_unknown_mutation_type_raises(self):
+        record = WalRecord(1, COMMIT, {"mutations": [["explode", {}]]})
+        with pytest.raises(RecoveryError, match="explode"):
+            replay_records(VideoDatabase("r"), [record])
 
     def test_unapplicable_record_raises(self):
         # removing an object that does not exist must not pass silently
-        record = WalRecord(1, "remove_object",
-                           {"oid": {"$oid": {"kind": "entity",
-                                             "parts": ["ghost"]}}})
+        record = WalRecord(1, COMMIT, {"mutations": [[
+            "remove_object",
+            {"oid": {"$oid": {"kind": "entity", "parts": ["ghost"]}}}]]})
         with pytest.raises(RecoveryError):
             replay_records(VideoDatabase("r"), [record])
 
@@ -155,6 +172,6 @@ class TestRecover:
     def test_summary_shape(self, tmp_path):
         summary = recover(tmp_path).summary()
         assert summary == {"snapshot": None, "snapshot_lsn": 0,
-                           "last_lsn": 0, "replayed": 0, "discarded": 0,
+                           "last_lsn": 0, "replayed": 0,
                            "torn_tail": False, "skipped_snapshots": 0}
         json.dumps(summary)  # must stay JSON-serializable for the CLI

@@ -3,6 +3,7 @@
 import pytest
 
 from vidb.durability.durable import DurableDatabase
+from vidb.durability.records import COMMIT, encode_commit
 from vidb.durability.replica import Replica, ShipBatch
 from vidb.durability.wal import WalRecord
 from vidb.errors import ReplicationError
@@ -87,20 +88,41 @@ class TestFileReplica:
         replica.poll()
         assert_converged(replica, primary)
         assert replica.db.get(Oid.entity("ghost")) is None
-        assert replica.records_discarded > 0
+        assert replica.records_applied == 1  # "real" only
+
+    def test_primary_commit_is_one_delta_on_the_replica(self, primary):
+        from vidb.stream.hub import CommittedDelta, StreamHub
+
+        replica = Replica.from_data_dir(primary.data_dir)
+        deltas = []
+        StreamHub(replica.db).add_consumer(deltas.append)
+        pre_epoch = primary.db.epoch
+        with primary.db.transaction():
+            primary.db.new_entity("b")
+            primary.db.new_entity("c")
+            primary.db.relate("in", primary.db.entity("b"),
+                              primary.db.interval("g1"))
+        replica.poll()
+        assert_converged(replica, primary)
+        [delta] = deltas
+        assert isinstance(delta, CommittedDelta)
+        assert [event[0] for event in delta.events] == \
+            ["add", "add", "relate"]
+        assert (delta.pre_epoch, delta.epoch) == \
+            (pre_epoch, primary.db.epoch)
 
     def test_stats_shape(self, primary):
         replica = Replica.from_data_dir(primary.data_dir)
         stats = replica.stats()
         for key in ("replica.applied_lsn", "replica.visible_lsn",
                     "replica.lag", "replica.records_applied",
-                    "replica.records_discarded", "replica.polls",
+                    "replica.polls",
                     "replica.resyncs"):
             assert key in stats
 
 
 def _rel(lsn, name):
-    return WalRecord(lsn, "declare_relation", {"name": name})
+    return WalRecord(lsn, COMMIT, encode_commit([("declare_relation", name)]))
 
 
 class GappySource:

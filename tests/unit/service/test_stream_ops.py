@@ -112,6 +112,8 @@ class TestSubscribeOverTheWire:
                 {"op": "insert_entity", "oid": "o1", "attributes": {}},
             ])
         assert client.poll(sub["id"])["batches"] == []
+        # the rollback is counted where it happens, in the executor
+        assert client.metrics()["stream.aborted_segments"] == 1
 
     def test_filter_over_the_wire(self, client):
         seed_objects(client)
