@@ -20,8 +20,8 @@ Querying Video Data"* (Decleir, Hacid & Kouloumdjian, ICDE 1999):
 * :mod:`vidb.bench` — benchmark harness helpers;
 * :mod:`vidb.obs` — observability: tracing, metrics, structured
   events, and the Prometheus ``/metrics`` exporter;
-* :mod:`vidb.cluster` — the read-serving replica fleet: serving
-  replicas, the routing front end, and failover promotion;
+* :mod:`vidb.cluster` — the read-serving replica fleet: the routing
+  front end and failover promotion;
 * :mod:`vidb.stream` — standing queries over live annotation streams:
   observer-fed materialized views, server push, and bulk ingest.
 
@@ -93,7 +93,7 @@ from vidb.query import (
 )
 from vidb.api import connect
 from vidb.catalog import Archive
-from vidb.cluster import ClusterRouter, Promoter, ReplicaServer
+from vidb.cluster import ClusterRouter, Promoter
 from vidb.durability import DurableDatabase, Replica, recover
 from vidb.presentation import EDL, Cut, Sequencer
 from vidb.schema import AttrSpec, Schema, aggregate
@@ -148,7 +148,6 @@ __all__ = [
     "QueryError",
     "RelationFact",
     "Replica",
-    "ReplicaServer",
     "Rule",
     "SafetyError",
     "Schema",

@@ -766,71 +766,99 @@ def _parse_hostport(text: str, flag: str):
 
 
 def _cmd_replicate(args) -> int:
+    """``vidb replicate``: follow a primary — passively, printing one
+    line per step, or with ``--serve-port`` as the cluster's read tier.
+    Both run :meth:`Replica.follow`, which outlives a dead source."""
+    import contextlib
+    import threading
+
     from vidb.durability import Replica
+    from vidb.obs.events import EventLog
 
     if (args.data_dir is None) == (args.server is None):
         raise VidbError(
             "replicate needs exactly one source: a primary data "
             "directory, or --server HOST:PORT")
-    if args.serve_port is not None:
-        return _replica_serve(args)
-    if args.server is not None:
-        from vidb.service.server import ServiceClient
-
-        host, port = _parse_hostport(args.server, "--server")
-        with ServiceClient(host, port) as client:
-            replica = Replica.from_client(client)
-            return _replica_loop(replica, args)
-    replica = Replica.from_data_dir(args.data_dir)
-    return _replica_loop(replica, args)
-
-
-def _replica_serve(args) -> int:
-    """``vidb replicate --serve-port``: the cluster's read tier — keep
-    following the primary *and* serve the standard protocol read-only."""
-    import contextlib
-    import time as _time
-
-    from vidb.cluster import ReplicaServer
-    from vidb.obs.events import EventLog
-
-    event_log = EventLog()
-    options = dict(host=args.serve_host, port=args.serve_port,
-                   poll_interval_s=max(0.05, args.interval),
-                   lsn_wait_s=args.lsn_wait,
-                   promote_data_dir=args.promote_data_dir,
-                   event_log=event_log, **_engine_options(args),
-                   trace_sample=args.trace_sample,
-                   trace_capacity=args.trace_capacity,
-                   trace_sink=args.trace_sink)
-    if args.server is not None:
-        host, port = _parse_hostport(args.server, "--server")
-        server = ReplicaServer.from_primary(host, port, **options)
-    else:
-        server = ReplicaServer.from_data_dir(args.data_dir, **options)
+    interval = max(0.05, args.interval)
     with contextlib.ExitStack() as cleanup:
-        cleanup.callback(server.close)
+        # A passive follower reports its events (``replica.source_down``
+        # while the primary is unreachable, ``source_up`` once it is
+        # back) on stderr; a serving one exposes them over the wire.
+        event_log = EventLog(
+            sink="stderr" if args.serve_port is None else None)
         cleanup.callback(event_log.close)
-        if args.metrics_port is not None:
-            from vidb.obs.exporter import MetricsExporter
+        if args.server is not None:
+            from vidb.service.server import ServiceClient
 
-            exporter = MetricsExporter(
-                server.service.metrics, port=args.metrics_port,
-                ready=server.readiness).start_background()
-            cleanup.callback(exporter.close)
-            mhost, mport = exporter.address
-            print(f"replica metrics on http://{mhost}:{mport}/metrics",
-                  flush=True)
-        server.start()
-        host, port = server.address
-        print(f"replica serving reads on {host}:{port} "
-              f"(applied lsn {server.replica.applied_lsn}, "
-              f"poll every {max(0.05, args.interval):g}s)", flush=True)
-        try:
-            while True:
-                _time.sleep(1.0)
-        except KeyboardInterrupt:
+            host, port = _parse_hostport(args.server, "--server")
+            client = cleanup.enter_context(
+                ServiceClient(host, port, timeout=10.0))
+            replica = Replica.from_client(client, event_log=event_log)
+        else:
+            replica = Replica.from_data_dir(args.data_dir,
+                                            event_log=event_log)
+        if args.serve_port is not None:
+            return _replica_serve(replica, args, interval, cleanup)
+        if args.metrics_port is not None:
+            cleanup.callback(
+                _replica_exporter(replica, args.metrics_port).close)
+
+        def step() -> None:
+            applied = replica.poll()
+            stats = replica.db.stats()
+            print(f"applied {applied} mutation(s), lsn "
+                  f"{replica.applied_lsn}, lag {replica.lag_lsn}; "
+                  f"{stats['entities']} entities, {stats['intervals']} "
+                  f"intervals, {stats['facts']} facts", flush=True)
+            if args.out:
+                save(replica.db, args.out)
+
+        if args.once:
+            step()
             return 0
+        try:
+            replica.follow(threading.Event(), interval, step)
+        except KeyboardInterrupt:
+            pass
+    return 0
+
+
+def _replica_serve(replica, args, interval: float, cleanup) -> int:
+    """``vidb replicate --serve-port``: a read-only executor over the
+    follower, serving the standard protocol while it follows."""
+    from vidb.service.executor import ServiceExecutor
+    from vidb.service.server import VideoServer
+
+    service = ServiceExecutor(
+        replica, **_engine_options(args), event_log=replica.events,
+        poll_interval_s=interval, lsn_wait_s=args.lsn_wait,
+        promote_data_dir=args.promote_data_dir,
+        trace_sample=args.trace_sample,
+        trace_capacity=args.trace_capacity,
+        trace_sink=args.trace_sink)
+    cleanup.callback(service.close)
+    server = cleanup.enter_context(
+        VideoServer(service, args.serve_host, args.serve_port))
+    if args.metrics_port is not None:
+        from vidb.obs.exporter import MetricsExporter
+
+        exporter = MetricsExporter(
+            service.metrics, port=args.metrics_port,
+            ready=service.readiness).start_background()
+        cleanup.callback(exporter.close)
+        mhost, mport = exporter.address
+        print(f"replica metrics on http://{mhost}:{mport}/metrics",
+              flush=True)
+    service.start_following()
+    host, port = server.address
+    print(f"replica serving reads on {host}:{port} "
+          f"(applied lsn {replica.applied_lsn}, "
+          f"poll every {interval:g}s)", flush=True)
+    try:
+        server.serve_forever()
+    except KeyboardInterrupt:
+        pass
+    return 0
 
 
 def _cmd_router(args) -> int:
@@ -916,35 +944,10 @@ def _replica_exporter(replica, port: int):
         registry.callback_gauge(key, lambda k=key: replica.stats()[k])
     exporter = MetricsExporter(
         registry, port=port,
-        ready=lambda: {"replica": True}).start_background()
+        ready=lambda: {"source": replica.source_up}).start_background()
     host, bound = exporter.address
     print(f"replica metrics on http://{host}:{bound}/metrics", flush=True)
     return exporter
-
-
-def _replica_loop(replica, args) -> int:
-    import contextlib
-    import time as _time
-
-    with contextlib.ExitStack() as cleanup:
-        if getattr(args, "metrics_port", None) is not None:
-            cleanup.callback(
-                _replica_exporter(replica, args.metrics_port).close)
-        while True:
-            applied = replica.poll()
-            stats = replica.db.stats()
-            print(f"applied {applied} mutation(s), lsn "
-                  f"{replica.applied_lsn}, lag {replica.lag()}; "
-                  f"{stats['entities']} entities, {stats['intervals']} "
-                  f"intervals, {stats['facts']} facts", flush=True)
-            if args.out:
-                save(replica.db, args.out)
-            if args.once:
-                return 0
-            try:
-                _time.sleep(max(0.05, args.interval))
-            except KeyboardInterrupt:
-                return 0
 
 
 def _parse_kv(pairs: List[str]) -> dict:

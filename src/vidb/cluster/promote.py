@@ -8,7 +8,7 @@ Two entry points:
     ``applied_lsn`` (most committed history preserved), send it the
     ``promote`` op — the replica fences the old generation and re-roots
     itself as primary (see
-    :meth:`vidb.cluster.replica_server.ReplicaServer.promote`) — and
+    :meth:`vidb.service.executor.ServiceExecutor.promote`) — and
     optionally repoint a running :class:`~vidb.cluster.router.ClusterRouter`.
 
 :func:`promote_data_dir`
@@ -16,6 +16,9 @@ Two entry points:
     primary's data directory does.  Recover it wholesale, fence it, and
     seed a new primary directory whose LSN sequence continues the old
     one — ``vidb serve --data-dir NEW`` then brings the cluster back.
+
+Both end in :func:`vidb.durability.durable.reroot`, the one
+fence-and-re-root step.
 """
 
 from __future__ import annotations
@@ -23,10 +26,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from vidb.durability.durable import DurableDatabase
+from vidb.durability.durable import reroot
 from vidb.durability.recovery import recover
-from vidb.durability.snapshot import wal_path
-from vidb.durability.wal import head_lsn, write_fence
 from vidb.errors import ClusterError
 from vidb.obs.events import EventLog, get_event_log
 from vidb.service.server import ServiceClient
@@ -136,25 +137,15 @@ def promote_data_dir(old_dir: Union[str, Path],
     """Offline promotion: old primary's directory → new primary's.
 
     Recovers everything committed in *old_dir* (snapshot + WAL tail),
-    fences it, and roots *new_dir* with that state, continuing the LSN
-    sequence.  The tool of last resort when no serving replica
-    survived; committed-but-unreplicated history is preserved because
-    it comes straight off the old disk.
+    fences it — refusing to go on when the fence cannot be written — and
+    roots *new_dir* with that state, continuing the LSN sequence.  The
+    tool of last resort when no serving replica survived;
+    committed-but-unreplicated history is preserved because it comes
+    straight off the old disk.
     """
-    old_path, new_path = Path(old_dir), Path(new_dir)
-    if old_path.resolve() == new_path.resolve():
-        raise ClusterError("the new primary needs its own data directory")
-    events = event_log if event_log is not None else get_event_log()
-    result = recover(old_path)
-    old_generation = head_lsn(wal_path(old_path))
-    write_fence(old_path, at_lsn=result.last_lsn,
-                generation=old_generation or 0, promoted_to=str(new_path))
-    durable = DurableDatabase(new_path, seed=result.db,
-                              start_lsn=result.last_lsn + 1,
-                              event_log=events)
-    details = {"promoted": True, "lsn": result.last_lsn,
-               "generation": durable.generation, "fenced": True,
-               "replayed": result.replayed, "data_dir": str(new_path)}
+    result = recover(old_dir)
+    durable, details = reroot(result.db, result.last_lsn, new_dir,
+                              old_dir=old_dir, must_fence=True,
+                              event_log=event_log, replayed=result.replayed)
     durable.close()
-    events.emit("failover.promoted", offline=True, **details)
     return PromotionResult(None, details, [])

@@ -26,9 +26,9 @@ from __future__ import annotations
 import json
 import threading
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
-from vidb.errors import DurabilityError
+from vidb.errors import ClusterError, DurabilityError
 from vidb.obs import current_tracer
 from vidb.obs.events import EventLog, get_event_log
 from vidb.storage.database import VideoDatabase
@@ -42,7 +42,13 @@ from vidb.durability.snapshot import (
     wal_path,
     write_snapshot,
 )
-from vidb.durability.wal import check_fence, head_lsn, read_wal, WalWriter
+from vidb.durability.wal import (
+    check_fence,
+    head_lsn,
+    read_wal,
+    WalWriter,
+    write_fence,
+)
 
 
 class DurableDatabase:
@@ -303,3 +309,50 @@ class DurableDatabase:
         return (f"DurableDatabase({str(self.data_dir)!r}, "
                 f"last_lsn={self._writer.last_lsn}, "
                 f"snapshot_lsn={self._snapshot_lsn})")
+
+
+def reroot(db: VideoDatabase, lsn: int, data_dir: Union[str, Path], *,
+           old_dir: Optional[Union[str, Path]] = None,
+           must_fence: bool = False,
+           event_log: Optional[EventLog] = None,
+           **facts: Any) -> Tuple[DurableDatabase, Dict[str, Any]]:
+    """Promotion's one step: continue *db* — the history up to *lsn* —
+    as a new primary generation rooted in *data_dir*.
+
+    *old_dir*, the superseded primary's data directory when it is
+    reachable from here, is fenced first (a ``fence.json`` marker), so a
+    surviving or restarted old primary refuses writes.  A fence that
+    cannot be written raises :class:`ClusterError` before anything is
+    seeded when *must_fence* is set (offline promotion, which has just
+    read that directory), and is otherwise reported as ``fenced:
+    False`` (online promotion, whose old disk may be gone).  The new WAL
+    continues at ``lsn + 1``, so its head LSN — the new generation —
+    supersedes everything the old generation journaled.  Returns the
+    new durable database and the promotion details (with *facts*),
+    which are also emitted as the ``failover.promoted`` event.
+    """
+    target = Path(data_dir)
+    fenced = False
+    if old_dir is not None:
+        if target.resolve() == Path(old_dir).resolve():
+            raise ClusterError(
+                "the new primary needs its own data directory; "
+                f"{target} is the old primary's (it gets fenced)")
+        try:
+            write_fence(old_dir, at_lsn=lsn,
+                        generation=head_lsn(wal_path(old_dir)) or 0,
+                        promoted_to=str(target))
+            fenced = True
+        except OSError as error:
+            if must_fence:
+                raise ClusterError(
+                    f"cannot fence the old primary's data directory "
+                    f"{old_dir}: {error}") from error
+    events = event_log if event_log is not None else get_event_log()
+    durable = DurableDatabase(target, seed=db, start_lsn=lsn + 1,
+                              event_log=events)
+    details = {"promoted": True, "lsn": lsn,
+               "generation": durable.generation, "fenced": fenced,
+               **facts, "data_dir": str(target)}
+    events.emit("failover.promoted", **details)
+    return durable, details

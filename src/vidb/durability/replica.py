@@ -18,18 +18,31 @@ one transaction, exactly as in crash recovery, so a replica never
 exposes a half-applied transaction — its state is always some committed
 prefix of the primary's history — and observers of the replica's
 database (its stream hub) see each primary commit as one change set.
-:meth:`Replica.lag` reports how many log records (commits) the replica
-still trails by; it reaches zero once a :meth:`Replica.poll` has
-consumed everything the primary has made visible.
+
+One step is :meth:`Replica.fetch` (all source I/O, including the
+snapshot refetch that closes an LSN gap) followed by
+:meth:`Replica.ingest` (the apply, which does no I/O); :meth:`Replica.poll`
+runs both.  :meth:`Replica.follow` is the one follow loop: ``vidb
+replicate`` runs it over :meth:`~Replica.poll`, and a serving replica
+(:class:`~vidb.service.executor.ServiceExecutor` over a ``Replica``)
+over a step that takes its writer lock for the apply only.  A failing
+source does not end the loop: it backs off and reports
+``replica.source_down`` / ``replica.source_up``.  :attr:`Replica.lag_lsn`
+counts the log records (commits) the replica still trails by.
 """
 
 from __future__ import annotations
 
 import threading
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
-from vidb.errors import ReplicationError, WalCorruptionError
+from vidb.errors import (
+    DurabilityError,
+    ReplicationError,
+    VidbError,
+    WalCorruptionError,
+)
 from vidb.obs import current_tracer
 from vidb.obs.events import EventLog, get_event_log
 from vidb.storage.database import VideoDatabase
@@ -38,6 +51,12 @@ from vidb.storage.persistence import PersistenceError, database_from_dict
 from vidb.durability.records import apply_record
 from vidb.durability.snapshot import list_snapshots, load_snapshot, wal_path
 from vidb.durability.wal import WalRecord, head_lsn, read_wal
+
+
+#: What a failing source raises: the log is unreadable or refused
+#: (:class:`ReplicationError`, a corrupt frame), or the primary or the
+#: network is gone.  The follow loop outlives these.
+SOURCE_ERRORS = (DurabilityError, OSError)
 
 
 class ShipBatch:
@@ -136,7 +155,14 @@ class ServerWalSource:
         return self.fetch(-1)  # "before everything": forces a resync reply
 
     def fetch(self, after_lsn: int) -> ShipBatch:
-        reply = self._client.request("wal", after=max(-1, after_lsn))
+        try:
+            reply = self._client.request("wal", after=max(-1, after_lsn))
+        except VidbError as error:
+            # The primary answered, but not with log (not durable,
+            # closed, shutting down, a failed snapshot or WAL read, a
+            # connection that died after a retry).
+            raise ReplicationError(f"primary refused the wal pull: {error}"
+                                   ) from error
         records = [WalRecord.from_dict(r) for r in reply.get("records", [])]
         last = reply.get("last_lsn", after_lsn)
         if reply.get("resync"):
@@ -151,6 +177,13 @@ class ServerWalSource:
         return ShipBatch(records, last)
 
 
+def _gap(batch: ShipBatch, position: int) -> bool:
+    """True when *batch* cannot apply on top of *position*: its records
+    start past the next LSN and no snapshot comes with them."""
+    return (batch.resync_db is None and bool(batch.records)
+            and batch.records[0].lsn > position + 1)
+
+
 class Replica:
     """A follower applying a primary's committed WAL records locally."""
 
@@ -163,16 +196,18 @@ class Replica:
         self._visible = 0        # last LSN the source has shown us
         #: Guards the LSN counters so the serving tier (router probes,
         #: session-consistency waits) can read ``applied_lsn``/``lag_lsn``
-        #: from any thread while the poll loop advances them.  The
-        #: database itself is protected separately (the replica server's
-        #: writer lock), this lock only covers the position bookkeeping.
+        #: from any thread while the follow loop advances them.  The
+        #: database itself is protected separately (a serving replica's
+        #: writer lock); this lock only covers the position bookkeeping.
         self._state_lock = threading.Lock()
         #: Mutations applied from the primary's log.
         self.records_applied = 0
         self.polls = 0
         self.resyncs = 0
-        batch = source.bootstrap()
-        self._ingest(batch)
+        #: Whether the last step of :meth:`follow` reached the source
+        #: (``/readyz`` of a serving replica reports it).
+        self.source_up = True
+        self.ingest(self._close_gap(source.bootstrap(), 0))
 
     # -- construction helpers ---------------------------------------------
     @classmethod
@@ -186,36 +221,46 @@ class Replica:
                     event_log: Optional[EventLog] = None) -> "Replica":
         return cls(ServerWalSource(client), name=name, event_log=event_log)
 
-    # -- the follower loop -------------------------------------------------
+    # -- one step ------------------------------------------------------------
     def poll(self) -> int:
         """Fetch and apply whatever the primary has shipped; returns the
         number of mutations applied."""
         with current_tracer().span("replica.poll") as span:
-            self.polls += 1
-            before = self.records_applied
-            batch = self._source.fetch(self.applied_lsn)
-            self._ingest(batch)
-            applied = self.records_applied - before
+            applied = self.ingest(self.fetch())
             span.annotate(applied=applied, lag=self.lag_lsn)
         return applied
 
     def fetch(self) -> ShipBatch:
-        """Pull the next batch without applying it.
-
-        The serving tier splits :meth:`poll` so the (possibly slow)
-        network fetch happens outside the database writer lock and only
-        :meth:`ingest` runs inside it.
-        """
+        """Pull the next batch without applying it: every source read of
+        a step happens here, so :meth:`ingest` never waits on I/O."""
         self.polls += 1
-        return self._source.fetch(self.applied_lsn)
+        position = self.applied_lsn
+        return self._close_gap(self._source.fetch(position), position)
+
+    def _close_gap(self, batch: ShipBatch, position: int) -> ShipBatch:
+        """*batch*, or a snapshot resync in its place when an LSN gap
+        separates it from *position*: the records in between were
+        truncated away by a checkpoint, and applying past them would
+        silently diverge."""
+        if not _gap(batch, position):
+            return batch
+        self.events.emit("replica.gap", position=position,
+                         next_lsn=batch.records[0].lsn)
+        batch = self._source.fetch(-1)
+        if _gap(batch, position):
+            raise ReplicationError(
+                f"source shipped records starting at LSN "
+                f"{batch.records[0].lsn} but the replica holds "
+                f"{position} and no snapshot closes the gap")
+        return batch
 
     def ingest(self, batch: ShipBatch) -> int:
         """Apply a batch from :meth:`fetch`; returns mutations applied."""
+        if _gap(batch, self._position):
+            raise ReplicationError(
+                f"batch starts at LSN {batch.records[0].lsn} but the "
+                f"replica holds {self._position}; fetch() closes gaps")
         before = self.records_applied
-        self._ingest(batch)
-        return self.records_applied - before
-
-    def _ingest(self, batch: ShipBatch, *, refetched: bool = False) -> None:
         if batch.resync_db is not None:
             self._db = batch.resync_db
             with self._state_lock:
@@ -223,21 +268,6 @@ class Replica:
             self.resyncs += 1
             self.events.emit("replica.resync", lsn=batch.resync_lsn,
                              records=len(batch.records))
-        elif batch.records and batch.records[0].lsn > self._position + 1:
-            # LSN gap: the records between our position and this batch
-            # were truncated away by a checkpoint the source missed.
-            # Applying past the gap would silently diverge — only a
-            # snapshot resync can close it, so force one.
-            self.events.emit("replica.gap", position=self._position,
-                             next_lsn=batch.records[0].lsn,
-                             refetched=refetched)
-            if refetched:
-                raise ReplicationError(
-                    f"source shipped records starting at LSN "
-                    f"{batch.records[0].lsn} but the replica holds "
-                    f"{self._position} and no snapshot closes the gap")
-            self._ingest(self._source.fetch(-1), refetched=True)
-            return
         for record in batch.records:
             if record.lsn <= self._position:
                 continue
@@ -247,12 +277,51 @@ class Replica:
         with self._state_lock:
             self._visible = max(self._visible, batch.last_lsn,
                                 self._position)
+        return self.records_applied - before
+
+    # -- the follow loop -----------------------------------------------------
+    def follow(self, stop: threading.Event, interval_s: float,
+               step: Optional[Callable[[], Any]] = None) -> None:
+        """Run *step* (default :meth:`poll`) every *interval_s* seconds
+        until *stop* is set.
+
+        A source error (:data:`SOURCE_ERRORS`) does not end the loop:
+        the replica keeps the state it has, the wait doubles up to 5 s,
+        ``replica.source_down`` is emitted once, and
+        ``replica.source_up`` once a step succeeds again.
+        """
+        step = step or self.poll
+        backoff = interval_s
+        while not stop.is_set():
+            try:
+                step()
+            except SOURCE_ERRORS as error:
+                if stop.is_set():
+                    break  # stopped mid-step (promotion, close)
+                if self.source_up:
+                    self.events.emit("replica.source_down", error=str(error),
+                                     applied_lsn=self.applied_lsn)
+                self.source_up = False
+                backoff = min(5.0, backoff * 2)
+            else:
+                if not self.source_up:
+                    self.events.emit("replica.source_up",
+                                     applied_lsn=self.applied_lsn)
+                self.source_up = True
+                backoff = interval_s
+            stop.wait(backoff)
 
     # -- introspection -----------------------------------------------------
     @property
     def db(self) -> VideoDatabase:
         """The replica's local database (read it, don't mutate it)."""
         return self._db
+
+    @property
+    def primary_dir(self) -> Optional[Path]:
+        """The primary's data directory when this replica tails it
+        through the filesystem (promotion fences it), else ``None``."""
+        return getattr(self._source, "data_dir", None)
 
     @property
     def applied_lsn(self) -> int:
@@ -273,11 +342,6 @@ class Replica:
         read it (thread-safe)."""
         with self._state_lock:
             return max(0, self._visible - self._position)
-
-    def lag(self) -> int:
-        """Log records the replica still trails the primary by (as of
-        the last poll).  Alias of :attr:`lag_lsn`."""
-        return self.lag_lsn
 
     def stats(self) -> Dict[str, Any]:
         with self._state_lock:

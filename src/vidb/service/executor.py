@@ -36,6 +36,11 @@ wraps one :class:`~vidb.storage.database.VideoDatabase` and one shared
   rejections are emitted as structured events into an
   :class:`~vidb.obs.events.EventLog` (the server's ``events`` op and
   ``vidb top`` read them).
+* **Following** — over a :class:`~vidb.durability.replica.Replica`
+  the executor is a serving read replica: read-only, stepping the
+  follower (fetch outside the writer lock, apply inside it) on
+  request or on a background thread, and :meth:`ServiceExecutor.promote`
+  flips it to a writable primary in place.
 * **Tracing** — a query submitted under an enabled ambient tracer (a
   sampled request, see :mod:`vidb.obs.trace`) runs under that tracer on
   the worker thread: ``service.queue_wait``, ``service.lock_wait`` and
@@ -53,13 +58,15 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from hashlib import sha256
+from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
 from vidb.analysis.diagnostics import AnalysisResult
 from vidb.analysis.lint import lint_text
-from vidb.durability.durable import DurableDatabase
-from vidb.durability.replica import Replica
+from vidb.durability.durable import DurableDatabase, reroot
+from vidb.durability.replica import SOURCE_ERRORS, Replica
 from vidb.errors import (
+    ClusterError,
     QueryTimeoutError,
     ReadOnlyError,
     ServiceClosedError,
@@ -154,15 +161,18 @@ def _relabel(cached: AnswerSet, query: Query) -> AnswerSet:
 class ServiceExecutor:
     """Concurrent, cached, admission-controlled access to one database.
 
-    Accepts either a bare :class:`VideoDatabase` or a
-    :class:`~vidb.durability.DurableDatabase`; a durable database is
-    unwrapped for the query path (queries read the live in-memory
-    state), while its WAL/snapshot counters join the metrics snapshot
-    and mutations — which already run under the write lock, inside a
-    transaction — are journaled by the wrapper's observer.
+    Accepts a bare :class:`VideoDatabase`, a
+    :class:`~vidb.durability.DurableDatabase` or a
+    :class:`~vidb.durability.Replica`; a durable database or a replica
+    is unwrapped for the query path (queries read the live in-memory
+    state), while its WAL/snapshot or replication counters join the
+    metrics snapshot.  Mutations — which already run under the write
+    lock, inside a transaction — are journaled by the durable wrapper's
+    observer; over a replica the executor is read-only and applies only
+    what it follows (:meth:`replicate`).
     """
 
-    def __init__(self, db: Union[VideoDatabase, DurableDatabase],
+    def __init__(self, db: Union[VideoDatabase, DurableDatabase, Replica],
                  rules: Optional[str] = None,
                  use_stdlib_rules: bool = False,
                  *,
@@ -175,8 +185,9 @@ class ServiceExecutor:
                  slow_query_ms: Optional[float] = None,
                  event_log: Optional[EventLog] = None,
                  read_only: bool = False,
-                 replica: Optional[Replica] = None,
                  lsn_wait_s: float = 2.0,
+                 poll_interval_s: float = 0.2,
+                 promote_data_dir: Optional[Union[str, Path]] = None,
                  streaming: bool = True,
                  max_subscriptions: int = 64,
                  subscription_queue: int = 256,
@@ -184,26 +195,38 @@ class ServiceExecutor:
                  trace_capacity: int = 256,
                  trace_sink: Optional[str] = None):
         self.durability: Optional[DurableDatabase] = None
+        #: When serving a log-shipping replica, the follower whose
+        #: database this executor reads; its ``applied_lsn`` drives the
+        #: session-consistency wait and the lag gauges.  ``None`` once
+        #: :meth:`promote` made this process the primary.
+        self.replica: Optional[Replica] = None
         if isinstance(db, DurableDatabase):
             self.durability = db
             db = db.db
+        elif isinstance(db, Replica):
+            self.replica = db
+            db = db.db
+            read_only = True
         self.db = db
         #: A read-only executor rejects every mutation with
-        #: :class:`ReadOnlyError` — the serving mode of a replica.
+        #: :class:`ReadOnlyError` — always the case over a replica.
         self.read_only = read_only
-        #: When serving a log-shipping replica, the follower whose
-        #: database this executor reads; its ``applied_lsn`` drives the
-        #: session-consistency wait and the lag gauges.
-        self.replica = replica
         #: Default bounded wait for LSN-token reads (seconds); a replica
         #: holds a read this long for ``applied_lsn`` to reach the
         #: client's token before failing with ``ReplicaLagError``.
         self.lsn_wait_s = max(0.0, lsn_wait_s)
         self._lsn_cond = threading.Condition()
-        #: Set by a serving replica (:class:`vidb.cluster.ReplicaServer`)
-        #: so the wire protocol's ``promote`` op can flip this process to
-        #: primary; ``None`` everywhere else.
-        self.promote_hook: Optional[Callable[..., Any]] = None
+        #: Seconds between follow steps of :meth:`start_following`.
+        self.poll_interval_s = max(0.01, poll_interval_s)
+        #: Where :meth:`promote` roots the new primary generation when
+        #: the caller names no directory.
+        self.promote_data_dir = (Path(promote_data_dir)
+                                 if promote_data_dir is not None else None)
+        #: Serializes follow steps (the background follower, a step by
+        #: hand, promotion's drain) over the follower's source state.
+        self._follow_lock = threading.RLock()
+        self._stop_following = threading.Event()
+        self._follower: Optional[threading.Thread] = None
         self.metrics = metrics or MetricsRegistry()
         for name in ("queries.served", "queries.rejected", "queries.timeout",
                      "queries.errors", "writes.applied", "sessions.opened"):
@@ -547,8 +570,9 @@ class ServiceExecutor:
         """The LSN this server's state covers: the replica's applied
         LSN, the primary's WAL head, or ``None`` when LSN tokens are
         meaningless here (a plain in-memory service)."""
-        if self.replica is not None:
-            return self.replica.applied_lsn
+        replica = self.replica  # promotion may clear it meanwhile
+        if replica is not None:
+            return replica.applied_lsn
         if self.durability is not None:
             return self.durability.last_lsn
         return None
@@ -580,33 +604,51 @@ class ServiceExecutor:
                 # without a notify (the primary's own WAL head).
                 self._lsn_cond.wait(min(remaining, 0.05))
 
-    def notify_applied(self) -> None:
+    def _notify_applied(self) -> None:
         """Wake LSN-token waiters after replication applied records."""
         with self._lsn_cond:
             self._lsn_cond.notify_all()
 
-    def apply_replication(self, fn: Callable[[], Any]) -> Any:
-        """Run the replication apply path with exclusive writer access.
+    # -- following a primary -------------------------------------------------
+    def replicate(self) -> int:
+        """One follow step of a serving replica; returns mutations applied.
 
-        Unlike :meth:`mutate` this bypasses the read-only guard and the
-        transaction wrapper (the replica applies each shipped commit in
-        a transaction of its own) and, when the replica resynced to a whole
-        new database object, rebinds the engine to it before readers
-        return.
+        The fetch — a network pull, or a whole snapshot when an LSN gap
+        needs a resync — runs outside the writer lock, so reads keep
+        being served meanwhile; only the apply and, after a resync, the
+        engine rebind take it.  A no-op once :meth:`promote` ran.
         """
-        with self._lock.write_locked():
-            result = fn()
-            if self.replica is not None and self.replica.db is not self.db:
-                self._rebind_locked(self.replica.db)
-        self.notify_applied()
-        return result
+        with self._follow_lock:
+            replica = self.replica
+            if replica is None:
+                return 0
+            batch = replica.fetch()
+            if not batch.records and batch.resync_db is None:
+                # Nothing to apply; only the visibility watermark moves
+                # (position bookkeeping has its own lock).
+                return replica.ingest(batch)
+            with self._lock.write_locked():
+                if self.replica is not replica:
+                    return 0  # promoted while this step fetched: drop it
+                applied = replica.ingest(batch)
+                if replica.db is not self.db:
+                    self._rebind_locked(replica.db)
+        self._notify_applied()
+        return applied
 
-    @contextlib.contextmanager
-    def exclusive(self):
-        """Exclusive (writer) access to the live database, with no
-        transaction wrapper — the replication and promotion paths."""
-        with self._lock.write_locked():
-            yield self.db
+    def start_following(self) -> "ServiceExecutor":
+        """Step :meth:`replicate` on a background thread, in the loop of
+        :meth:`Replica.follow` (every ``poll_interval_s``, backing off
+        while the source is down), until :meth:`close` or
+        :meth:`promote`."""
+        assert self.replica is not None, "only a replica follows"
+        self._follower = threading.Thread(
+            target=self.replica.follow,
+            args=(self._stop_following, self.poll_interval_s,
+                  self.replicate),
+            name="vidb-replica-follow", daemon=True)
+        self._follower.start()
+        return self
 
     def _rebind_locked(self, db: VideoDatabase) -> None:
         """Serve *db* from now on (caller holds the write lock).
@@ -631,20 +673,64 @@ class ServiceExecutor:
             if self.subscriptions is not None:
                 self.subscriptions.rebind(self._engine)
 
-    def attach_durability(self, durable: DurableDatabase) -> None:
-        """Flip a serving replica to primary (caller holds the write
-        lock via :meth:`exclusive`): journal mutations through
-        *durable*, accept writes, stop being a follower."""
-        if durable.db is not self.db:
-            self._rebind_locked(durable.db)
-        self.durability = durable
-        self.replica = None
-        self.read_only = False
-        self.promote_hook = None
+    def promote(self, data_dir: Optional[Union[str, Path]] = None
+                ) -> Dict[str, Any]:
+        """Take over as primary in place; returns the promotion details.
+
+        The sequence (``docs/CLUSTER.md`` has the runbook):
+
+        1. drain: one last follow step picks up any committed tail still
+           reachable — skipped when the last step failed (the primary is
+           gone) or a background step is mid-fetch (it is the drain: it
+           lands before the flip or is dropped), so a hung primary
+           cannot hold promotion up;
+        2. fence the old primary's data directory when this replica
+           tails it through the filesystem, and root a new durable
+           generation in *data_dir* (default ``promote_data_dir``) whose
+           LSNs continue at ``applied_lsn + 1``
+           (:func:`~vidb.durability.durable.reroot`);
+        3. flip: writes accepted and journaled, the follower told to
+           stop (:meth:`close` joins it).
+
+        Steps 2–3 hold the writer lock, so a concurrent read sees either
+        the replica or the finished primary.
+        """
+        replica = self.replica
+        if replica is None:
+            raise ClusterError(
+                "this server is not a promotable replica "
+                "(start it with 'vidb replicate --serve-port')")
+        target = data_dir if data_dir is not None else self.promote_data_dir
+        if target is None:
+            raise ClusterError(
+                "promotion needs a data directory for the new "
+                "primary generation (data_dir)")
+        drained = 0
+        if replica.source_up and self._follow_lock.acquire(blocking=False):
+            try:
+                drained = self.replicate()
+            except SOURCE_ERRORS:
+                pass  # the primary is gone; promote what we have
+            finally:
+                self._follow_lock.release()
+        with self._lock.write_locked():
+            if self.replica is not replica:
+                raise ClusterError("this server was already promoted")
+            durable, details = reroot(
+                self.db, replica.applied_lsn, target,
+                old_dir=replica.primary_dir, event_log=self.events,
+                drained=drained)
+            if durable.db is not self.db:
+                self._rebind_locked(durable.db)
+            self.durability = durable
+            self.replica = None
+            self.read_only = False
+        self._stop_following.set()
         for key in durable.stats():
             self.metrics.callback_gauge(
                 key, lambda k=key: durable.stats()[k])
-        self.notify_applied()
+        self._notify_applied()
+        return details
 
     # -- mutation path -------------------------------------------------------
     def mutate(self, fn: Callable[[VideoDatabase], Any]) -> Any:
@@ -798,20 +884,25 @@ class ServiceExecutor:
 
     def readiness(self) -> Dict[str, bool]:
         """Named readiness checks for ``/readyz``: the executor accepts
-        queries, and (when durable) recovery has finished and the WAL
-        is writable."""
+        queries, (when durable) recovery has finished and the WAL is
+        writable, and (over a replica) the source answered the last
+        follow step."""
         checks = {"executor": not self._closed}
         if self.durability is not None:
             checks["recovery"] = True  # recovery completes in __init__
             checks["wal"] = self.durability.writable
-        if self.replica is not None:
-            # Bootstrapped in Replica.__init__; a serving replica whose
-            # source went away flips this via its own ready state.
-            checks["replica"] = True
+        replica = self.replica
+        if replica is not None:
+            # A replica still serves with its source down (stale reads
+            # beat no reads), but /readyz shows the degradation.
+            checks["source"] = replica.source_up
         return checks
 
     def close(self, wait: bool = True) -> None:
         self._closed = True
+        self._stop_following.set()
+        if self._follower is not None:
+            self._follower.join(timeout=5)
         if self.subscriptions is not None:
             self.subscriptions.close()
         if self.stream_hub is not None:

@@ -30,7 +30,6 @@ from typing import Any, Dict, List, Optional
 
 from vidb.analysis.lint import summarize as lint_summary
 from vidb.errors import (
-    ClusterError,
     ProtocolError,
     ReplicaLagError,
     ServiceError,
@@ -293,14 +292,8 @@ class VideoServer(Endpoint):
         return reply
 
     def op_promote(self, conn: Connection, request: Message) -> Message:
-        hook = self.service.promote_hook
-        if hook is None:
-            raise ClusterError(
-                "this server is not a promotable replica "
-                "(start it with 'vidb replicate --serve-port')")
-        reply = dict(hook(data_dir=request.get("data_dir")) or {})
-        reply["ok"] = True
-        return reply
+        return {"ok": True,
+                **self.service.promote(data_dir=request.get("data_dir"))}
 
 
 class ServiceClient:
@@ -325,7 +318,7 @@ class ServiceClient:
                  trace_context: Optional[TraceContext] = None):
         self._address = (host, port)
         self._timeout = timeout
-        self._channel = Channel(self._address, timeout)
+        self._channel: Optional[Channel] = Channel(self._address, timeout)
         self._lock = threading.Lock()
         #: Highest WAL LSN any of this client's writes reached — the
         #: read-your-writes token (0 until the first durable write).
@@ -338,6 +331,8 @@ class ServiceClient:
 
     def _roundtrip(self, payload: Message) -> Message:
         with self._lock:
+            if self._channel is None:
+                self._channel = Channel(self._address, self._timeout)
             return self._channel.call(payload)
 
     def request(self, op: str, **fields: Any) -> Dict[str, Any]:
@@ -355,8 +350,7 @@ class ServiceClient:
             # that just restarted.
             time.sleep(random.uniform(0.02, 0.1))
             with self._lock:
-                self._channel.close()
-                self._channel = Channel(self._address, self._timeout)
+                self._hang_up()
             try:
                 response = self._roundtrip(payload)
             except (ConnectionResetError, BrokenPipeError):
@@ -459,6 +453,7 @@ class ServiceClient:
         self.request("listen", id=sub_id)
         while True:
             with self._lock:
+                assert self._channel is not None
                 payload = self._channel.recv()
             if payload is None or payload.get("closed"):
                 return
@@ -506,13 +501,21 @@ class ServiceClient:
         """Ask a serving replica to take over as primary (failover)."""
         return self.request("promote", data_dir=data_dir)
 
+    def _hang_up(self) -> None:
+        """Drop the connection (caller holds the lock); the next request
+        reconnects, so a server that comes back is reached again."""
+        if self._channel is not None:
+            self._channel.close()
+            self._channel = None
+
     def close(self) -> None:
-        try:
-            with self._lock:
-                self._channel.send({"op": "close"})
-        except OSError:
-            pass
-        self._channel.close()
+        with self._lock:
+            try:
+                if self._channel is not None:
+                    self._channel.send({"op": "close"})
+            except OSError:
+                pass
+            self._hang_up()
 
     def __enter__(self) -> "ServiceClient":
         return self

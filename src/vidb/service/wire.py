@@ -423,6 +423,9 @@ class Endpoint:
         self._tcp = _TcpServer((host, port), Connection)
         self._tcp.endpoint = self
         self._thread: Optional[threading.Thread] = None
+        #: Whether a serve loop was started: ``socketserver``'s
+        #: ``shutdown()`` waits for one to exit, forever if none ran.
+        self._serving = False
 
     # -- what a role supplies ------------------------------------------------
     def open_connection(self) -> Any:
@@ -485,9 +488,11 @@ class Endpoint:
         return self._tcp.server_address[:2]
 
     def serve_forever(self) -> None:
+        self._serving = True
         self._tcp.serve_forever(poll_interval=0.1)
 
     def start_background(self) -> Any:
+        self._serving = True
         self._thread = threading.Thread(
             target=self.serve_forever,
             name=f"vidb-{self.span_prefix}", daemon=True)
@@ -495,7 +500,9 @@ class Endpoint:
         return self
 
     def shutdown(self) -> None:
-        self._tcp.shutdown()
+        if self._serving:
+            self._tcp.shutdown()
+            self._serving = False
         self._tcp.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)

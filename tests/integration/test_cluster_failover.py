@@ -25,11 +25,13 @@ from pathlib import Path
 import pytest
 
 from vidb.cli import main as vidb_main
-from vidb.cluster import ClusterRouter, ReplicaServer
+from vidb.cluster import ClusterRouter
 from vidb.durability import DurableDatabase
 from vidb.errors import ClusterError, FencedError
 from vidb.obs.trace import TraceContext, assemble_trace
 from vidb.service.server import ServiceClient
+
+from tests.serving import close_replica, serve_replica
 
 SRC_DIR = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -75,12 +77,13 @@ class TestClusterEndToEnd:
         replicas, router = [], None
         try:
             replicas = [
-                ReplicaServer.from_data_dir(
+                serve_replica(
                     data_dir, poll_interval_s=0.05, lsn_wait_s=2.0,
-                    promote_data_dir=tmp_path / f"promoted-{index}"
-                ).start()
+                    promote_data_dir=tmp_path / f"promoted-{index}")
                 for index in range(2)
             ]
+            for replica in replicas:
+                replica.service.start_following()
             router = ClusterRouter(
                 ("127.0.0.1", free_port),
                 [r.address for r in replicas],
@@ -123,7 +126,7 @@ class TestClusterEndToEnd:
                  "--router", f"{host}:{port}"])
             assert exit_code == 0
 
-            promoted = [r for r in replicas if r.promoted]
+            promoted = [r for r in replicas if r.service.replica is None]
             assert len(promoted) == 1
             winner = promoted[0]
 
@@ -143,7 +146,7 @@ class TestClusterEndToEnd:
             if router is not None:
                 router.close()
             for replica in replicas:
-                replica.close()
+                close_replica(replica)
             if proc.poll() is None:
                 os.kill(proc.pid, signal.SIGKILL)
                 proc.wait(timeout=10)
@@ -159,12 +162,13 @@ class TestClusterEndToEnd:
         replicas, router = [], None
         try:
             replicas = [
-                ReplicaServer.from_data_dir(
+                serve_replica(
                     data_dir, poll_interval_s=0.05, lsn_wait_s=2.0,
-                    promote_data_dir=tmp_path / f"promoted-{index}"
-                ).start()
+                    promote_data_dir=tmp_path / f"promoted-{index}")
                 for index in range(2)
             ]
+            for replica in replicas:
+                replica.service.start_following()
             router = ClusterRouter(
                 ("127.0.0.1", free_port),
                 [r.address for r in replicas],
@@ -194,7 +198,7 @@ class TestClusterEndToEnd:
                 candidates += ["--replica", f"{rhost}:{rport}"]
             assert vidb_main(["promote", *candidates,
                               "--router", f"{host}:{port}"]) == 0
-            winner = next(r for r in replicas if r.promoted)
+            winner = next(r for r in replicas if r.service.replica is None)
             new_generation = winner.service.durability.generation
             assert new_generation not in old_generations
 
@@ -221,7 +225,7 @@ class TestClusterEndToEnd:
             if router is not None:
                 router.close()
             for replica in replicas:
-                replica.close()
+                close_replica(replica)
             if proc.poll() is None:
                 os.kill(proc.pid, signal.SIGKILL)
                 proc.wait(timeout=10)
@@ -273,10 +277,9 @@ class TestClusterEndToEnd:
         proc = start_primary(data_dir, free_port)
         replica, router = None, None
         try:
-            replica = ReplicaServer.from_data_dir(
+            replica = serve_replica(  # serving, never following
                 data_dir, lsn_wait_s=0.05,
                 promote_data_dir=tmp_path / "promoted")
-            replica.server.start_background()  # serving, never polling
             router = ClusterRouter(
                 ("127.0.0.1", free_port), [replica.address],
                 probe_interval_s=0.1).start()
@@ -292,7 +295,7 @@ class TestClusterEndToEnd:
             if router is not None:
                 router.close()
             if replica is not None:
-                replica.close()
+                close_replica(replica)
             if proc.poll() is None:
                 os.kill(proc.pid, signal.SIGKILL)
                 proc.wait(timeout=10)
@@ -307,24 +310,24 @@ class TestClusterEndToEnd:
         replica = None
         try:
             durable.db.new_entity("seed")
-            replica = ReplicaServer.from_data_dir(
+            replica = serve_replica(
                 data_dir, promote_data_dir=tmp_path / "promoted")
-            replica.server.start_background()
-            replica.poll_once()
+            follower = replica.service.replica
+            replica.service.replicate()
             # Enough writes to checkpoint at least twice: the records
             # between the replica's position and the head are gone.
             for index in range(10):
                 durable.db.new_entity(f"bulk{index}")
             durable.checkpoint()
             durable.close()
-            result = replica.promote()
+            result = replica.service.promote()
             assert result["promoted"] is True
-            assert replica.replica.resyncs >= 1
+            assert follower.resyncs >= 1
             stats = replica.service.db.stats()
             assert stats["entities"] == 11  # seed + 10 bulk, none skipped
         finally:
             if replica is not None:
-                replica.close()
+                close_replica(replica)
 
     def test_stale_primary_rejoins_as_replica(self, tmp_path):
         """A fenced old primary cannot serve, but its machine rejoins
@@ -332,30 +335,58 @@ class TestClusterEndToEnd:
         data_dir = tmp_path / "primary"
         durable = DurableDatabase(data_dir, fsync="never")
         durable.db.new_entity("a")
-        replica = ReplicaServer.from_data_dir(
+        replica = serve_replica(
             data_dir, promote_data_dir=tmp_path / "promoted")
-        replica.server.start_background()
         try:
-            replica.poll_once()
+            replica.service.replicate()
             durable.close()
-            replica.promote()
+            replica.service.promote()
             # The old directory is fenced...
             with pytest.raises(FencedError):
                 DurableDatabase(data_dir)
             # ...so the old host follows the new primary instead.
-            rejoined = ReplicaServer.from_data_dir(
-                replica.service.durability.data_dir)
-            rejoined.server.start_background()
+            rejoined = serve_replica(replica.service.durability.data_dir)
             try:
-                rejoined.poll_once()
+                rejoined.service.replicate()
                 host, port = replica.address
                 with ServiceClient(host, port) as client:
                     client.insert_entity("post-failover")
-                rejoined.poll_once()
-                assert rejoined.replica.db.entity(
+                rejoined.service.replicate()
+                assert rejoined.service.replica.db.entity(
                     "post-failover") is not None
-                assert rejoined.replica.lag() == 0
+                assert rejoined.service.replica.lag_lsn == 0
             finally:
-                rejoined.close()
+                close_replica(rejoined)
         finally:
-            replica.close()
+            close_replica(replica)
+
+    def test_wire_follower_reconnects_to_a_restarted_primary(
+            self, tmp_path, free_port):
+        """A follower pulling over the wire fails its steps while the
+        primary is down, then reaches the restarted primary again on
+        the same client (which reconnects instead of writing into the
+        socket the dead primary left it)."""
+        from vidb.durability import Replica
+        from vidb.durability.replica import SOURCE_ERRORS
+
+        data_dir = tmp_path / "primary"
+        proc = start_primary(data_dir, free_port)
+        try:
+            with ServiceClient("127.0.0.1", free_port) as source:
+                source.insert_entity("before")
+                replica = Replica.from_client(source)
+                os.kill(proc.pid, signal.SIGKILL)
+                proc.wait(timeout=10)
+                for _ in range(2):
+                    with pytest.raises(SOURCE_ERRORS):
+                        replica.poll()
+                proc = start_primary(data_dir, free_port)
+                with ServiceClient("127.0.0.1", free_port) as writer:
+                    writer.insert_entity("after")
+                replica.poll()
+                assert replica.db.entity("after") is not None
+                assert replica.lag_lsn == 0
+        finally:
+            if proc.poll() is None:
+                os.kill(proc.pid, signal.SIGKILL)
+                proc.wait(timeout=10)

@@ -2,12 +2,14 @@
 
 import pytest
 
-from vidb.cluster import ClusterRouter, Promoter, ReplicaServer, \
-    promote_data_dir
+from vidb.cli import main as vidb_main
+from vidb.cluster import ClusterRouter, Promoter, promote_data_dir
 from vidb.durability import DurableDatabase, Replica, read_fence
 from vidb.errors import ClusterError, FencedError
 from vidb.service import ServiceClient, ServiceExecutor, VideoServer
 from vidb.storage.database import VideoDatabase
+
+from tests.serving import close_replica, serve_replica
 
 
 def seed_db():
@@ -29,11 +31,8 @@ def primary(tmp_path):
 
 
 def make_replica(primary, tmp_path, name):
-    data_dir = primary.service.durability.data_dir
-    server = ReplicaServer.from_data_dir(
-        data_dir, promote_data_dir=tmp_path / f"promoted-{name}")
-    server.server.start_background()
-    return server
+    return serve_replica(primary.service.durability.data_dir,
+                         promote_data_dir=tmp_path / f"promoted-{name}")
 
 
 class TestElection:
@@ -42,7 +41,7 @@ class TestElection:
         ahead = make_replica(primary, tmp_path, "ahead")
         try:
             primary.service.db.new_entity("b")
-            ahead.poll_once()  # only this one catches up
+            ahead.service.replicate()  # only this one catches up
             promoter = Promoter([behind.address, ahead.address])
             winner, candidates = promoter.pick()
             assert winner == ahead.address
@@ -52,13 +51,13 @@ class TestElection:
             assert (by_address[f"{ahost}:{aport}"]["applied_lsn"]
                     > by_address[f"{bhost}:{bport}"]["applied_lsn"])
         finally:
-            behind.close()
-            ahead.close()
+            close_replica(behind)
+            close_replica(ahead)
 
     def test_no_reachable_candidate_raises(self, primary, tmp_path):
         replica = make_replica(primary, tmp_path, "r1")
         address = replica.address
-        replica.close()
+        close_replica(replica)
         promoter = Promoter([address], connect_timeout=0.2)
         with pytest.raises(ClusterError):
             promoter.pick()
@@ -78,7 +77,7 @@ class TestOnlinePromotion:
             host, port = router.address
             with ServiceClient(host, port) as client:
                 client.insert_entity("b")
-            replica.poll_once()
+            replica.service.replicate()
             promoter = Promoter([replica.address])
             result = promoter.promote(router=router.address)
             assert result.winner == replica.address
@@ -91,7 +90,7 @@ class TestOnlinePromotion:
             assert replica.service.db.entity("c") is not None
         finally:
             router.close()
-            replica.close()
+            close_replica(replica)
 
 
 class TestOfflinePromotion:
@@ -115,6 +114,27 @@ class TestOfflinePromotion:
             assert promoted.db.entity("b") is not None
             assert promoted.last_lsn >= last + 1
 
+    def test_unwritable_fence_refuses_to_promote(self, tmp_path, capsys):
+        """Offline promotion has just read the old directory, so a fence
+        it cannot write there is a failure, not ``fenced: false``: an
+        unfenced old primary would accept writes beside the new one."""
+        old_dir, new_dir = tmp_path / "old", tmp_path / "new"
+        with DurableDatabase(old_dir, seed=seed_db(), fsync="never") as d:
+            d.db.new_entity("b")
+        # The fence's temp file cannot be created (a directory is in
+        # its place), whatever the process's privileges.
+        (old_dir / "fence.json.tmp").mkdir()
+        with pytest.raises(ClusterError, match="cannot fence"):
+            promote_data_dir(old_dir, new_dir)
+        assert not new_dir.exists()  # nothing seeded
+        assert vidb_main(["promote", "--offline", str(old_dir),
+                          "--data-dir", str(new_dir)]) == 1
+        assert "cannot fence" in capsys.readouterr().err
+        assert not new_dir.exists()
+        assert read_fence(old_dir) is None
+        with DurableDatabase(old_dir) as reopened:  # still the primary's
+            assert reopened.db.entity("b") is not None
+
     def test_same_directory_rejected(self, tmp_path):
         with pytest.raises(ClusterError):
             promote_data_dir(tmp_path / "d", tmp_path / "d")
@@ -126,4 +146,4 @@ class TestOfflinePromotion:
         promote_data_dir(old_dir, new_dir)
         follower = Replica.from_data_dir(new_dir)
         assert follower.db.entity("b") is not None
-        assert follower.lag() == 0
+        assert follower.lag_lsn == 0

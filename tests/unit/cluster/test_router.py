@@ -2,12 +2,14 @@
 
 import pytest
 
-from vidb.cluster import ClusterRouter, ReplicaServer
+from vidb.cluster import ClusterRouter
 from vidb.durability import DurableDatabase
 from vidb.errors import ClusterError, ProtocolError
 from vidb.obs.trace import TraceContext, assemble_trace
 from vidb.service import ServiceClient, ServiceExecutor, VideoServer
 from vidb.storage.database import VideoDatabase
+
+from tests.serving import close_replica, serve_replica
 
 
 def seed_db():
@@ -29,13 +31,10 @@ def primary(tmp_path):
 
 
 def make_replica(primary, tmp_path, name, lsn_wait_s=0.05):
-    """A serving replica driven manually (no poll thread)."""
-    data_dir = primary.service.durability.data_dir
-    server = ReplicaServer.from_data_dir(
-        data_dir, lsn_wait_s=lsn_wait_s,
-        promote_data_dir=tmp_path / f"promoted-{name}")
-    server.server.start_background()
-    return server
+    """A serving replica driven manually (no follower thread)."""
+    return serve_replica(primary.service.durability.data_dir,
+                         lsn_wait_s=lsn_wait_s,
+                         promote_data_dir=tmp_path / f"promoted-{name}")
 
 
 def make_router(primary, replicas, **options):
@@ -57,13 +56,13 @@ class TestRouting:
             assert primary.service.db.entity("b") is not None
         finally:
             router.close()
-            replica.close()
+            close_replica(replica)
 
     def test_reads_balance_across_replicas(self, primary, tmp_path):
         replicas = [make_replica(primary, tmp_path, f"r{i}")
                     for i in range(2)]
         for replica in replicas:
-            replica.poll_once()
+            replica.service.replicate()
         router = make_router(primary, replicas)
         try:
             host, port = router.address
@@ -79,7 +78,7 @@ class TestRouting:
         finally:
             router.close()
             for replica in replicas:
-                replica.close()
+                close_replica(replica)
 
     def test_no_replicas_serves_reads_from_primary(self, primary):
         router = make_router(primary, [])
@@ -95,7 +94,7 @@ class TestRouting:
 
     def test_session_state_sticks_to_the_primary(self, primary, tmp_path):
         replica = make_replica(primary, tmp_path, "r1")
-        replica.poll_once()
+        replica.service.replicate()
         router = make_router(primary, [replica])
         try:
             host, port = router.address
@@ -104,7 +103,7 @@ class TestRouting:
                 assert client.execute("byname")["count"] == 1
         finally:
             router.close()
-            replica.close()
+            close_replica(replica)
 
     def test_listen_is_refused_and_the_connection_survives(self, primary):
         """``listen`` takes over its connection; forwarded, the pushes
@@ -140,7 +139,7 @@ class TestConsistencyFallback:
     def test_lagging_replica_read_falls_back_to_primary(self, primary,
                                                         tmp_path):
         replica = make_replica(primary, tmp_path, "r1", lsn_wait_s=0.05)
-        replica.poll_once()
+        replica.service.replicate()
         router = make_router(primary, [replica])
         try:
             host, port = router.address
@@ -157,18 +156,18 @@ class TestConsistencyFallback:
                 "router_reads_total{replica=primary}", 0) >= 1
         finally:
             router.close()
-            replica.close()
+            close_replica(replica)
 
 
 class TestHealth:
     def test_dead_replica_is_marked_down_and_skipped(self, primary,
                                                      tmp_path):
         replica = make_replica(primary, tmp_path, "r1")
-        replica.poll_once()
+        replica.service.replicate()
         router = make_router(primary, [replica])
         try:
             assert len(router.healthy_replicas()) == 1
-            replica.close()
+            close_replica(replica)
             host, port = router.address
             with ServiceClient(host, port) as client:
                 # Served despite the dead replica (fallback path).
@@ -182,24 +181,24 @@ class TestHealth:
 
     def test_lag_cap_removes_replica_from_pool(self, primary, tmp_path):
         replica = make_replica(primary, tmp_path, "r1")
-        replica.poll_once()
+        replica.service.replicate()
         router = make_router(primary, [replica], max_lag_lsn=0)
         try:
             assert len(router.healthy_replicas()) == 1
             from vidb.durability.replica import ShipBatch
 
             # Visible watermark advances with nothing applied: lag > 0.
-            replica.replica.ingest(
-                ShipBatch([], replica.replica.applied_lsn + 3))
+            replica.service.replica.ingest(
+                ShipBatch([], replica.service.replica.applied_lsn + 3))
             router.probe()
             assert router.healthy_replicas() == []
         finally:
             router.close()
-            replica.close()
+            close_replica(replica)
 
     def test_topology_reports_state(self, primary, tmp_path):
         replica = make_replica(primary, tmp_path, "r1")
-        replica.poll_once()
+        replica.service.replicate()
         router = make_router(primary, [replica])
         try:
             host, port = router.address
@@ -211,7 +210,7 @@ class TestHealth:
             assert topology["replicas"][0]["healthy"] is True
         finally:
             router.close()
-            replica.close()
+            close_replica(replica)
 
 
 class TestFailover:
@@ -235,14 +234,14 @@ class TestFailover:
 
     def test_repoint_moves_writes_to_new_primary(self, primary, tmp_path):
         replica = make_replica(primary, tmp_path, "r1")
-        replica.poll_once()
+        replica.service.replicate()
         router = make_router(primary, [replica])
         try:
             host, port = router.address
             with ServiceClient(host, port) as client:
                 client.insert_entity("before")
-                replica.poll_once()
-                replica.promote()
+                replica.service.replicate()
+                replica.service.promote()
                 rhost, rport = replica.address
                 client.request("repoint", host=rhost, port=rport)
                 reply = client.insert_entity("after")
@@ -258,7 +257,7 @@ class TestFailover:
             assert "failover.repoint" in events
         finally:
             router.close()
-            replica.close()
+            close_replica(replica)
 
     def test_repoint_validates_fields(self, primary):
         router = make_router(primary, [])
@@ -274,7 +273,7 @@ class TestFailover:
 class TestClusterTelemetry:
     def test_scrape_feeds_cluster_health(self, primary, tmp_path):
         replica = make_replica(primary, tmp_path, "r1")
-        replica.poll_once()
+        replica.service.replicate()
         router = make_router(primary, [replica], scrape_interval_s=30.0)
         try:
             # start() already ran one synchronous scrape pass.
@@ -289,16 +288,16 @@ class TestClusterTelemetry:
             assert all(row["up"] for row in health["nodes"])
         finally:
             router.close()
-            replica.close()
+            close_replica(replica)
 
     def test_dead_member_marked_down_keeps_last_snapshot(self, primary,
                                                          tmp_path):
         replica = make_replica(primary, tmp_path, "r1")
-        replica.poll_once()
+        replica.service.replicate()
         router = make_router(primary, [replica], scrape_interval_s=30.0)
         try:
             rhost, rport = replica.address
-            replica.close()
+            close_replica(replica)
             router.scrape()
             health = router.cluster_health()
             assert health["rollups"]["nodes_up"] == 1
@@ -310,7 +309,7 @@ class TestClusterTelemetry:
 
     def test_fleet_exposition_labels_every_member(self, primary, tmp_path):
         replica = make_replica(primary, tmp_path, "r1")
-        replica.poll_once()
+        replica.service.replicate()
         router = make_router(primary, [replica], scrape_interval_s=30.0)
         try:
             text = router.fleet_exposition()
@@ -323,12 +322,12 @@ class TestClusterTelemetry:
             assert "vidb_cluster_nodes_up 2" in text
         finally:
             router.close()
-            replica.close()
+            close_replica(replica)
 
     def test_traced_query_assembles_across_processes(self, primary,
                                                      tmp_path):
         replica = make_replica(primary, tmp_path, "r1")
-        replica.poll_once()
+        replica.service.replicate()
         router = make_router(primary, [replica], scrape_interval_s=30.0)
         try:
             host, port = router.address
@@ -352,7 +351,7 @@ class TestClusterTelemetry:
             assert [r["trace_id"] for r in rows] == [context.trace_id]
         finally:
             router.close()
-            replica.close()
+            close_replica(replica)
 
     def test_unsampled_requests_leave_no_segments(self, primary):
         router = make_router(primary, [], scrape_interval_s=30.0)

@@ -19,7 +19,7 @@ def seed_db():
 
 
 def assert_converged(replica, primary):
-    assert replica.lag() == 0
+    assert replica.lag_lsn == 0
     assert replica.db.stats() == primary.db.stats()
     assert replica.db.epoch == primary.db.epoch
     assert set(replica.db.entities()) == set(primary.db.entities())
@@ -52,7 +52,7 @@ class TestFileReplica:
         assert_converged(replica, primary)
         # idempotent: nothing new applied on a quiet log
         assert replica.poll() == 0
-        assert replica.lag() == 0
+        assert replica.lag_lsn == 0
 
     def test_rotation_triggers_resync_only_when_behind(self, primary):
         replica = Replica.from_data_dir(primary.data_dir)
@@ -164,7 +164,7 @@ class TestGapDetection:
         assert source.resync_requests == 1
         assert replica.resyncs == 1
         assert replica.applied_lsn == 4
-        assert replica.lag() == 0
+        assert replica.lag_lsn == 0
         # the truncated record arrived via the snapshot, not skipped
         assert replica.db.relation_names() >= {"r1", "r2", "r3"}
 
@@ -199,7 +199,7 @@ class TestServerReplica:
         assert replica.resyncs == 1        # bootstrap is a forced resync
         client.insert_entity("c", name="Cy")
         replica.poll()
-        assert replica.lag() == 0
+        assert replica.lag_lsn == 0
         assert replica.db.entity("c")["name"] == "Cy"
         assert replica.db.stats() == durable.db.stats()
         assert replica.db.epoch == durable.db.epoch
@@ -211,7 +211,7 @@ class TestServerReplica:
         durable.checkpoint()
         client.insert_entity("c")
         replica.poll()
-        assert replica.lag() == 0
+        assert replica.lag_lsn == 0
         assert replica.db.get(Oid.entity("b")) is not None
         assert replica.db.get(Oid.entity("c")) is not None
 

@@ -171,7 +171,7 @@ class TestDurabilityEvents:
             log = EventLog()
             replica = Replica.from_data_dir(tmp_path / "state",
                                             event_log=log)
-            assert replica.lag() == 0
+            assert replica.lag_lsn == 0
         resyncs = log.recent(type="replica.resync")
         assert len(resyncs) == 1
         assert resyncs[0]["lsn"] >= 1

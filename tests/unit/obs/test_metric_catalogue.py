@@ -7,11 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from vidb.cluster import ReplicaServer
 from vidb.durability import DurableDatabase
 from vidb.service import ServiceExecutor, VideoServer
 from vidb.service.server import ServiceClient
 from vidb.storage.database import VideoDatabase
+
+from tests.serving import close_replica, serve_replica
 
 DOC = Path(__file__).resolve().parents[3] / "docs" / "OBSERVABILITY.md"
 
@@ -65,12 +66,11 @@ def test_primary_registry_is_catalogued(primary):
 
 
 def test_replica_registry_is_catalogued(primary):
-    replica = ReplicaServer.from_data_dir(primary.durability.data_dir)
-    replica.server.start_background()
+    replica = serve_replica(primary.durability.data_dir)
     try:
-        replica.poll_once()
+        replica.service.replicate()
         snapshot = replica.service.snapshot()
         assert "replica.applied_lsn" in snapshot
         assert uncatalogued(snapshot) == []
     finally:
-        replica.close()
+        close_replica(replica)

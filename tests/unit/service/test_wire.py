@@ -1,8 +1,9 @@
 """Wire-plane conformance: the same hostile input against every role.
 
 One suite, parametrised over the three things that serve the JSON-lines
-protocol — a primary :class:`VideoServer`, a serving
-:class:`ReplicaServer`, and a :class:`ClusterRouter` in front of both.
+protocol — a primary :class:`VideoServer`, a serving replica (a
+:class:`VideoServer` over a :class:`Replica`) and a
+:class:`ClusterRouter` in front of both.
 Each case asserts the contract of :mod:`vidb.service.wire`: exactly one
 reply line per request line, a typed error kind, a connection that still
 answers ``ping``, and no exception escaping a handler thread.
@@ -12,16 +13,19 @@ import json
 import socket
 import socketserver
 import struct
+import threading
 from pathlib import Path
 
 import pytest
 
-from vidb.cluster import ClusterRouter, ReplicaServer
+from vidb.cluster import ClusterRouter
 from vidb.durability import DurableDatabase
 from vidb.obs.trace import TraceContext
 from vidb.service import ServiceExecutor, VideoServer
 from vidb.service.wire import MAX_REQUEST_BYTES, OPS, UNKNOWN_OP
 from vidb.storage.database import VideoDatabase
+
+from tests.serving import close_replica, serve_replica
 
 ROLES = ("primary", "replica", "router")
 
@@ -58,14 +62,13 @@ def fleet(tmp_path_factory):
                               seed=seed, fsync="never")
     service = ServiceExecutor(durable)
     primary = VideoServer(service).start_background()
-    replica = ReplicaServer.from_data_dir(durable.data_dir)
-    replica.server.start_background()
-    replica.poll_once()
+    replica = serve_replica(durable.data_dir)
+    replica.service.replicate()
     router = ClusterRouter(primary.address, [replica.address],
                            scrape_interval_s=60.0).start()
-    yield {"primary": primary, "replica": replica.server, "router": router}
+    yield {"primary": primary, "replica": replica, "router": router}
     router.close()
-    replica.close()
+    close_replica(replica)
     primary.shutdown()
     service.close()
 
@@ -295,3 +298,27 @@ class TestOpTable:
         routed = set(fleet["router"]._handlers)
         assert served | routed == set(OPS)
         assert routed - served == {"cluster", "cluster_health", "repoint"}
+
+
+class TestLifecycle:
+    """Closing an endpoint whose serve loop never started returns at
+    once (``socketserver.shutdown`` alone would wait for that loop)."""
+
+    @staticmethod
+    def closes_within(endpoint, seconds=2.0):
+        closing = threading.Thread(target=endpoint.close, daemon=True)
+        closing.start()
+        closing.join(seconds)
+        return not closing.is_alive()
+
+    def test_unstarted_server_closes(self):
+        with ServiceExecutor(VideoDatabase("idle")) as service:
+            assert self.closes_within(VideoServer(service))
+
+    def test_unstarted_router_closes(self):
+        assert self.closes_within(ClusterRouter(("127.0.0.1", 1), []))
+
+    def test_started_server_closes(self):
+        with ServiceExecutor(VideoDatabase("idle")) as service:
+            server = VideoServer(service).start_background()
+            assert self.closes_within(server)

@@ -1,7 +1,12 @@
 """Unit tests for the command-line interface."""
 
 import argparse
+import os
 import re
+import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -259,3 +264,75 @@ class TestDocstring:
         [subparsers] = [action for action in parser._actions
                         if isinstance(action, argparse._SubParsersAction)]
         assert documented == set(subparsers.choices)
+
+
+class TestDocumentedFlags:
+    """Every ``vidb <command> ... --flag`` written in README.md or
+    docs/*.md names a flag that command's parser accepts."""
+
+    ROOT = Path(__file__).resolve().parents[2]
+    #: One invocation: the command, then its words up to the end of the
+    #: line, the inline-code span or the shell command.
+    INVOCATION = re.compile(r"\bvidb(?:\.cli)? ([a-z]+)\b([^`|;&\n]*)")
+
+    def command_flags(self):
+        [subparsers] = [action for action in _build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction)]
+        return {name: {option for action in command._actions
+                       for option in action.option_strings}
+                for name, command in subparsers.choices.items()}
+
+    def test_every_documented_flag_exists(self):
+        accepted = self.command_flags()
+        checked, stale = 0, []
+        for doc in [self.ROOT / "README.md",
+                    *sorted((self.ROOT / "docs").glob("*.md"))]:
+            # Shell line continuations belong to the same command.
+            text = doc.read_text(encoding="utf-8").replace("\\\n", " ")
+            for command, words in self.INVOCATION.findall(text):
+                if command not in accepted:
+                    continue  # prose ("vidb serving ...")
+                for flag in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*",
+                                       words):
+                    checked += 1
+                    if flag not in accepted[command]:
+                        stale.append(f"{doc.name}: vidb {command} {flag}")
+        assert stale == []
+        assert checked > 50  # the scan still finds the docs' commands
+
+
+class TestBusyMetricsPort:
+    """A role whose ``--metrics-port`` is taken exits 1 at once; closing
+    its never-started wire endpoint must not wait for a serve loop."""
+
+    def run_cli(self, *args):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(vidb.cli.__file__).resolve().parents[1]),
+             env.get("PYTHONPATH", "")])
+        return subprocess.run([sys.executable, "-m", "vidb.cli", *args],
+                              env=env, capture_output=True, text=True,
+                              timeout=10)
+
+    @pytest.fixture
+    def busy_port(self):
+        with socket.socket() as held:
+            held.bind(("127.0.0.1", 0))
+            held.listen()
+            yield held.getsockname()[1]
+
+    def test_replicate_serve_port(self, tmp_path, busy_port):
+        from vidb.durability import DurableDatabase
+
+        DurableDatabase(tmp_path / "state", fsync="never").close()
+        done = self.run_cli("replicate", str(tmp_path / "state"),
+                            "--serve-port", "0",
+                            "--metrics-port", str(busy_port))
+        assert done.returncode == 1
+        assert "Address already in use" in done.stderr
+
+    def test_router(self, busy_port):
+        done = self.run_cli("router", "--primary", "127.0.0.1:1",
+                            "--port", "0", "--metrics-port", str(busy_port))
+        assert done.returncode == 1
+        assert "Address already in use" in done.stderr
