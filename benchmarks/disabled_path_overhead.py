@@ -19,8 +19,8 @@ real functions the hot path runs:
     the wire layer's trace adoption entry point
     (:func:`vidb.service.wire.adopt_trace`) around a no-op handler for
     a header-less ``query`` at sample rate 0, the executor's disabled
-    tracing (the ambient-tracer guard at submit and its two no-op
-    spans), plus the ``current_tracer().context`` probe the stream hub
+    tracing (the ambient-tracer lookup and its three no-op spans),
+    plus the ``current_tracer().context`` probe the stream hub
     runs per committed delta — against a result-cache hit through a
     real ``ServiceExecutor``.
 ``analysis``
@@ -180,8 +180,8 @@ def probe_trace(engine, rows, failures):
     def executor_tracing():
         # ServiceExecutor's per-query tracing work with tracing off.
         tracer = current_tracer()
-        if tracer.enabled:
-            return
+        with tracer.span("service.queue_wait"):
+            pass
         with tracer.span("service.lock_wait"):
             pass
         with tracer.span("service.cache") as span:

@@ -173,7 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=7421,
                        help="TCP port (0 picks an ephemeral port)")
     serve.add_argument("--workers", type=int, default=4,
-                       help="query worker threads (default 4)")
+                       help="queries evaluating at once (default 4)")
     serve.add_argument("--max-in-flight", type=int, default=None,
                        help="admission-control bound (default workers*4)")
     serve.add_argument("--cache-capacity", type=int, default=256,

@@ -19,8 +19,8 @@ Everything that knows the span-tree format lives here:
   (``current_tracer().context``), so the tracer and the context are one
   ambient slot.  Activation nests and restores the previous tracer, so
   concurrent requests on different threads never share spans; the
-  service executor re-activates the caller's tracer on its worker
-  thread, so a request's spans form one tree across the hop.
+  service executor evaluates a query on the thread that read the
+  request, so a request's spans form one tree.
 * :class:`TraceContext` — a W3C-traceparent-style triple (``trace_id``
   / ``span_id`` / sampled flag) serialized as
   ``00-<32 hex>-<16 hex>-<2 hex flags>`` and carried as an optional
@@ -157,17 +157,11 @@ class Tracer:
         self.aggregates: Dict[str, Dict[str, float]] = {}
         self._stack: List[Span] = []
 
-    def _attach(self, span: Span) -> None:
-        if self._stack:
-            self._stack[-1].children.append(span)
-        else:
-            self.roots.append(span)
-
     @contextlib.contextmanager
     def span(self, name: str, **payload: Any) -> Iterator[Span]:
         """Open a nested span; timing stops when the block exits."""
         span = Span(name, payload)
-        self._attach(span)
+        (self._stack[-1].children if self._stack else self.roots).append(span)
         self._stack.append(span)
         span.started_s = time.perf_counter()
         try:
@@ -175,15 +169,6 @@ class Tracer:
         finally:
             span.ended_s = time.perf_counter()
             self._stack.pop()
-
-    def add_span(self, name: str, started_s: float, **payload: Any) -> Span:
-        """Attach a finished span under the innermost open one: it began
-        at *started_s* (a ``perf_counter`` reading, possibly taken on
-        another thread) and ends now."""
-        span = Span(name, payload)
-        span.started_s, span.ended_s = started_s, time.perf_counter()
-        self._attach(span)
-        return span
 
     def current(self) -> Optional[Span]:
         """The innermost open span, if any."""

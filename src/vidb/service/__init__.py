@@ -2,8 +2,9 @@
 
 Turns the single-caller library into a servable database:
 
-* :mod:`vidb.service.executor` — thread-pool execution behind a
-  readers–writer lock, with per-query deadlines and admission control;
+* :mod:`vidb.service.executor` — queries evaluated on the caller's
+  thread behind a readers–writer lock, with per-query deadlines,
+  admission control and a bound on concurrent evaluations;
 * :mod:`vidb.service.cache` — an LRU result cache keyed by
   ``(program version, query identity, constants, database epoch)``;
 * :mod:`vidb.service.session` — client sessions with prepared,

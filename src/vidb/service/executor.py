@@ -1,13 +1,14 @@
-"""The concurrent query executor: thread pool + RW lock + cache + admission.
+"""The concurrent query executor: RW lock + cache + admission + slots.
 
 This is the heart of the serving layer.  One :class:`ServiceExecutor`
 wraps one :class:`~vidb.storage.database.VideoDatabase` and one shared
 :class:`~vidb.query.engine.QueryEngine` program, and provides:
 
-* **Concurrency** — queries run on a thread pool; a readers–writer lock
-  lets any number of queries read the database simultaneously while
-  mutations get exclusive access.  Writer preference keeps a steady
-  query stream from starving updates.
+* **Concurrency** — a query runs on the thread that asked for it (a
+  server's connection thread), in one of ``max_workers`` evaluation
+  slots; a readers–writer lock lets any number of queries read the
+  database simultaneously while mutations get exclusive access.  Writer
+  preference keeps a steady query stream from starving updates.
 * **Result caching** — each query is parsed and lifted once
   (:func:`vidb.query.shape.lift`) and its answers are cached under
   ``(engine program version, identity, constants, epoch)``: any change
@@ -17,14 +18,14 @@ wraps one :class:`~vidb.storage.database.VideoDatabase` and one shared
   :mod:`vidb.service.cache`).  A miss hands the lifted query to the
   engine, which does not parse or lift it again.
 * **Admission control** — at most ``max_in_flight`` queries may be
-  queued or running; beyond that, submission fails *immediately* with
-  :class:`~vidb.errors.ServiceOverloadedError` so clients shed load
-  instead of piling onto an unbounded queue.
+  waiting for a slot or running; beyond that, a query fails
+  *immediately* with :class:`~vidb.errors.ServiceOverloadedError` so
+  clients shed load instead of piling onto an unbounded queue.
 * **Deadlines** — a per-query timeout is converted to a monotonic
-  deadline at submission.  Expiry is checked when a worker picks the
-  query up and again after evaluation; evaluation itself is not
-  preempted (cooperative cancellation), so a timeout bounds *queue wait
-  plus one evaluation*, not CPU time mid-evaluation.
+  deadline on arrival.  It bounds the wait for a slot and is checked
+  again after evaluation; evaluation itself is not preempted
+  (cooperative cancellation), so a timeout bounds *slot wait plus one
+  evaluation*, not CPU time mid-evaluation.
 * **Metrics** — every outcome (served, hit, miss, timeout, rejection,
   error) is counted (plain counters plus the labeled
   ``queries_total{outcome=}`` family) and latencies are recorded in a
@@ -41,9 +42,9 @@ wraps one :class:`~vidb.storage.database.VideoDatabase` and one shared
   follower (fetch outside the writer lock, apply inside it) on
   request or on a background thread, and :meth:`ServiceExecutor.promote`
   flips it to a writable primary in place.
-* **Tracing** — a query submitted under an enabled ambient tracer (a
-  sampled request, see :mod:`vidb.obs.trace`) runs under that tracer on
-  the worker thread: ``service.queue_wait``, ``service.lock_wait`` and
+* **Tracing** — a query asked under an enabled ambient tracer (a
+  sampled request, see :mod:`vidb.obs.trace`) records into it:
+  ``service.queue_wait`` (the slot wait), ``service.lock_wait`` and
   ``service.cache`` (``outcome=hit|miss``) spans, then on a miss the
   engine's ``query.execute`` tree, all nest under the caller's open
   span.  Sampling does not change execution: a sampled query takes the
@@ -56,10 +57,9 @@ from __future__ import annotations
 import contextlib
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from hashlib import sha256
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from vidb.analysis.diagnostics import AnalysisResult
 from vidb.analysis.lint import lint_text
@@ -74,7 +74,7 @@ from vidb.errors import (
 )
 from vidb.obs.events import EventLog, get_event_log
 from vidb.obs.metrics import MetricsRegistry
-from vidb.obs.trace import FlightRecorder, activate, current_tracer
+from vidb.obs.trace import FlightRecorder, current_tracer
 from vidb.query.ast import Query
 from vidb.query.engine import AnswerSet, QueryEngine
 from vidb.query.execution import ExecutionOptions, ExecutionReport
@@ -257,9 +257,16 @@ class ServiceExecutor:
                                    **self._engine_options)
         self._cache = ResultCache(cache_capacity, metrics=self.metrics)
         self._lock = RWLock()
-        self._pool = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="vidb-query")
-        self._admission = threading.Lock()
+        if max_workers < 1:
+            raise ValueError("max_workers must be greater than 0")
+        #: At most ``max_workers`` queries evaluate at once; the rest of
+        #: the ``max_in_flight`` admitted wait here, bounded by their
+        #: deadlines.  A query takes its slot before the read lock, so a
+        #: waiting query never holds the lock a writer waits for.
+        self._slots = threading.BoundedSemaphore(max_workers)
+        #: Guards ``_in_flight`` and ``_closed``; :meth:`close` waits on
+        #: it for the admitted queries to drain.
+        self._admission = threading.Condition(threading.Lock())
         self._in_flight = 0
         self._sessions: Dict[str, Session] = {}
         self._sessions_lock = threading.Lock()
@@ -372,29 +379,27 @@ class ServiceExecutor:
         return self
 
     # -- query path ----------------------------------------------------------
-    def submit_report(self, query: Union[str, Query],
-                      options: Optional[ExecutionOptions] = None,
-                      timeout: Optional[float] = None
-                      ) -> "Future[ExecutionReport]":
-        """Queue a query; returns a future resolving to an
-        :class:`ExecutionReport`.
+    def execute_report(self, query: Union[str, Query],
+                       options: Optional[ExecutionOptions] = None,
+                       timeout: Optional[float] = None) -> ExecutionReport:
+        """Evaluate a query on the calling thread; the one query path.
 
-        The deadline is ``timeout``, else ``options.timeout_s``, else the
-        service default; it covers queue wait plus evaluation, and the
-        fixpoint additionally checks it cooperatively at every iteration
-        boundary.  Raises :class:`ServiceOverloadedError` immediately
-        when ``max_in_flight`` queries are already queued or running.
-        An enabled ambient tracer records the run (its spans nest under
-        the caller's open span), so the caller should wait for the
-        future before it opens further spans on that tracer.
+        In order: admission (:class:`ServiceOverloadedError` at once
+        when ``max_in_flight`` queries are already waiting or running),
+        a wait for one of ``max_workers`` evaluation slots, then the
+        cached evaluation.  The deadline is ``timeout``, else
+        ``options.timeout_s``, else the service default; it bounds the
+        slot wait plus evaluation, and the fixpoint additionally checks
+        it cooperatively at every iteration boundary.  An enabled
+        ambient tracer records the run under the caller's open span.
         """
-        if self._closed:
-            raise ServiceClosedError("executor is shut down")
         options = options or ExecutionOptions()
         if timeout is None:
             timeout = (options.timeout_s if options.timeout_s is not None
                        else self.default_timeout)
         with self._admission:
+            if self._closed:
+                raise ServiceClosedError("executor is shut down")
             if self._in_flight >= self.max_in_flight:
                 self.metrics.inc("queries.rejected")
                 self._outcomes.labels(outcome="rejected").inc()
@@ -405,75 +410,41 @@ class ServiceExecutor:
                     f"{self._in_flight} queries in flight "
                     f"(limit {self.max_in_flight}); retry with backoff")
             self._in_flight += 1
-        deadline = (time.monotonic() + timeout) if timeout else None
-        # A sampled caller's tracer follows the query onto the worker.
-        tracer = current_tracer()
-        submitted = time.perf_counter() if tracer.enabled else 0.0
         try:
-            future = self._pool.submit(self._run, query, deadline, options,
-                                       tracer, submitted)
-        except RuntimeError:
+            deadline = (time.monotonic() + timeout) if timeout else None
+            tracer = current_tracer()
+            with tracer.span("service.queue_wait"):
+                slot = self._slots.acquire(
+                    timeout=None if deadline is None
+                    else max(0.0, deadline - time.monotonic()))
+            try:
+                if not slot or (deadline is not None
+                                and time.monotonic() > deadline):
+                    self._count_timeout()
+                    raise QueryTimeoutError("deadline expired while queued")
+                return self._serve(query, deadline, options, tracer)
+            finally:
+                if slot:
+                    self._slots.release()
+        finally:
             with self._admission:
                 self._in_flight -= 1
-            raise ServiceClosedError("executor is shut down") from None
-        future.add_done_callback(self._release_slot)
-        return future
-
-    def execute_report(self, query: Union[str, Query],
-                       options: Optional[ExecutionOptions] = None,
-                       timeout: Optional[float] = None) -> ExecutionReport:
-        """Submit and wait for the full execution report."""
-        return self.submit_report(query, options=options,
-                                  timeout=timeout).result()
-
-    def submit(self, query: Union[str, Query],
-               timeout: Optional[float] = None,
-               options: Optional[ExecutionOptions] = None
-               ) -> "Future[AnswerSet]":
-        """Queue a query; returns a future resolving to an AnswerSet.
-
-        Thin alias over :meth:`submit_report` kept for the established
-        answers-only API.
-        """
-        inner = self.submit_report(query, options=options, timeout=timeout)
-        outer: "Future[AnswerSet]" = Future()
-
-        def _unwrap(done: "Future[ExecutionReport]") -> None:
-            error = done.exception()
-            if error is not None:
-                outer.set_exception(error)
-            else:
-                outer.set_result(done.result().answers)
-
-        inner.add_done_callback(_unwrap)
-        return outer
+                if self._closed and not self._in_flight:
+                    self._admission.notify_all()
 
     def execute(self, query: Union[str, Query],
                 timeout: Optional[float] = None,
                 options: Optional[ExecutionOptions] = None) -> AnswerSet:
-        """Submit and wait; the blocking convenience wrapper."""
+        """:meth:`execute_report`, answers only."""
         return self.execute_report(query, options=options,
                                    timeout=timeout).answers
 
-    def _release_slot(self, _future) -> None:
-        with self._admission:
-            self._in_flight -= 1
-
-    def _run(self, query: Union[str, Query], deadline: Optional[float],
-             options: ExecutionOptions, tracer: Any,
-             submitted: float) -> ExecutionReport:
-        if tracer.enabled:
-            with activate(tracer):
-                tracer.add_span("service.queue_wait", submitted)
-                return self._serve(query, deadline, options, tracer)
-        return self._serve(query, deadline, options, tracer)
+    def _count_timeout(self) -> None:
+        self.metrics.inc("queries.timeout")
+        self._outcomes.labels(outcome="timeout").inc()
 
     def _serve(self, query: Union[str, Query], deadline: Optional[float],
                options: ExecutionOptions, tracer: Any) -> ExecutionReport:
-        if deadline is not None and time.monotonic() > deadline:
-            self.metrics.inc("queries.timeout")
-            self._outcomes.labels(outcome="timeout").inc()
-            raise QueryTimeoutError("deadline expired while queued")
         started = time.perf_counter()
         try:
             lifted = lift(query)
@@ -509,8 +480,7 @@ class ServiceExecutor:
             finally:
                 self._lock.release_read()
         except QueryTimeoutError:
-            self.metrics.inc("queries.timeout")
-            self._outcomes.labels(outcome="timeout").inc()
+            self._count_timeout()
             raise
         except Exception:
             self.metrics.inc("queries.errors")
@@ -520,8 +490,7 @@ class ServiceExecutor:
         if deadline is not None and time.monotonic() > deadline:
             # The answer is valid and cached, but this caller asked for
             # it by a time that has passed; report the miss honestly.
-            self.metrics.inc("queries.timeout")
-            self._outcomes.labels(outcome="timeout").inc()
+            self._count_timeout()
             raise QueryTimeoutError(
                 f"evaluation finished {elapsed:.3f}s in, past the deadline")
         self.metrics.inc("queries.served")
@@ -764,23 +733,6 @@ class ServiceExecutor:
         self.metrics.inc("writes.applied")
         return result
 
-    def new_entity(self, oid, **attributes):
-        return self.mutate(lambda db: db.new_entity(oid, **attributes))
-
-    def new_interval(self, oid, entities: Iterable = (), duration=None,
-                     **attributes):
-        return self.mutate(lambda db: db.new_interval(
-            oid, entities=entities, duration=duration, **attributes))
-
-    def relate(self, relation, *args):
-        return self.mutate(lambda db: db.relate(relation, *args))
-
-    def remove_object(self, oid):
-        return self.mutate(lambda db: db.remove_object(oid))
-
-    def set_attribute(self, oid, name, value):
-        return self.mutate(lambda db: db.set_attribute(oid, name, value))
-
     # -- standing queries ----------------------------------------------------
     def subscribe(self, query: Union[str, Query], *,
                   filter: Optional[Dict[str, Any]] = None,
@@ -898,8 +850,11 @@ class ServiceExecutor:
             checks["source"] = replica.source_up
         return checks
 
-    def close(self, wait: bool = True) -> None:
-        self._closed = True
+    def close(self) -> None:
+        """Refuse new queries, stop following, and wait for the
+        admitted queries to drain before the durable state closes."""
+        with self._admission:
+            self._closed = True
         self._stop_following.set()
         if self._follower is not None:
             self._follower.join(timeout=5)
@@ -907,7 +862,9 @@ class ServiceExecutor:
             self.subscriptions.close()
         if self.stream_hub is not None:
             self.stream_hub.detach()
-        self._pool.shutdown(wait=wait)
+        with self._admission:
+            while self._in_flight:
+                self._admission.wait()
         self.flight_recorder.close()
         if self.durability is not None:
             self.durability.close()

@@ -113,9 +113,10 @@ class PreparedQuery:
 class Session:
     """One client's handle on the service: prepared queries + evaluation.
 
-    Sessions are cheap; the heavyweight state (thread pool, cache, lock)
-    lives in the executor they share.  A session is itself thread-safe,
-    though the expected pattern is one session per client connection.
+    Sessions are cheap; the heavyweight state (evaluation slots, cache,
+    lock) lives in the executor they share.  A session is itself
+    thread-safe, though the expected pattern is one session per client
+    connection, whose thread runs the session's queries.
     """
 
     def __init__(self, executor, session_id: Optional[str] = None):

@@ -28,6 +28,7 @@ from vidb.cli import main as vidb_main
 from vidb.cluster import ClusterRouter
 from vidb.durability import DurableDatabase
 from vidb.errors import ClusterError, FencedError
+from vidb.model.oid import Oid
 from vidb.obs.trace import TraceContext, assemble_trace
 from vidb.service.server import ServiceClient
 
@@ -384,7 +385,7 @@ class TestClusterEndToEnd:
                 with ServiceClient("127.0.0.1", free_port) as writer:
                     writer.insert_entity("after")
                 replica.poll()
-                assert replica.db.entity("after") is not None
+                assert replica.db.get(Oid.entity("after")) is not None
                 assert replica.lag_lsn == 0
         finally:
             if proc.poll() is None:

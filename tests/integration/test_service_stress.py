@@ -59,9 +59,11 @@ class TestReaderWriterStress:
         def writer():
             try:
                 for i in range(WRITES):
-                    service.new_entity(f"ox{i}", name=f"Extra{i}")
-                    service.new_interval(f"gix{i}", entities=[f"ox{i}"],
-                                         duration=[(500 + i, 501 + i)])
+                    service.mutate(lambda db, i=i: db.new_entity(
+                        f"ox{i}", name=f"Extra{i}"))
+                    service.mutate(lambda db, i=i: db.new_interval(
+                        f"gix{i}", entities=[f"ox{i}"],
+                        duration=[(500 + i, 501 + i)]))
                     if i % 7 == 0:
                         # an aborted write: must be invisible to readers
                         def bad(db, i=i):
@@ -110,7 +112,7 @@ class TestReaderWriterStress:
             assert again.rows() == first.rows()
             fresh = QueryEngine(service.db).query(text)
             assert again.rows() == fresh.rows()
-            service.new_entity(f"seq{i}")
+            service.mutate(lambda db, i=i: db.new_entity(f"seq{i}"))
             bumped = service.execute(text)
             assert len(bumped) == len(first) + 1
         service.close()

@@ -6,6 +6,7 @@ from vidb.cli import main as vidb_main
 from vidb.cluster import ClusterRouter, Promoter, promote_data_dir
 from vidb.durability import DurableDatabase, Replica, read_fence
 from vidb.errors import ClusterError, FencedError
+from vidb.model.oid import Oid
 from vidb.service import ServiceClient, ServiceExecutor, VideoServer
 from vidb.storage.database import VideoDatabase
 
@@ -87,7 +88,7 @@ class TestOnlinePromotion:
             # Writes through the router now land on the promoted node.
             with ServiceClient(host, port) as client:
                 client.insert_entity("c")
-            assert replica.service.db.entity("c") is not None
+            assert replica.service.db.get(Oid.entity("c")) is not None
         finally:
             router.close()
             close_replica(replica)
@@ -111,7 +112,7 @@ class TestOfflinePromotion:
             DurableDatabase(old_dir)
         # ...while the new one carries the full committed history.
         with DurableDatabase(new_dir) as promoted:
-            assert promoted.db.entity("b") is not None
+            assert promoted.db.get(Oid.entity("b")) is not None
             assert promoted.last_lsn >= last + 1
 
     def test_unwritable_fence_refuses_to_promote(self, tmp_path, capsys):
@@ -133,7 +134,7 @@ class TestOfflinePromotion:
         assert not new_dir.exists()
         assert read_fence(old_dir) is None
         with DurableDatabase(old_dir) as reopened:  # still the primary's
-            assert reopened.db.entity("b") is not None
+            assert reopened.db.get(Oid.entity("b")) is not None
 
     def test_same_directory_rejected(self, tmp_path):
         with pytest.raises(ClusterError):
@@ -145,5 +146,5 @@ class TestOfflinePromotion:
             d.db.new_entity("b")
         promote_data_dir(old_dir, new_dir)
         follower = Replica.from_data_dir(new_dir)
-        assert follower.db.entity("b") is not None
+        assert follower.db.get(Oid.entity("b")) is not None
         assert follower.lag_lsn == 0

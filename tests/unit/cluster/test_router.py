@@ -5,6 +5,7 @@ import pytest
 from vidb.cluster import ClusterRouter
 from vidb.durability import DurableDatabase
 from vidb.errors import ClusterError, ProtocolError
+from vidb.model.oid import Oid
 from vidb.obs.trace import TraceContext, assemble_trace
 from vidb.service import ServiceClient, ServiceExecutor, VideoServer
 from vidb.storage.database import VideoDatabase
@@ -53,7 +54,7 @@ class TestRouting:
             with ServiceClient(host, port) as client:
                 reply = client.insert_entity("b")
                 assert reply["ok"] and "head_lsn" in reply
-            assert primary.service.db.entity("b") is not None
+            assert primary.service.db.get(Oid.entity("b")) is not None
         finally:
             router.close()
             close_replica(replica)
@@ -248,9 +249,7 @@ class TestFailover:
                 assert reply["ok"] is True
             # The write landed on the promoted replica, not the old
             # primary; the promoted node left the read pool.
-            from vidb.model.oid import Oid
-
-            assert replica.service.db.entity("after") is not None
+            assert replica.service.db.get(Oid.entity("after")) is not None
             assert primary.service.db.get(Oid.entity("after")) is None
             assert router.healthy_replicas() == []
             events = [e["type"] for e in router.events.recent()]

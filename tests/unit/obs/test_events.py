@@ -114,19 +114,25 @@ class TestExecutorEvents:
         log = EventLog()
         executor = ServiceExecutor(rope_database(), max_workers=1,
                                    max_in_flight=1, event_log=log)
-        gate = threading.Event()
+        gate, entered = threading.Event(), threading.Event()
 
         def blocked(ctx, args):
+            entered.set()
             gate.wait(timeout=10)
             return True
 
         executor.register_computed("blocked", 1, blocked)
+        answered = []
+        running = threading.Thread(target=lambda: answered.append(
+            executor.execute("?- object(O), blocked(O).")))
         try:
-            future = executor.submit("?- object(O), blocked(O).")
+            running.start()
+            assert entered.wait(10)
             with pytest.raises(ServiceOverloadedError):
-                executor.submit("?- object(O).")
+                executor.execute("?- object(O).")
             gate.set()
-            future.result(timeout=10)
+            running.join(10)
+            assert len(answered) == 1
             events = log.recent(type="admission.reject")
             assert len(events) == 1
             assert events[0]["in_flight"] == 1

@@ -1,7 +1,6 @@
 """Tracer span nesting, aggregates, and the no-op disabled path."""
 
 import threading
-import time
 
 import pytest
 
@@ -105,15 +104,6 @@ class TestTracer:
         assert tracer.aggregates["solver.entails"] == {
             "count": 2, "seconds": 0.75}
         assert tracer.aggregates["setorder.closure"]["count"] == 3
-
-    def test_add_span_attaches_a_finished_span(self):
-        tracer = Tracer()
-        with tracer.span("outer"):
-            started = time.perf_counter()
-            added = tracer.add_span("queued", started, where="pool")
-        assert tracer.root().children == [added]
-        assert added.started_s == started
-        assert added.ended_s >= started and added.payload == {"where": "pool"}
 
     def test_span_payload_kwargs(self):
         tracer = Tracer()

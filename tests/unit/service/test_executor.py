@@ -1,6 +1,7 @@
 """Unit tests for the concurrent executor: locking, caching, admission,
 deadlines."""
 
+import sys
 import threading
 import time
 from collections import Counter
@@ -11,6 +12,7 @@ from vidb.errors import (
     QueryTimeoutError,
     ServiceClosedError,
     ServiceOverloadedError,
+    VidbError,
 )
 from vidb.model.oid import Oid
 from vidb.obs.events import EventLog
@@ -29,6 +31,34 @@ Q_APPEARS = "?- interval(G), object(o1), o1 in G.entities."
 def service():
     with ServiceExecutor(rope_database(), max_workers=2) as executor:
         yield executor
+
+
+class Caller(threading.Thread):
+    """One client thread asking ``executor.execute(text, ...)``; its
+    answers, or the error it raised, land in :attr:`outcome`."""
+
+    def __init__(self, executor, text, **kwargs):
+        super().__init__(daemon=True)
+        self.ask = lambda: executor.execute(text, **kwargs)
+        self.outcome = None
+
+    def run(self):
+        try:
+            self.outcome = self.ask()
+        except Exception as error:  # noqa: BLE001 - checked by the test
+            self.outcome = error
+
+    def finish(self, timeout=10):
+        self.join(timeout)
+        assert not self.is_alive()
+        return self.outcome
+
+
+def wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
 
 
 class TestRWLock:
@@ -105,7 +135,7 @@ class TestCaching:
     def test_mutation_bumps_epoch_and_invalidates(self, service):
         before = service.execute("?- object(O).")
         epoch_before = service.db.epoch
-        service.new_entity("o42", name="Visitor")
+        service.mutate(lambda db: db.new_entity("o42", name="Visitor"))
         assert service.db.epoch > epoch_before
         after = service.execute("?- object(O).")
         assert len(after) == len(before) + 1
@@ -143,7 +173,7 @@ class TestCaching:
         assert (len(victim), len(murderers)) == (1, 2)
 
     def test_a_symbol_constant_is_not_a_string_constant(self, service):
-        service.new_entity("o50", name="o1")
+        service.mutate(lambda db: db.new_entity("o50", name="o1"))
         assert len(service.execute('?- object(O), O.name = "o1".')) == 1
         # o1 names the entity o1, whose name is "David".
         assert len(service.execute("?- object(O), O.name = o1.")) == 0
@@ -242,50 +272,130 @@ class TestSlowQueryEvents:
 
 class TestAdmissionAndDeadlines:
     def _blockable(self, db, max_workers, max_in_flight):
+        """An executor whose ``blocked`` predicate holds its query (and
+        so its evaluation slot) until ``gate`` opens; ``entered`` is set
+        once a query is inside it."""
         executor = ServiceExecutor(db, max_workers=max_workers,
                                    max_in_flight=max_in_flight)
-        gate = threading.Event()
+        gate, entered = threading.Event(), threading.Event()
 
         def blocked(ctx, args):
+            entered.set()
             gate.wait(timeout=10)
             return True
 
         executor.register_computed("blocked", 1, blocked)
-        return executor, gate
+        return executor, gate, entered
 
     def test_overload_fast_fails(self):
-        executor, gate = self._blockable(rope_database(),
-                                         max_workers=1, max_in_flight=2)
+        executor, gate, __ = self._blockable(rope_database(),
+                                             max_workers=1, max_in_flight=2)
         try:
-            futures = [executor.submit("?- object(O), blocked(O).")
+            callers = [Caller(executor, "?- object(O), blocked(O).")
                        for __ in range(2)]
+            for caller in callers:
+                caller.start()
+            wait_until(lambda: executor.snapshot()["in_flight"] == 2)
             with pytest.raises(ServiceOverloadedError):
-                executor.submit("?- object(O).")
+                executor.execute("?- object(O).")
             assert executor.snapshot()["queries.rejected"] == 1
             gate.set()
-            for future in futures:
-                assert len(future.result(timeout=10)) == 9
-            # slots free again: submission works now
+            for caller in callers:
+                assert len(caller.finish()) == 9
+            # slots free again: admission works now
             assert len(executor.execute("?- object(O).")) == 9
         finally:
             gate.set()
             executor.close()
 
     def test_deadline_expires_in_queue(self):
-        executor, gate = self._blockable(rope_database(),
-                                         max_workers=1, max_in_flight=4)
+        executor, gate, entered = self._blockable(
+            rope_database(), max_workers=1, max_in_flight=4)
         try:
-            running = executor.submit("?- object(O), blocked(O).")
-            queued = executor.submit("?- interval(G).", timeout=0.05)
+            running = Caller(executor, "?- object(O), blocked(O).")
+            running.start()
+            assert entered.wait(10)
+            queued = Caller(executor, "?- interval(G).", timeout=0.05)
+            queued.start()
             time.sleep(0.2)
             gate.set()
-            with pytest.raises(QueryTimeoutError):
-                queued.result(timeout=10)
-            running.result(timeout=10)
+            assert isinstance(queued.finish(), QueryTimeoutError)
+            assert len(running.finish()) == 9
             assert executor.snapshot()["queries.timeout"] == 1
         finally:
             gate.set()
             executor.close()
+
+    def test_slot_wait_times_out_before_the_slot_frees(self):
+        """The deadline bounds the wait for an evaluation slot itself:
+        the waiting caller gets its timeout while the slot's holder is
+        still blocked, not once the holder finishes."""
+        executor, gate, entered = self._blockable(
+            rope_database(), max_workers=1, max_in_flight=4)
+        opener = threading.Timer(5.0, gate.set)
+        try:
+            running = Caller(executor, "?- object(O), blocked(O).")
+            running.start()
+            assert entered.wait(10)
+            opener.start()
+            with pytest.raises(QueryTimeoutError, match="while queued"):
+                executor.execute("?- interval(G).", timeout=0.05)
+            assert not gate.is_set()
+            assert executor.snapshot()["queries.timeout"] == 1
+            gate.set()
+            assert len(running.finish()) == 9
+        finally:
+            opener.cancel()
+            gate.set()
+            executor.close()
+
+    def test_slots_bound_concurrent_evaluations(self, monkeypatch):
+        """More callers than slots: at most ``max_workers`` queries
+        evaluate at once, and every slot and admission count returns."""
+        executor = ServiceExecutor(rope_database(), max_workers=2,
+                                   max_in_flight=8)
+        guard, running, peak = threading.Lock(), [0], [0]
+        serve = executor._serve
+
+        def counted(*args):
+            with guard:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            try:
+                return serve(*args)
+            finally:
+                with guard:
+                    running[0] -= 1
+
+        monkeypatch.setattr(executor, "_serve", counted)
+        texts = ["?- object(O).", "?- interval(G).", Q_APPEARS]
+        errors = []
+
+        def ask(index):
+            try:
+                for i in range(30):
+                    executor.execute(texts[(index + i) % len(texts)])
+            except Exception as error:  # noqa: BLE001 - asserted below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=ask, args=(i,))
+                       for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            executor.close()
+        assert errors == []
+        assert 1 <= peak[0] <= 2
+        snap = executor.snapshot()
+        assert snap["in_flight"] == 0
+        assert snap["queries.served"] == 8 * 30
 
     def test_deadline_expires_during_evaluation(self):
         executor = ServiceExecutor(rope_database(), max_workers=1)
@@ -305,12 +415,31 @@ class TestAdmissionAndDeadlines:
         assert len(service.execute("?- object(O).")) == 9
 
 
+class TestCallerThread:
+    def test_a_query_runs_on_the_calling_thread(self, service):
+        seen = set()
+
+        def record(ctx, args):
+            seen.add(threading.current_thread())
+            return True
+
+        service.register_computed("record", 1, record)
+        for caller in (Caller(service, "?- object(O), record(O)."),
+                       Caller(service, "?- interval(G), record(G).")):
+            caller.start()
+            caller.finish()
+            assert seen == {caller}
+            seen.clear()
+        service.execute("?- object(O), record(O), O != o1.")
+        assert seen == {threading.current_thread()}
+
+
 class TestLifecycle:
     def test_closed_executor_refuses_queries(self):
         executor = ServiceExecutor(rope_database(), max_workers=1)
         executor.close()
         with pytest.raises(ServiceClosedError):
-            executor.submit("?- object(O).")
+            executor.execute("?- object(O).")
 
     def test_closed_executor_refuses_sessions(self):
         executor = ServiceExecutor(rope_database(), max_workers=1)
@@ -368,17 +497,10 @@ class TestExecutionReports:
         again = service.execute_report(Q_APPEARS, options=options)
         assert again.cached is False and again.trace is not None
 
-    def test_submit_still_resolves_to_answers(self, service):
-        answers = service.submit(Q_APPEARS).result()
-        assert len(answers) == 2
-        assert answers.rows() == service.execute(Q_APPEARS).rows()
-
-    def test_submit_propagates_errors(self, service):
-        from vidb.errors import VidbError
-
-        future = service.submit("?- interval(G")
+    def test_execute_propagates_errors(self, service):
         with pytest.raises(VidbError):
-            future.result()
+            service.execute("?- interval(G")
+        assert service.snapshot()["queries.errors"] == 1
 
     def test_ambient_tracer_follows_the_query_onto_the_worker(self, service):
         """A sampled caller's tracer records the run: executor spans and,
@@ -433,7 +555,7 @@ class TestDurableService:
         service = ServiceExecutor(durable, max_workers=2)
         try:
             assert service.db is durable.db  # queries run on the inner db
-            service.new_entity("fresh", name="New")
+            service.mutate(lambda db: db.new_entity("fresh", name="New"))
             assert durable.last_lsn > 0
             snap = service.snapshot()
             assert snap["wal.last_lsn"] == durable.last_lsn

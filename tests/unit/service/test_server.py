@@ -2,6 +2,7 @@
 
 import json
 import socket
+import threading
 
 import pytest
 
@@ -48,6 +49,26 @@ class TestBasicOps:
         reply = client.query("?- object(O).", limit=3)
         assert len(reply["rows"]) == 3
         assert reply["count"] == 9
+
+    def test_a_query_runs_on_its_connection_thread(self, server):
+        opened, seen = [], set()
+        open_session = server.open_connection
+
+        def recording_open():
+            opened.append(threading.current_thread())
+            return open_session()
+
+        def record(ctx, args):
+            seen.add(threading.current_thread())
+            return True
+
+        server.open_connection = recording_open
+        server.service.register_computed("record", 1, record)
+        host, port = server.address
+        with ServiceClient(host, port) as client:
+            assert client.query("?- object(O), record(O).")["count"] == 9
+        assert len(opened) == 1
+        assert seen == {opened[0]}
 
 
 class TestPreparedOverTheWire:

@@ -8,9 +8,9 @@ no execution):
     A call that blocks the calling thread (``time.sleep``,
     ``os.fsync``, socket accept/recv/connect, ``Future.result``,
     ``subprocess.run``...) lexically inside a ``with ...write_locked()``
-    / ``with ...exclusive()`` block.  The executor's write lock excludes
-    *every* reader, so blocking while holding it turns one slow call
-    into a service-wide stall.
+    block.  The executor's write lock excludes *every* reader, so
+    blocking while holding it turns one slow call into a service-wide
+    stall.
 
 ``lock-order-inversion``
     Two locks are acquired in opposite orders on different code paths.
@@ -44,15 +44,13 @@ ALLOWLIST = REPO / "tools" / "concurrency_allowlist.txt"
 
 #: ``with`` expressions that take the *exclusive* (writer) side of a
 #: readers-writer lock: attribute-call names on the context manager.
-WRITE_LOCK_METHODS = frozenset({"write_locked", "acquire_write",
-                                "exclusive"})
+WRITE_LOCK_METHODS = frozenset({"write_locked", "acquire_write"})
 
 #: ``with`` expressions that acquire *some* lock (for ordering edges):
 #: plain ``with self._lock:`` / ``with self._cond:`` (a Lock/Condition
 #: used as a context manager) plus RW-lock helper calls.
 LOCKISH_SUFFIXES = ("lock", "cond", "mutex")
-LOCK_METHODS = frozenset({"write_locked", "read_locked", "acquire_read",
-                          "acquire_write"}) | WRITE_LOCK_METHODS
+LOCK_METHODS = frozenset({"read_locked", "acquire_read"}) | WRITE_LOCK_METHODS
 
 #: Dotted call names that block the calling thread.
 BLOCKING_DOTTED = frozenset({
@@ -90,10 +88,6 @@ def lock_name(item: ast.expr) -> Optional[str]:
     if isinstance(item, ast.Call) and isinstance(item.func, ast.Attribute):
         if item.func.attr in LOCK_METHODS:
             return dotted(item.func.value)
-        if item.func.attr == "exclusive":
-            # ``with executor.exclusive():`` wraps the write lock.
-            base = dotted(item.func.value)
-            return f"{base}.exclusive" if base else None
         return None
     name = dotted(item)
     if name and name.split(".")[-1].lstrip("_").endswith(LOCKISH_SUFFIXES):
