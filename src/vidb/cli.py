@@ -65,6 +65,13 @@ from vidb.storage.persistence import load, save
 from vidb.workloads.paper import rope_database
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vidb",
@@ -172,9 +179,9 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=7421,
                        help="TCP port (0 picks an ephemeral port)")
-    serve.add_argument("--workers", type=int, default=4,
+    serve.add_argument("--workers", type=_positive_int, default=4,
                        help="queries evaluating at once (default 4)")
-    serve.add_argument("--max-in-flight", type=int, default=None,
+    serve.add_argument("--max-in-flight", type=_positive_int, default=None,
                        help="admission-control bound (default workers*4)")
     serve.add_argument("--cache-capacity", type=int, default=256,
                        help="result-cache entries (default 256)")

@@ -490,18 +490,6 @@ class ClusterRouter(Endpoint):
                          old_primary=f"{old[0]}:{old[1]}",
                          new_primary=f"{new[0]}:{new[1]}")
 
-    def add_replica(self, address: Tuple[str, int],
-                    readyz_url: Optional[str] = None) -> None:
-        """Add a replica to the read pool (it joins after its first
-        successful probe)."""
-        addr = (address[0], int(address[1]))
-        with self._state_lock:
-            if any(s.address == addr for s in self._replicas):
-                return
-            self._replicas.append(ReplicaState(addr))
-        if readyz_url is not None:
-            self.readyz_urls[addr] = readyz_url
-
     # -- introspection -------------------------------------------------------
     def topology(self) -> Dict[str, Any]:
         with self._state_lock:

@@ -19,7 +19,7 @@ The robustness layer under the serving system (see
 
 from vidb.durability.durable import DurableDatabase
 from vidb.durability.recovery import RecoveryResult, recover, replay_records
-from vidb.durability.records import apply_record, encode_event
+from vidb.durability.records import apply_record
 from vidb.durability.replica import (
     FileWalSource,
     Replica,
@@ -60,7 +60,6 @@ __all__ = [
     "WalWriter",
     "apply_record",
     "check_fence",
-    "encode_event",
     "fence_path",
     "head_lsn",
     "list_snapshots",

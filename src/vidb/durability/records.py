@@ -3,24 +3,15 @@
 The storage layer announces each commit as one
 :class:`~vidb.storage.transactions.CommittedDelta` (see
 ``VideoDatabase.add_mutation_observer``); this module turns its
-mutation events into one JSON-ready ``commit`` record payload and back,
-reusing the value codec from :mod:`vidb.storage.persistence` so every
-model value (oids, fractions, sets, constraints) survives the round
-trip.
+mutation events into one JSON-ready ``commit`` record payload and back
+through :data:`MUTATIONS`, one row per mutation type over the object,
+fact and value codec of :mod:`vidb.storage.persistence` (the snapshot's
+own), so every model value (oids, fractions, sets, constraints)
+survives the round trip.
 
-Record types::
-
-    commit            one committed change set: its mutations, in order
-    checkpoint        a snapshot was installed (no-op on replay)
-
-Mutation types inside a ``commit`` record::
-
-    add               a new entity/interval object
-    replace           an object swapped wholesale (attribute updates)
-    remove_object     an object dropped (by oid)
-    relate            a relation fact asserted
-    remove_fact       a relation fact retracted
-    declare_relation  an empty relation registered
+Record types: ``commit`` (one committed change set, its mutations in
+order) and ``checkpoint`` (a snapshot was installed; no-op on replay).
+docs/DURABILITY.md describes each mutation type.
 
 Replay applies a ``commit`` record's mutations inside one transaction,
 through the ordinary ``VideoDatabase`` mutation methods, so each
@@ -34,14 +25,9 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterable, Tuple
 
 from vidb.errors import RecoveryError
-from vidb.model.objects import (
-    EntityObject,
-    GeneralizedIntervalObject,
-    VideoObject,
-)
-from vidb.model.relations import RelationFact
 from vidb.storage.database import VideoDatabase
-from vidb.storage.persistence import decode_value, encode_value
+from vidb.storage.persistence import decode_fact, decode_object, decode_value
+from vidb.storage.persistence import encode_fact, encode_object, encode_value
 
 from vidb.durability.wal import WalRecord
 
@@ -52,68 +38,38 @@ CHECKPOINT = "checkpoint"
 RECORD_TYPES = (COMMIT, CHECKPOINT)
 
 
-# -- object codec ----------------------------------------------------------
-
-def encode_object(obj: VideoObject) -> Dict[str, Any]:
-    kind = "interval" if isinstance(obj, GeneralizedIntervalObject) else "entity"
-    return {
-        "kind": kind,
-        "oid": encode_value(obj.oid),
-        "attributes": {k: encode_value(v) for k, v in sorted(obj.items())},
-    }
+def _encode_kind_object(obj: Any) -> Dict[str, Any]:
+    return {"kind": obj.oid.kind, **encode_object(obj)}
 
 
-def decode_object(data: Dict[str, Any]) -> VideoObject:
-    oid = decode_value(data["oid"])
-    attrs = {k: decode_value(v) for k, v in data.get("attributes", {}).items()}
-    if data.get("kind") == "interval":
-        return GeneralizedIntervalObject(oid, attrs)
-    return EntityObject(oid, attrs)
+#: One row per mutation type, the only place a mutation is spelled:
+#: ``(encode, decode)`` turn the storage event's value into the payload
+#: and the payload back into the argument of the ``VideoDatabase``
+#: method of the same name.
+MUTATIONS: Dict[str, Tuple[Callable[[Any], Dict[str, Any]],
+                           Callable[[Dict[str, Any]], Any]]] = {
+    "add": (_encode_kind_object, decode_object),
+    "replace": (_encode_kind_object, decode_object),
+    "remove_object": (lambda oid: {"oid": encode_value(oid)},
+                      lambda data: decode_value(data["oid"])),
+    "relate": (encode_fact, decode_fact),
+    "remove_fact": (encode_fact, decode_fact),
+    "declare_relation": (lambda name: {"name": name},
+                         lambda data: data["name"]),
+}
 
-
-def _encode_fact(fact: RelationFact) -> Dict[str, Any]:
-    return {"name": fact.name, "args": [encode_value(a) for a in fact.args]}
-
-
-def _decode_fact(data: Dict[str, Any]) -> RelationFact:
-    return RelationFact(data["name"],
-                        tuple(decode_value(a) for a in data["args"]))
-
-
-# -- event <-> record payload ---------------------------------------------
-
-def encode_event(event: Tuple) -> Tuple[str, Dict[str, Any]]:
-    """A storage mutation event as a ``(mutation type, payload)`` pair."""
-    kind = event[0]
-    if kind in ("add", "replace"):
-        return kind, encode_object(event[1])
-    if kind == "remove_object":
-        return kind, {"oid": encode_value(event[1])}
-    if kind in ("relate", "remove_fact"):
-        return kind, _encode_fact(event[1])
-    if kind == "declare_relation":
-        return kind, {"name": event[1]}
-    raise RecoveryError(f"unknown mutation event {event!r}")
+#: Every mutation type a ``commit`` record may hold.
+MUTATION_TYPES = tuple(MUTATIONS)
 
 
 def encode_commit(events: Iterable[Tuple]) -> Dict[str, Any]:
     """The payload of the ``commit`` record for one change set."""
-    return {"mutations": [list(encode_event(event)) for event in events]}
-
-
-#: How each mutation type inside a ``commit`` record replays.
-_APPLY: Dict[str, Callable[[VideoDatabase, Dict[str, Any]], Any]] = {
-    "add": lambda db, data: db.add(decode_object(data)),
-    "replace": lambda db, data: db.replace(decode_object(data)),
-    "remove_object": lambda db, data: db.remove_object(
-        decode_value(data["oid"])),
-    "relate": lambda db, data: db.relate(_decode_fact(data)),
-    "remove_fact": lambda db, data: db.remove_fact(_decode_fact(data)),
-    "declare_relation": lambda db, data: db.declare_relation(data["name"]),
-}
-
-#: Every mutation type a ``commit`` record may hold.
-MUTATION_TYPES = tuple(_APPLY)
+    mutations = []
+    for kind, value in events:
+        if kind not in MUTATIONS:
+            raise RecoveryError(f"unknown mutation event {kind!r}")
+        mutations.append([kind, MUTATIONS[kind][0](value)])
+    return {"mutations": mutations}
 
 
 def apply_record(db: VideoDatabase, record: WalRecord) -> int:
@@ -132,10 +88,9 @@ def apply_record(db: VideoDatabase, record: WalRecord) -> int:
     try:
         with db.transaction():
             for kind, data in mutations:
-                apply = _APPLY.get(kind)
-                if apply is None:
+                if kind not in MUTATIONS:
                     raise RecoveryError(f"unknown mutation type {kind!r}")
-                apply(db, data)
+                getattr(db, kind)(MUTATIONS[kind][1](data))
     except Exception as error:
         raise RecoveryError(
             f"WAL record lsn={record.lsn} ({kind}) failed to apply: "

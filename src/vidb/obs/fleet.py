@@ -31,7 +31,7 @@ import threading
 import time
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from vidb.obs.exporter import prom_name
+from vidb.obs.exporter import _label_str, prom_name
 
 __all__ = [
     "FleetAggregator",
@@ -195,11 +195,6 @@ def _parse_snapshot_key(key: str) -> Tuple[str, Dict[str, str]]:
     return match.group("name"), labels
 
 
-def _label_str(labels: Mapping[str, str]) -> str:
-    inner = ",".join(f'{k}="{v}"' for k, v in labels.items())
-    return f"{{{inner}}}"
-
-
 def render_fleet_exposition(fleet: FleetAggregator,
                             prefix: str = "vidb_") -> str:
     """Prometheus text for the whole fleet, per-node labeled.
@@ -244,7 +239,7 @@ def render_fleet_exposition(fleet: FleetAggregator,
     for name in sorted(series):
         lines.append(f"# TYPE {name} gauge")
         for labels, value in series[name]:
-            label_text = _label_str(labels) if labels else ""
+            label_text = _label_str(labels)
             if value == int(value):
                 lines.append(f"{name}{label_text} {int(value)}")
             else:

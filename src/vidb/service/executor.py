@@ -248,7 +248,8 @@ class ServiceExecutor:
             capacity=trace_capacity, sample_rate=trace_sample,
             slow_threshold_s=self.slow_query_s, sink=trace_sink)
         self.default_timeout = default_timeout
-        self.max_in_flight = max_in_flight or max_workers * 4
+        self.max_in_flight = (max_workers * 4 if max_in_flight is None
+                              else max_in_flight)
         #: Kept so a replica resync (which replaces the follower's whole
         #: database object) can rebuild the engine against the new one.
         self._engine_options = dict(engine_options or {})
@@ -259,6 +260,8 @@ class ServiceExecutor:
         self._lock = RWLock()
         if max_workers < 1:
             raise ValueError("max_workers must be greater than 0")
+        if self.max_in_flight < 1:
+            raise ValueError("max_in_flight must be greater than 0")
         #: At most ``max_workers`` queries evaluate at once; the rest of
         #: the ``max_in_flight`` admitted wait here, bounded by their
         #: deadlines.  A query takes its slot before the read lock, so a

@@ -46,7 +46,7 @@ from vidb.service.wire import (
     Connection,
     Endpoint,
     Message,
-    apply_mutation,
+    decode_mutation,
 )
 
 
@@ -190,18 +190,19 @@ class VideoServer(Endpoint):
         return reply
 
     def _op_mutation(self, conn: Connection, request: Message) -> Message:
-        value = self.service.mutate(lambda db: apply_mutation(db, request))
+        value = self.service.mutate(decode_mutation(request))
         return self._write_reply(**{OPS[request["op"]].result: str(value)})
 
     op_insert_entity = op_insert_interval = _op_mutation
     op_relate = op_declare_relation = _op_mutation
+    op_remove_object = op_remove_fact = _op_mutation
 
     def op_batch(self, conn: Connection, request: Message) -> Message:
         ops = request["ops"]
 
         def _apply(db) -> int:
             for index, sub_op in enumerate(ops):
-                apply_mutation(db, sub_op, f"batch item {index}: ")
+                decode_mutation(sub_op, f"batch item {index}: ")(db)
             return len(ops)
 
         return self._write_reply(applied=self.service.apply_batch(_apply))

@@ -150,10 +150,6 @@ class Session:
                     f"session {self.id} has no prepared query {name!r}"
                 ) from None
 
-    def prepared_names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._prepared)
-
     def execute(self, name: str, timeout: Optional[float] = None,
                 **params: Any):
         """Run a prepared query with the given parameter values."""

@@ -36,6 +36,7 @@ from vidb.errors import (
     ClusterError,
     FencedError,
     ModelError,
+    PersistenceError,
     ProtocolError,
     QueryError,
     QueryTimeoutError,
@@ -49,7 +50,9 @@ from vidb.errors import (
     VidbError,
 )
 from vidb.model.oid import Oid
+from vidb.model.relations import RelationFact
 from vidb.obs.trace import NULL_TRACER, TraceContext, Tracer, parse_traceparent
+from vidb.storage.persistence import decode_value
 
 Message = Dict[str, Any]
 Handler = Callable[["Connection", Message], Message]
@@ -123,16 +126,36 @@ def _scalars(value: Any) -> bool:
         isinstance(item, (str, int, float)) for item in value.values())
 
 
-#: field kind -> (how an error names it, the check a value must pass).
-KINDS: Dict[str, Tuple[str, Callable[[Any], bool]]] = {
-    "string": ("a string", lambda value: isinstance(value, str)),
-    "integer": ("an integer", lambda value: isinstance(value, int)),
-    "number": ("a number", lambda value: isinstance(value, (int, float))),
-    "object": ("an object", lambda value: isinstance(value, dict)),
-    "array": ("an array", lambda value: isinstance(value, list)),
-    "pairs": ("an array of [start, end] number pairs", _pairs),
-    "scalars": ("an object of string or number values", _scalars),
-    "flag": ("any value (read for its truth)", lambda value: True),
+def _decode_list(values: Any) -> Any:
+    return [decode_value(value) for value in values]
+
+
+#: field kind -> (how an error names it, the check a value must pass,
+#: for a model-value kind the decoder :func:`decode_mutation` runs: a
+#: JSON scalar stays itself, a ``$``-tagged object is read exactly as
+#: :mod:`vidb.storage.persistence` reads it on disk).
+KINDS: Dict[str, Tuple[str, Callable[[Any], bool], Any]] = {
+    "string": ("a string", lambda value: isinstance(value, str), None),
+    "integer": ("an integer", lambda value: isinstance(value, int), None),
+    "number": ("a number", lambda value: isinstance(value, (int, float)),
+               None),
+    "object": ("an object", lambda value: isinstance(value, dict), None),
+    "array": ("an array", lambda value: isinstance(value, list), None),
+    "pairs": ("an array of [start, end] number pairs", _pairs, None),
+    "scalars": ("an object of string or number values", _scalars, None),
+    "flag": ("any value (read for its truth)", lambda value: True, None),
+    "value": ("a JSON scalar or a tagged value",
+              lambda value: isinstance(value, (str, int, float, dict)),
+              decode_value),
+    "values": ("an object of JSON scalars or tagged values",
+               lambda value: isinstance(value, dict),
+               lambda values: {k: decode_value(v)
+                               for k, v in values.items()}),
+    "value_list": ("an array of JSON scalars or tagged values",
+                   lambda value: isinstance(value, list), _decode_list),
+    "args": ("a non-empty array of JSON scalars or tagged values",
+             lambda value: isinstance(value, list) and bool(value),
+             _decode_list),
 }
 
 
@@ -168,10 +191,12 @@ def check_fields(row: "Op", request: Message, where: str = "") -> None:
 
 
 # -- mutations ---------------------------------------------------------------
+# Each row applies an op whose value-typed fields are already decoded.
 def _resolve_arg(db: Any, value: Any) -> Any:
-    """A relation argument: an existing oid when one matches, else a
-    constant (the same resolution rule symbols get in query text)."""
-    if isinstance(value, str):
+    """A relation argument: an existing oid when a plain name matches
+    one, else the value itself (the same resolution rule symbols get in
+    query text)."""
+    if isinstance(value, str) and value:
         for oid in (Oid.entity(value), Oid.interval(value)):
             if db.get(oid) is not None:
                 return oid
@@ -190,9 +215,23 @@ def _insert_interval(db: Any, op: Message) -> Any:
                            duration=pairs, **op.get("attributes") or {}).oid
 
 
+def _fact(db: Any, op: Message) -> RelationFact:
+    return RelationFact(op["relation"],
+                        [_resolve_arg(db, arg) for arg in op["args"]])
+
+
 def _relate(db: Any, op: Message) -> Any:
-    return db.relate(op["relation"],
-                     *[_resolve_arg(db, arg) for arg in op.get("args") or ()])
+    return db.relate(_fact(db, op))
+
+
+def _remove_fact(db: Any, op: Message) -> Any:
+    fact = _fact(db, op)
+    db.remove_fact(fact)
+    return fact
+
+
+def _remove_object(db: Any, op: Message) -> Any:
+    return db.remove_object(op["oid"]).oid
 
 
 def _declare_relation(db: Any, op: Message) -> Any:
@@ -235,14 +274,18 @@ OPS: Dict[str, Op] = {row.name: row for row in (
     Op("prepare", _fields("name:string!", "query:string!", "params:array")),
     Op("execute", _fields("name:string!", "params:object", *_READ),
        idempotent=True, sampled=True),
-    Op("insert_entity", _fields("oid:string!", "attributes:object"),
+    Op("insert_entity", _fields("oid:string!", "attributes:values"),
        apply=_insert_entity, result="oid"),
     Op("insert_interval",
-       _fields("oid:string!", "entities:array", "duration:pairs",
-               "attributes:object"),
+       _fields("oid:string!", "entities:value_list", "duration:pairs",
+               "attributes:values"),
        apply=_insert_interval, result="oid"),
-    Op("relate", _fields("relation:string!", "args:array"),
+    Op("relate", _fields("relation:string!", "args:args!"),
        apply=_relate, result="fact"),
+    Op("remove_object", _fields("oid:value!"),
+       apply=_remove_object, result="oid"),
+    Op("remove_fact", _fields("relation:string!", "args:args!"),
+       apply=_remove_fact, result="fact"),
     Op("declare_relation", _fields("name:string!"),
        apply=_declare_relation, result="relation"),
     Op("batch", _fields("ops:array!")),
@@ -272,11 +315,12 @@ IDEMPOTENT_OPS = frozenset(name for name, row in OPS.items()
 REPLICA_OPS = frozenset(name for name, row in OPS.items() if row.replica)
 
 
-def apply_mutation(db: Any, op: Any, where: str = "") -> Any:
-    """Validate and apply one mutation *op* to *db* (the caller provides
-    the transaction); returns the value of the row's ``result`` field.
+def decode_mutation(op: Any, where: str = "") -> Callable[[Any], Any]:
+    """Validate mutation *op* and decode its value-typed fields; returns
+    the function that applies it to a database (inside the caller's
+    transaction) and returns the value of the row's ``result`` field.
 
-    The only mutation applier: the single-op path, ``batch`` sub-ops and
+    The only mutation path: single writes, ``batch`` sub-ops and
     :func:`vidb.stream.ingest.apply_record` all come through here.
     """
     if not isinstance(op, dict):
@@ -288,7 +332,17 @@ def apply_mutation(db: Any, op: Any, where: str = "") -> Any:
         raise ProtocolError(f"{where}unknown sub-op {name!r} "
                             f"(supported: {supported})")
     check_fields(row, op, where)
-    return row.apply(db, op)
+    decoded = dict(op)
+    for field in row.fields:
+        decode = KINDS[field.kind][2]
+        if decode is not None and op.get(field.name) is not None:
+            try:
+                decoded[field.name] = decode(op[field.name])
+            except PersistenceError as error:
+                raise ProtocolError(f"{where}op {row.name!r}: "
+                                    f"{field.name!r}: {error}") from None
+    apply = row.apply
+    return lambda db: apply(db, decoded)
 
 
 # -- trace adoption ----------------------------------------------------------

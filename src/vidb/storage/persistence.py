@@ -15,6 +15,11 @@ constraint atom   ``{"left": term, "op": str, "right": term}``
 Var               ``{"$var": name}``
 ================  =================================================
 
+Objects encode as ``{"oid": ..., "attributes": {...}}``, facts as
+``{"name": ..., "args": [...]}``.  This is the one codec between model
+values and JSON: snapshots, WAL ``commit`` frames, wire writes and dump
+records all use it, so a tag means the same on the wire as on disk.
+
 The snapshot is stable under a decode/encode round-trip, which the
 integration tests verify.
 """
@@ -29,9 +34,9 @@ from typing import Any, Dict, Union
 
 from vidb.constraints.dense import Comparison, Constraint, from_dnf
 from vidb.constraints.terms import Var
-from vidb.errors import PersistenceError
-from vidb.model.objects import EntityObject, GeneralizedIntervalObject
-from vidb.model.oid import Oid
+from vidb.errors import PersistenceError, VidbError
+from vidb.model.objects import EntityObject, GeneralizedIntervalObject, VideoObject
+from vidb.model.oid import INTERVAL, Oid
 from vidb.model.relations import RelationFact
 from vidb.storage.database import VideoDatabase
 
@@ -54,29 +59,34 @@ def encode_value(value: Any) -> Any:
         encoded.sort(key=json.dumps)  # deterministic snapshots
         return {"$set": encoded}
     if isinstance(value, Constraint):
-        clauses = [[_encode_atom(a) for a in clause] for clause in value.dnf()]
-        return {"$constraint": clauses}
+        return {"$constraint": [
+            [{"left": _encode_term(atom.left), "op": atom.op,
+              "right": _encode_term(atom.right)} for atom in clause]
+            for clause in value.dnf()]}
     raise PersistenceError(f"cannot encode value {value!r}")
 
 
-def _encode_atom(atom: Comparison) -> Dict[str, Any]:
-    return {
-        "left": _encode_term(atom.left),
-        "op": atom.op,
-        "right": _encode_term(atom.right),
-    }
-
-
 def _encode_term(term: Any) -> Any:
-    if isinstance(term, Var):
-        return {"$var": term.name}
-    return encode_value(term)
+    return {"$var": term.name} if isinstance(term, Var) else encode_value(term)
 
 
 def decode_value(data: Any) -> Any:
+    """The model value *data* encodes; :class:`PersistenceError` when it
+    is neither a JSON scalar nor a well-formed tag."""
+    try:
+        return _decode(data)
+    except PersistenceError:
+        raise
+    except (LookupError, TypeError, ValueError, ArithmeticError,
+            VidbError) as error:
+        raise PersistenceError(f"cannot decode value {data!r}: {error}") \
+            from None
+
+
+def _decode(data: Any) -> Any:
     if isinstance(data, (int, float, str)):
         return data
-    if isinstance(data, dict):
+    if isinstance(data, dict) and len(data) == 1:
         if "$fraction" in data:
             numerator, denominator = data["$fraction"]
             return Fraction(numerator, denominator)
@@ -84,23 +94,46 @@ def decode_value(data: Any) -> Any:
             payload = data["$oid"]
             return Oid(payload["kind"], payload["parts"])
         if "$set" in data:
-            return frozenset(decode_value(v) for v in data["$set"])
+            return frozenset(_decode(v) for v in data["$set"])
         if "$constraint" in data:
-            clauses = [
-                tuple(_decode_atom(a) for a in clause) for clause in data["$constraint"]
-            ]
-            return from_dnf(clauses)
+            return from_dnf([
+                tuple(Comparison(_decode_term(atom["left"]), atom["op"],
+                                 _decode_term(atom["right"]))
+                      for atom in clause)
+                for clause in data["$constraint"]])
     raise PersistenceError(f"cannot decode value {data!r}")
-
-
-def _decode_atom(data: Dict[str, Any]) -> Comparison:
-    return Comparison(_decode_term(data["left"]), data["op"], _decode_term(data["right"]))
 
 
 def _decode_term(data: Any) -> Any:
     if isinstance(data, dict) and "$var" in data:
         return Var(data["$var"])
-    return decode_value(data)
+    return _decode(data)
+
+
+# -- object and fact codec -------------------------------------------------
+
+def encode_object(obj: VideoObject) -> Dict[str, Any]:
+    return {
+        "oid": encode_value(obj.oid),
+        "attributes": {k: encode_value(v) for k, v in sorted(obj.items())},
+    }
+
+
+def decode_object(data: Dict[str, Any]) -> VideoObject:
+    """The object *data* encodes; its oid's kind picks the class."""
+    oid = decode_value(data["oid"])
+    attrs = {k: decode_value(v) for k, v in data.get("attributes", {}).items()}
+    if isinstance(oid, Oid) and oid.kind == INTERVAL:
+        return GeneralizedIntervalObject(oid, attrs)
+    return EntityObject(oid, attrs)
+
+
+def encode_fact(fact: RelationFact) -> Dict[str, Any]:
+    return {"name": fact.name, "args": [encode_value(a) for a in fact.args]}
+
+
+def decode_fact(data: Dict[str, Any]) -> RelationFact:
+    return RelationFact(data["name"], tuple(decode_value(a) for a in data["args"]))
 
 
 # -- database codec --------------------------------------------------------------
@@ -111,30 +144,12 @@ def database_to_dict(db: VideoDatabase) -> Dict[str, Any]:
         "format": FORMAT_VERSION,
         "name": db.name,
         "epoch": db.epoch,
-        "entities": [
-            {
-                "oid": encode_value(obj.oid),
-                "attributes": {k: encode_value(v) for k, v in sorted(obj.items())},
-            }
-            for obj in sorted(db.entities(), key=lambda o: o.oid)
-        ],
-        "intervals": [
-            {
-                "oid": encode_value(obj.oid),
-                "attributes": {k: encode_value(v) for k, v in sorted(obj.items())},
-            }
-            for obj in sorted(db.intervals(), key=lambda o: o.oid)
-        ],
-        "facts": sorted(
-            (
-                {
-                    "name": fact.name,
-                    "args": [encode_value(a) for a in fact.args],
-                }
-                for fact in db.facts()
-            ),
-            key=json.dumps,
-        ),
+        "entities": [encode_object(obj)
+                     for obj in sorted(db.entities(), key=lambda o: o.oid)],
+        "intervals": [encode_object(obj)
+                      for obj in sorted(db.intervals(), key=lambda o: o.oid)],
+        "facts": sorted((encode_fact(fact) for fact in db.facts()),
+                        key=json.dumps),
     }
 
 
@@ -147,17 +162,10 @@ def database_from_dict(data: Dict[str, Any]) -> VideoDatabase:
             f"(expected {FORMAT_VERSION})"
         )
     db = VideoDatabase(data.get("name", "video"))
-    for record in data.get("entities", ()):
-        oid = decode_value(record["oid"])
-        attrs = {k: decode_value(v) for k, v in record.get("attributes", {}).items()}
-        db.add(EntityObject(oid, attrs))
-    for record in data.get("intervals", ()):
-        oid = decode_value(record["oid"])
-        attrs = {k: decode_value(v) for k, v in record.get("attributes", {}).items()}
-        db.add(GeneralizedIntervalObject(oid, attrs))
+    for record in (*data.get("entities", ()), *data.get("intervals", ())):
+        db.add(decode_object(record))
     for record in data.get("facts", ()):
-        args = tuple(decode_value(a) for a in record["args"])
-        db.relate(RelationFact(record["name"], args))
+        db.relate(decode_fact(record))
     # Restore the mutation epoch the snapshot was taken at, so a reload
     # does not silently restart cache-keying epochs (older snapshots
     # without the field keep the rebuild count, which is still

@@ -15,6 +15,16 @@ One record per line, ``t`` (seconds, non-decreasing) + ``kind``::
     {"t": 12.4, "kind": "fact",     "relation": "appears",
      "args": ["o1", "gi1"]}
 
+A record is the wire write op :func:`record_to_op` maps it to, checked
+against that op's row of :data:`vidb.service.wire.OPS` when parsed.  Any
+value may be a JSON scalar (a plain string fact argument names the
+existing object of that name, as a symbol in query text does) or a
+tagged value as snapshots spell it (``{"$oid": ...}``, ``{"$set": [...]}``,
+``{"$fraction": ...}``, ``{"$constraint": ...}``; see
+:mod:`vidb.storage.persistence`).  Dumps only add; a retraction goes
+over the wire as a ``remove_object`` / ``remove_fact`` op, and until
+standing views retract incrementally it rebuilds each view it touches.
+
 Records are applied through **batched transactions** (``batch_size``
 records per commit) — each commit is one atomic delta on the mutation
 stream, so standing queries fire once per batch, not once per record,
@@ -39,7 +49,7 @@ from typing import (
 )
 
 from vidb.errors import ProtocolError
-from vidb.service.wire import apply_mutation
+from vidb.service.wire import OPS, check_fields, decode_mutation
 from vidb.storage.database import VideoDatabase
 
 #: One parsed dump record.
@@ -63,16 +73,8 @@ def parse_record(line: str, lineno: int = 0) -> Record:
             f"{sorted(RECORD_KINDS)}, got {kind!r}")
     if not isinstance(record.get("t"), (int, float)):
         raise ProtocolError(f"dump line {lineno}: numeric 't' is required")
-    if kind in ("entity", "interval") and not isinstance(
-            record.get("oid"), str):
-        raise ProtocolError(f"dump line {lineno}: {kind} needs string 'oid'")
-    if kind == "fact":
-        if not isinstance(record.get("relation"), str):
-            raise ProtocolError(
-                f"dump line {lineno}: fact needs string 'relation'")
-        if not isinstance(record.get("args"), list) or not record["args"]:
-            raise ProtocolError(
-                f"dump line {lineno}: fact needs non-empty 'args' array")
+    op = record_to_op(record)
+    check_fields(OPS[op["op"]], op, f"dump line {lineno}: ")
     return record
 
 
@@ -147,23 +149,24 @@ def generate_dump(entities: int = 10, intervals: int = 100,
 def apply_record(db: VideoDatabase, record: Record) -> None:
     """Apply one dump record to *db* (caller provides the transaction),
     exactly as the wire protocol's ``batch`` applies its sub-op."""
-    apply_mutation(db, record_to_op(record))
+    decode_mutation(record_to_op(record))(db)
 
 
 def record_to_op(record: Record) -> Dict[str, Any]:
     """One dump record as a wire ``batch`` sub-op."""
     kind = record["kind"]
     if kind == "entity":
-        return {"op": "insert_entity", "oid": record["oid"],
+        return {"op": "insert_entity", "oid": record.get("oid"),
                 "attributes": record.get("attributes", {})}
     if kind == "interval":
-        return {"op": "insert_interval", "oid": record["oid"],
+        return {"op": "insert_interval", "oid": record.get("oid"),
                 "entities": record.get("entities", []),
                 "duration": record.get("duration"),
                 "attributes": record.get("attributes", {})}
     if kind == "fact":
-        return {"op": "relate", "relation": record["relation"],
-                "args": list(record["args"])}
+        args = record.get("args")
+        return {"op": "relate", "relation": record.get("relation"),
+                "args": list(args) if isinstance(args, tuple) else args}
     raise ProtocolError(f"unknown record kind {kind!r}")
 
 
@@ -241,17 +244,10 @@ def ingest_local(service: Any, records: Iterable[Record],
     """Replay *records* straight into a
     :class:`~vidb.service.executor.ServiceExecutor` (embedded mode —
     the benchmarks and tests use this to skip the socket)."""
-    if batch_size < 1:
-        raise ProtocolError("batch_size must be at least 1")
-    report = IngestReport()
-    started = time.perf_counter()
-    for batch in _batches(records, batch_size):
-        def _apply(db: VideoDatabase, batch: List[Record] = batch) -> None:
-            for record in batch:
-                apply_record(db, record)
-        service.mutate(_apply)
-        report.records += len(batch)
-        report.batches += 1
-    report.final_epoch = service.db.epoch
-    report.elapsed_s = time.perf_counter() - started
-    return report
+    class Local:
+        @staticmethod
+        def batch(ops: List[Dict[str, Any]]) -> Dict[str, Any]:
+            service.mutate(lambda db: [decode_mutation(op)(db) for op in ops])
+            return {"epoch": service.db.epoch}
+
+    return ingest_records(Local, records, batch_size)

@@ -287,10 +287,9 @@ class SubscriptionManager:
         self.subscriptions_closed = 0
         self.notifications_total = 0
         self.notified_rows_total = 0
-        #: Lag/drop totals carried over from closed subscriptions, so
-        #: the cumulative metrics survive unsubscribes.
+        #: Lag totals carried over from closed subscriptions, so the
+        #: cumulative metric survives unsubscribes.
         self._retired_lag_events = 0
-        self._retired_dropped_batches = 0
         hub.add_consumer(self._on_delta)
 
     # -- lifecycle ------------------------------------------------------------
@@ -323,7 +322,6 @@ class SubscriptionManager:
         sub.close()
         self.subscriptions_closed += 1
         self._retired_lag_events += sub.lag_events
-        self._retired_dropped_batches += sub.dropped_batches
         return True
 
     def get(self, sub_id: str) -> Subscription:
@@ -386,11 +384,6 @@ class SubscriptionManager:
         with self._lock:
             return self._retired_lag_events + sum(
                 sub.lag_events for sub in self._subs.values())
-
-    def total_dropped_batches(self) -> int:
-        with self._lock:
-            return self._retired_dropped_batches + sum(
-                sub.dropped_batches for sub in self._subs.values())
 
     def describe(self) -> List[Dict[str, Any]]:
         with self._lock:

@@ -447,6 +447,16 @@ class TestLifecycle:
         with pytest.raises(ServiceClosedError):
             executor.open_session()
 
+    @pytest.mark.parametrize("bounds", [
+        {"max_workers": 0}, {"max_in_flight": 0}, {"max_in_flight": -1}])
+    def test_pool_bounds_must_be_positive(self, bounds):
+        with pytest.raises(ValueError, match="must be greater than 0"):
+            ServiceExecutor(rope_database(), **bounds)
+
+    def test_max_in_flight_defaults_to_four_per_worker(self):
+        with ServiceExecutor(rope_database(), max_workers=3) as executor:
+            assert executor.max_in_flight == 12
+
     def test_service_answers_match_plain_engine(self, service):
         expected = QueryEngine(rope_database()).query(Q_APPEARS).rows()
         assert service.execute(Q_APPEARS).rows() == expected

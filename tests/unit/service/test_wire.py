@@ -32,9 +32,11 @@ ROLES = ("primary", "replica", "router")
 #: A well-typed and a wrong-typed value for every field kind the op
 #: table declares ("flag" accepts anything, so it has no wrong value).
 VALID = {"string": "x", "integer": 1, "number": 1, "object": {},
-         "array": [], "pairs": [[0, 1]], "scalars": {}, "flag": True}
+         "array": [], "pairs": [[0, 1]], "scalars": {}, "flag": True,
+         "value": "x", "values": {}, "value_list": [], "args": ["x"]}
 WRONG = {"string": 5, "integer": "1", "number": "1", "object": 5,
-         "array": 5, "pairs": [5], "scalars": {"k": []}}
+         "array": 5, "pairs": [5], "scalars": {"k": []},
+         "value": [5], "values": 5, "value_list": 5, "args": []}
 
 
 def wrong_field_requests():
@@ -207,6 +209,26 @@ class TestMalformedFields:
             reply = wire.ask(request_)
             assert reply["error"] == ("read_only" if refused else "protocol")
             assert "unreachable" not in reply["message"]
+            assert wire.still_serves()
+
+    @pytest.mark.parametrize("value", [
+        {"$oid": 5},
+        {"$oid": {"kind": "bogus", "parts": ["x"]}},
+        {"$fraction": [1, 0]},
+        {"$set": [[1]]},
+        {"$constraint": [[{"left": 1, "op": "~", "right": 2}]]},
+        {"$what": 1},
+        [1, 2],
+    ], ids=["oid-payload", "oid-kind", "fraction", "set-member",
+            "constraint-op", "unknown-tag", "list"])
+    def test_malformed_tag_is_a_protocol_error(self, endpoint, value):
+        """A written value is decoded before the write runs, so every
+        role answers ``protocol`` (not ``read_only``) and keeps going."""
+        with Wire(endpoint) as wire:
+            reply = wire.ask({"op": "insert_entity", "oid": "tagged",
+                              "attributes": {"partner": value}})
+            assert reply["ok"] is False and reply["error"] == "protocol"
+            assert "'attributes'" in reply["message"]
             assert wire.still_serves()
 
     def test_null_counts_as_absent(self, endpoint):

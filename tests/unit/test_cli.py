@@ -212,6 +212,19 @@ class TestServeAndClient:
         assert main(["serve", "/nonexistent/db.json"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--workers", "0"), ("--workers", "-3"),
+        ("--max-in-flight", "0"), ("--max-in-flight", "-1")])
+    def test_serve_pool_bounds_must_be_positive(self, capsys, flag, value):
+        """A one-line usage error with exit 2, not a traceback (workers)
+        or a server that rejects every query (max-in-flight)."""
+        with pytest.raises(SystemExit) as exit_:
+            main(["serve", "/nonexistent/db.json", flag, value])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be at least 1" in err
+        assert "Traceback" not in err
+
     def test_client_ping(self, server, capsys):
         __, port = server.address
         assert main(["client", "--port", str(port), "ping"]) == 0
